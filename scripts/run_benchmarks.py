@@ -3,8 +3,9 @@
 
 Usage:  python3 scripts/run_benchmarks.py [--out-dir results]
 
-The queue config takes about a minute at a = 10^4 on one core; the walk
-config a few seconds.  Re-running overwrites the CSVs in place.
+The queue config takes 2-4 s in all, 1.5-2.6 s of it at a = 10^4, and the
+walk config under 1 s (2-core Xeon, Python 3.11, scipy 1.17).  Re-running
+overwrites the CSVs in place.
 """
 
 import argparse

@@ -14,13 +14,9 @@ from .bounds import (
     DegenerateDeltaError,
     DriftReport,
     PipelineError,
-    SolverOptions,
-    compute_delta_beta,
     compute_error_bound,
-    compute_lower_bounds,
     compute_pi_tilde,
     compute_tv_bound,
-    compute_upper_bounds,
     run_pipeline,
     verify_lyapunov_drift,
 )
@@ -60,6 +56,7 @@ from .solver import (
     SolveResult,
     SolverConvergenceError,
     SolverError,
+    SolverOptions,
     TruncatedSystem,
     assemble_truncated_system,
     solve,

@@ -34,11 +34,10 @@ import numpy as np
 from .chain import StateIndex, TruncationProblem, member_mask, one_step_fringe
 from .models import LyapunovCertificate
 from .solver import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_MEMORY_BUDGET,
-    DEFAULT_TOL,
+    SolverOptions,
     TruncatedSystem,
     assemble_truncated_system,
+    expected_g,
     solve,
     solve_transpose,
 )
@@ -51,20 +50,6 @@ class DegenerateDeltaError(RuntimeError):
 
 class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs shared by all linear solves in one pipeline run."""
-
-    tol: float = DEFAULT_TOL
-    method: str = "auto"
-    max_iter: int = DEFAULT_MAX_ITER
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
-
-    def kwargs(self) -> dict:
-        return dict(method=self.method, max_iter=self.max_iter,
-                    memory_budget=self.memory_budget)
 
 
 @dataclass(frozen=True)
@@ -88,7 +73,7 @@ class BoundReport:
 @dataclass(frozen=True)
 class DriftViolation:
     state: int
-    kind: str        # "g1" | "g2" | "h1" | "h2"
+    kind: str        # "g1" | "g2"
     lhs: float
     rhs: float
 
@@ -108,24 +93,14 @@ class DriftReport:
         return not self.violations
 
 
-def _kprime_positions(system: TruncatedSystem, K: Iterable[StateIndex]) -> np.ndarray:
-    K_arr = np.unique(np.asarray(list(K), dtype=np.int64))
-    if not member_mask(np.array([system.z]), K_arr)[0]:
-        raise ValueError(f"K must contain the regeneration state z={system.z}")
-    if not member_mask(K_arr, system.A_full).all():
-        raise ValueError("K must be a subset of the truncation set A")
-    return system.positions(K_arr[K_arr != system.z])
-
-
-def compute_pi_tilde(system: TruncatedSystem, tol: float = DEFAULT_TOL, *,
-                     options: SolverOptions | None = None) -> np.ndarray:
+def compute_pi_tilde(system: TruncatedSystem,
+                     options: SolverOptions = SolverOptions()) -> np.ndarray:
     """Truncation approximation to the stationary vector, indexed by A_full.
 
     pi(x) = y(x) / (1 + y . e) for x in A' and pi(z) = 1 / (1 + y . e);
     states outside A carry zero mass.  Sums to one by construction.
     """
-    opts = options or SolverOptions(tol=tol)
-    y = solve_transpose(system, opts.tol, **opts.kwargs()).x
+    y = solve_transpose(system, options.tol, **options.kwargs()).x
     denom = 1.0 + float(y.sum())
     pi = np.empty(system.A_full.size)
     z_pos = int(np.searchsorted(system.A_full, system.z))
@@ -136,79 +111,11 @@ def compute_pi_tilde(system: TruncatedSystem, tol: float = DEFAULT_TOL, *,
     return pi
 
 
-def compute_lower_bounds(system: TruncatedSystem, tol: float = DEFAULT_TOL, *,
-                         options: SolverOptions | None = None) -> tuple[float, float]:
-    """Cycle-reward and cycle-length lower bounds (kappa_lo(r), kappa_lo(e))."""
-    opts = options or SolverOptions(tol=tol)
-    y = solve_transpose(system, opts.tol, **opts.kwargs()).x
-    return _lower_from_y(system, y)
-
-
-def _lower_from_y(system: TruncatedSystem, y: np.ndarray) -> tuple[float, float]:
-    kappa_r = system.r_z + float(y @ system.r_vec)
-    kappa_e = 1.0 + float(y.sum())
-    return kappa_r, kappa_e
-
-
 def _clamp_unit(value: float, name: str, tol: float) -> float:
     if value < -10.0 * tol or value > 1.0 + 10.0 * tol:
         raise RuntimeError(f"{name}={value!r} outside [0, 1] beyond tolerance; "
                            "system looks mis-assembled")
     return min(max(value, 0.0), 1.0)
-
-
-def compute_delta_beta(system: TruncatedSystem, K: Iterable[StateIndex],
-                       tol: float = DEFAULT_TOL, *,
-                       options: SolverOptions | None = None) -> tuple[float, float]:
-    """Per-excursion kill rate delta and first-excursion stop probability beta.
-
-    delta = min over K' of the probability of reaching z before leaving A;
-    beta = P_z(return to z before the first exit attempt).  Raises
-    ``DegenerateDeltaError`` when delta <= 10 tol (and K' is non-empty),
-    since the upper-bound correction divides by delta.
-    """
-    opts = options or SolverOptions(tol=tol)
-    kp = _kprime_positions(system, K)
-    y = solve_transpose(system, opts.tol, **opts.kwargs()).x
-    beta = _clamp_unit(system.P_zz + float(y @ system.p), "beta", opts.tol)
-    if kp.size == 0:
-        return 1.0, beta
-    u = solve(system, system.p, opts.tol, **opts.kwargs()).x
-    delta = float(u[kp].min())
-    if delta <= 10.0 * opts.tol:
-        raise DegenerateDeltaError(
-            f"delta={delta:.3e} <= 10*tol={10 * opts.tol:.1e}; "
-            "enlarge A or shrink K")
-    return _clamp_unit(delta, "delta", opts.tol), beta
-
-
-def compute_upper_bounds(system: TruncatedSystem, K: Iterable[StateIndex],
-                         delta: float, beta: float, tol: float = DEFAULT_TOL, *,
-                         options: SolverOptions | None = None) -> tuple[float, float]:
-    """Cycle-reward and cycle-length upper bounds (kappa_hi(r), kappa_hi(e))."""
-    opts = options or SolverOptions(tol=tol)
-    y = solve_transpose(system, opts.tol, **opts.kwargs()).x
-    kappa_r, kappa_e = _lower_from_y(system, y)
-    d1, d2 = _deltas(system, K, delta, beta, y, opts)
-    return kappa_r + d1, kappa_e + d2
-
-
-def _deltas(system: TruncatedSystem, K, delta: float, beta: float,
-            y: np.ndarray, opts: SolverOptions) -> tuple[float, float]:
-    kp = _kprime_positions(system, K)
-    if delta <= 0.0:
-        raise DegenerateDeltaError(f"delta={delta!r} must be positive")
-    amp = max(0.0, 1.0 - beta) / delta
-    if kp.size == 0:
-        corr1 = corr2 = 0.0
-    else:
-        u1 = solve(system, system.r_vec + system.h1, opts.tol, **opts.kwargs()).x
-        u2 = solve(system, np.ones(system.size) + system.h2, opts.tol, **opts.kwargs()).x
-        corr1 = amp * float(u1[kp].max())
-        corr2 = amp * float(u2[kp].max())
-    d1 = float(y @ system.h1) + system.h1_z + corr1
-    d2 = float(y @ system.h2) + system.h2_z + corr2
-    return d1, d2
 
 
 def compute_error_bound(kappa_lower_r: float, kappa_lower_e: float,
@@ -238,32 +145,41 @@ def run_pipeline(problem: TruncationProblem,
     against y.
     """
     opts = options or SolverOptions()
+    kw = opts.kwargs()
 
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except DegenerateDeltaError:
-            raise
         except Exception as exc:
             raise PipelineError(f"stage '{name}' failed: {exc}") from exc
 
     system = stage("assemble", assemble_truncated_system, problem, certificate)
-    y = stage("transpose_solve", solve_transpose, system, opts.tol, **opts.kwargs()).x
-    kappa_lower_r, kappa_lower_e = _lower_from_y(system, y)
+    y = stage("transpose_solve", solve_transpose, system, opts.tol, **kw).x
+    kappa_lower_r = system.r_z + float(y @ system.r_vec)
+    kappa_lower_e = 1.0 + float(y.sum())
     pi_tilde_r = kappa_lower_r / kappa_lower_e
 
-    kp = _kprime_positions(system, problem.K)
+    # K' = K - {z}; TruncationProblem has already checked z in K and K in A
+    kp = system.positions(problem.K[problem.K != problem.z])
     beta = _clamp_unit(system.P_zz + float(y @ system.p), "beta", opts.tol)
+    corr1 = corr2 = 0.0
     if kp.size == 0:
         delta = 1.0
     else:
-        u_p = stage("delta_solve", solve, system, system.p, opts.tol, **opts.kwargs()).x
+        u_p = stage("delta_solve", solve, system, system.p, opts.tol, **kw).x
         delta = float(u_p[kp].min())
         if delta <= 10.0 * opts.tol:
             raise DegenerateDeltaError(
                 f"delta={delta:.3e} <= 10*tol={10 * opts.tol:.1e}; enlarge A or shrink K")
         delta = _clamp_unit(delta, "delta", opts.tol)
-    Delta1, Delta2 = stage("upper_solves", _deltas, system, problem.K, delta, beta, y, opts)
+        u1 = stage("upper_solves", solve, system, system.r_vec + system.h1, opts.tol, **kw).x
+        u2 = stage("upper_solves", solve, system, np.ones(system.size) + system.h2,
+                   opts.tol, **kw).x
+        amp = max(0.0, 1.0 - beta) / delta
+        corr1 = amp * float(u1[kp].max())
+        corr2 = amp * float(u2[kp].max())
+    Delta1 = float(y @ system.h1) + system.h1_z + corr1
+    Delta2 = float(y @ system.h2) + system.h2_z + corr2
 
     kappa_upper_r = kappa_lower_r + Delta1
     kappa_upper_e = kappa_lower_e + Delta2
@@ -297,9 +213,7 @@ def verify_lyapunov_drift(problem: TruncationProblem,
         sum_{y not in K} P(x, y) g2(y) <= g2(x) - 1
 
     are evaluated exactly from the finite-support row of x.  States inside
-    K are excluded (the inequalities are only required on K^c).  When h
-    overrides are supplied, their validity
-    sum_{y not in A} P(x, y) g_i(y) <= h_i(x) is checked for every x in A.
+    K are excluded (the inequalities are only required on K^c).
 
     The window check is necessarily finite; whether the inequalities hold
     on all of K^c remains the certificate supplier's analytic obligation.
@@ -326,23 +240,8 @@ def verify_lyapunov_drift(problem: TruncationProblem,
             continue
         row = chain.row(x)
         outside_K = ~member_mask(row.targets, K)
-        lhs1 = sum(float(pr) * float(certificate.g1(int(t)))
-                   for t, pr in zip(row.targets[outside_K], row.probs[outside_K]))
-        lhs2 = sum(float(pr) * float(certificate.g2(int(t)))
-                   for t, pr in zip(row.targets[outside_K], row.probs[outside_K]))
+        lhs1, lhs2 = expected_g(certificate, row.targets[outside_K], row.probs[outside_K])
         record(x, "g1", lhs1, float(certificate.g1(x)) - problem.reward(x))
         record(x, "g2", lhs2, float(certificate.g2(x)) - 1.0)
         report.checked_states.append(x)
-
-    if certificate.h1_override is not None:
-        for x in A:
-            x = int(x)
-            row = chain.row(x)
-            outside_A = ~member_mask(row.targets, A)
-            exact1 = sum(float(pr) * float(certificate.g1(int(t)))
-                         for t, pr in zip(row.targets[outside_A], row.probs[outside_A]))
-            exact2 = sum(float(pr) * float(certificate.g2(int(t)))
-                         for t, pr in zip(row.targets[outside_A], row.probs[outside_A]))
-            record(x, "h1", exact1, float(certificate.h1_override(x)))
-            record(x, "h2", exact2, float(certificate.h2_override(x)))
     return report

@@ -5,8 +5,9 @@ sweeps the configured truncation sizes, runs the bound pipeline for each,
 and emits one row per sweep point.  Numeric columns are printed with 12
 significant digits; wall time is informational only.
 
-Exit codes: 0 success, 2 config error, 3 every sweep point failed
-numerically (solver failure or degenerate delta).
+Exit codes: 0 success, 1 output could not be written (I/O failure),
+2 config error, 3 every sweep point failed numerically (solver failure
+or degenerate delta).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bounds import DegenerateDeltaError, PipelineError, SolverOptions, run_pipeline
+from .bounds import DegenerateDeltaError, PipelineError, run_pipeline
 from .chain import TruncationProblem
 from .config import (
     ConfigError,
@@ -52,8 +53,9 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
 
     In exact h mode a sweep value a means A = {0..a-1}.  In paper_literal
     mode it means A = {0..a}, matching the published experiments whose
-    exit bounds sit at the boundary state x = a; the printed bounds are
-    exact for that truncation, so certificates stay valid.
+    exit bounds sit at the boundary state x = a.  Exit bounds are always
+    computed exactly, and on A = {0..a} they equal the published
+    magnitudes.
 
     Rows that hit a degenerate delta or a solver failure carry a status
     marker and NaN numerics instead of aborting the sweep.  With
@@ -71,9 +73,6 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
         raise ConfigError(
             f"a={max(config.a_values)} exceeds the chain's {chain.n_states} states")
     K = np.arange(config.K_max + 1)
-    opts = SolverOptions(tol=config.solver.tol, method=config.solver.method,
-                         max_iter=config.solver.max_iter,
-                         memory_budget=config.solver.memory_budget)
     do_oracle = validate or config.oracle.enabled
 
     rows = []
@@ -87,7 +86,7 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
             problem = TruncationProblem(chain=chain, A=A_states, z=config.z,
                                         K=K, r=reward)
             cert = build_certificate(config, chain, a, K, reward)
-            rep = run_pipeline(problem, cert, opts)
+            rep = run_pipeline(problem, cert, config.solver)
         except DegenerateDeltaError as exc:
             row["status"] = "degenerate_delta"
             print(f"stattrunc: a={a}: {exc}", file=log)

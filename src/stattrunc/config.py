@@ -25,6 +25,7 @@ from .models import (
     random_walk_certificate,
     random_walk_chain,
 )
+from .solver import SolverOptions
 
 MODELS = ("gm1", "random_walk")
 REWARDS = ("identity", "half")
@@ -34,14 +35,6 @@ FORMATS = ("csv", "json")
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    tol: float = 1e-12
-    max_iter: int = 10**6
-    memory_budget: int = 10**8
-    method: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ class ExperimentConfig:
     r_spec: str = "identity"
     h_mode: str = "exact"
     model_params: Mapping = field(default_factory=dict)
-    solver: SolverSettings = SolverSettings()
+    solver: SolverOptions = SolverOptions()
     oracle: OracleSettings = OracleSettings()
     output: OutputSettings = OutputSettings()
 
@@ -157,7 +150,7 @@ def parse_config(raw: Mapping, base_dir: str = ".") -> ExperimentConfig:
         r_spec=resolve(raw.get("r_spec", "identity")),
         h_mode=raw.get("h_mode", "exact"),
         model_params=dict(raw.get("model_params", {})),
-        solver=_section(raw, "solver", SolverSettings),
+        solver=_section(raw, "solver", SolverOptions),
         oracle=_section(raw, "oracle", OracleSettings),
         output=_section(raw, "output", OutputSettings),
     )
@@ -210,23 +203,18 @@ def load_reward_table(path: str) -> Callable[[int], float]:
 
 def build_chain(config: ExperimentConfig) -> ChainModel:
     if config.model == "gm1":
-        return gm1_chain(_gm1_params(config))
+        unknown = set(config.model_params) - set(Gm1Params.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown gm1 model_params: {sorted(unknown)}")
+        try:
+            return gm1_chain(Gm1Params(**config.model_params))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad gm1 model_params: {exc}") from exc
     if config.model == "random_walk":
         if config.model_params:
             raise ConfigError("random_walk takes no model_params")
         return random_walk_chain()
     return load_chain_from_file(config.model[5:])
-
-
-def _gm1_params(config: ExperimentConfig) -> Gm1Params:
-    allowed = set(Gm1Params.__dataclass_fields__)
-    unknown = set(config.model_params) - allowed
-    if unknown:
-        raise ConfigError(f"unknown gm1 model_params: {sorted(unknown)}")
-    try:
-        return Gm1Params(**config.model_params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gm1 model_params: {exc}") from exc
 
 
 def build_reward(config: ExperimentConfig) -> Callable[[int], float]:
@@ -241,17 +229,16 @@ def build_certificate(config: ExperimentConfig, chain: ChainModel, a: int,
                       K, r) -> LyapunovCertificate:
     """Certificate for sweep point a.
 
-    Built-in models carry analytic drift pairs; in paper_literal mode the
-    exit bounds are pinned to the reported magnitudes at the boundary
-    state of A = {0..a}.  File chains are finite, so a provably tight
+    Built-in models carry analytic drift pairs, which do not depend on a:
+    the exit bounds are computed exactly when the system for a truncation
+    set is assembled.  File chains are finite, so a provably tight
     certificate is computed by first-step analysis (imported lazily;
     needs the oracle module).
     """
-    literal_a = a if config.h_mode == "paper_literal" else None
     if config.model == "gm1":
-        return gm1_certificate(_gm1_params(config), paper_literal_a=literal_a)
+        return gm1_certificate()
     if config.model == "random_walk":
-        return random_walk_certificate(paper_literal_a=literal_a)
+        return random_walk_certificate()
     from .oracle import tight_certificate
     if chain.n_states is None:
         raise ConfigError("file model must declare its state count")

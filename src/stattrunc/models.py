@@ -65,19 +65,16 @@ class Gm1Params:
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
-    """Drift functions g1, g2 plus optional explicit overshoot bounds.
+    """Drift functions g1, g2 (non-negative).
 
     ``g1`` controls reward accumulated on excursions outside K, ``g2``
-    excursion length.  When the overrides are ``None``, the exit bounds
-    h_i(x) = sum_{y not in A} P(x, y) g_i(y) are computed exactly from the
-    finite-support rows during system assembly; supplying overrides lets a
-    caller reproduce externally reported h values instead.
+    excursion length.  The exit bounds h_i(x) = sum_{y not in A} P(x, y)
+    g_i(y) are computed exactly from the finite-support rows during
+    system assembly.
     """
 
     g1: Callable[[StateIndex], float]
     g2: Callable[[StateIndex], float]
-    h1_override: Callable[[StateIndex], float] | None = None
-    h2_override: Callable[[StateIndex], float] | None = None
 
 
 def _beta_table(c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,27 +153,15 @@ def gm1_chain(params: Gm1Params = Gm1Params()) -> ChainModel:
     )
 
 
-def gm1_certificate(params: Gm1Params = Gm1Params(),
-                    paper_literal_a: int | None = None) -> LyapunovCertificate:
+def gm1_certificate() -> LyapunovCertificate:
     """Quadratic/linear Lyapunov pair for the G/M/1 chain.
 
-    g1(x) = 300 x^2 and g2(x) = 300 x.  By default the exit bounds h_i are
-    computed exactly downstream.  Passing ``paper_literal_a`` instead pins
-    h_i to the reported magnitudes 300 * beta_0 * (a+1)^(3-i) at the state
-    x = a and zero elsewhere.  Since one-step escape from A = {0..a} only
-    happens from x = a (to a+1, mass beta_0), these are the exact exit
-    bounds for that truncation set; using them with any other A is an
-    unchecked external claim.
+    g1(x) = 300 x^2 and g2(x) = 300 x.  On A = {0..a} only x = a escapes in one step (to a+1, mass beta_0), so
+    the exact exit bounds are 300 * beta_0 * (a+1)^(3-i) at x = a and zero
+    elsewhere: the magnitudes reported for the published sweep.
     """
-    g1 = lambda x: 300.0 * float(x) ** 2
-    g2 = lambda x: 300.0 * float(x)
-    if paper_literal_a is None:
-        return LyapunovCertificate(g1=g1, g2=g2)
-    a = int(paper_literal_a)
-    beta0 = float(gm1_beta_coeffs(Gm1Params(c=params.c, max_coeff=1))[0])
-    h1 = lambda x: 300.0 * beta0 * (a + 1.0) ** 2 if x == a else 0.0
-    h2 = lambda x: 300.0 * beta0 * (a + 1.0) if x == a else 0.0
-    return LyapunovCertificate(g1=g1, g2=g2, h1_override=h1, h2_override=h2)
+    return LyapunovCertificate(g1=lambda x: 300.0 * float(x) ** 2,
+                               g2=lambda x: 300.0 * float(x))
 
 
 def random_walk_row(x: StateIndex) -> SparseRow:
@@ -197,20 +182,15 @@ def random_walk_chain() -> ChainModel:
     )
 
 
-def random_walk_certificate(paper_literal_a: int | None = None) -> LyapunovCertificate:
+def random_walk_certificate() -> LyapunovCertificate:
     """Quadratic Lyapunov pair g1 = g2 = x^2 for the random walk.
 
-    The default computes exit bounds exactly downstream.  Passing
-    ``paper_literal_a`` pins h_i to (a+1)^2 / 3 at x = a and zero
-    elsewhere, which is the exact exit bound for A = {0..a} (only x = a
-    escapes, to a+1 with probability 1/3, and g(a+1) = (a+1)^2).
+    On A = {0..a} only x = a escapes in one step (to a+1 with probability
+    1/3), so the exact exit bounds are (a+1)^2 / 3 at x = a and zero
+    elsewhere.
     """
     g = lambda x: float(x) ** 2
-    if paper_literal_a is None:
-        return LyapunovCertificate(g1=g, g2=g)
-    a = int(paper_literal_a)
-    h = lambda x: (a + 1.0) ** 2 / 3.0 if x == a else 0.0
-    return LyapunovCertificate(g1=g, g2=g, h1_override=h, h2_override=h)
+    return LyapunovCertificate(g1=g, g2=g)
 
 
 def load_chain_from_file(path) -> ChainModel:

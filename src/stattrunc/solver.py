@@ -46,6 +46,37 @@ class SolverConvergenceError(SolverError):
     """Iteration cap exceeded; signals a degenerate or mis-assembled system."""
 
 
+METHODS = ("auto", "direct", "fixed_point")
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Knobs shared by all linear solves in one pipeline run.
+
+    Also the ``solver`` section of an experiment config, so a bad value is
+    rejected when the config is read, not at the first solve.
+    """
+
+    tol: float = DEFAULT_TOL
+    method: str = "auto"
+    max_iter: int = DEFAULT_MAX_ITER
+    memory_budget: int = DEFAULT_MEMORY_BUDGET
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r} (expected one of {METHODS})")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not self.memory_budget >= 0:
+            raise ValueError(f"memory_budget must be >= 0, got {self.memory_budget!r}")
+
+    def kwargs(self) -> dict:
+        return dict(method=self.method, max_iter=self.max_iter,
+                    memory_budget=self.memory_budget)
+
+
 @dataclass
 class TruncatedSystem:
     """Vectors and matrices of the truncated system over A' = A - {z}.
@@ -57,7 +88,6 @@ class TruncatedSystem:
     """
 
     Aprime: np.ndarray           # ordered states of A'
-    index_of: dict[int, int]     # state -> position in Aprime
     B: sp.csr_matrix             # substochastic restriction to A'
     nu: np.ndarray               # entry row P(z, x), x in A'
     p: np.ndarray                # exit column P(x, z)
@@ -102,20 +132,38 @@ class SolveResult:
     monotone_lower_bound: bool = False
 
 
+def expected_g(certificate: LyapunovCertificate, targets: np.ndarray,
+               probs: np.ndarray) -> tuple[float, float]:
+    """(sum_y P(x, y) g1(y), sum_y P(x, y) g2(y)) over the given row entries.
+
+    The sums run left to right in the order given, so equal inputs give
+    bit-equal sums.  A negative g value raises ``AssemblyError``: the
+    drift functions of a certificate are non-negative by definition.
+    """
+    g1, g2 = certificate.g1, certificate.g2
+    acc1 = acc2 = 0.0
+    for y, pr in zip(targets.tolist(), probs.tolist()):
+        g1y = float(g1(y))
+        g2y = float(g2(y))
+        if g1y < 0 or g2y < 0:
+            raise AssemblyError(f"Lyapunov function negative at state {y}")
+        acc1 += pr * g1y
+        acc2 += pr * g2y
+    return acc1, acc2
+
+
 def assemble_truncated_system(problem: TruncationProblem,
                               certificate: LyapunovCertificate) -> TruncatedSystem:
     """Build the truncated system for a problem and a Lyapunov certificate.
 
-    The overshoot bounds h_i are taken from the certificate overrides when
-    present and otherwise computed exactly from the finite-support rows as
-    h_i(x) = sum_{y not in A} P(x, y) g_i(y).
+    The overshoot bounds h_i are computed exactly from the finite-support
+    rows as h_i(x) = sum_{y not in A} P(x, y) g_i(y).
     """
     chain, A, z = problem.chain, problem.A, problem.z
     if not member_mask(np.array([z]), A)[0]:
         raise AssemblyError(f"regeneration state z={z} not in truncation set")
     Aprime = A[A != z]
     m = Aprime.size
-    index_of = {int(s): i for i, s in enumerate(Aprime)}
 
     nu = np.zeros(m)
     p = np.zeros(m)
@@ -127,19 +175,6 @@ def assemble_truncated_system(problem: TruncationProblem,
     cols_idx: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
-    def exact_h(row, outside_mask):
-        acc1 = 0.0
-        acc2 = 0.0
-        for t, pr in zip(row.targets[outside_mask], row.probs[outside_mask]):
-            y = int(t)
-            g1y = float(certificate.g1(y))
-            g2y = float(certificate.g2(y))
-            if g1y < 0 or g2y < 0:
-                raise AssemblyError(f"Lyapunov function negative at state {y}")
-            acc1 += float(pr) * g1y
-            acc2 += float(pr) * g2y
-        return acc1, acc2
-
     # row of the regeneration state
     zrow = chain.row(z)
     in_A = member_mask(zrow.targets, A)
@@ -149,40 +184,31 @@ def assemble_truncated_system(problem: TruncationProblem,
         P_zz = float(zrow.probs[at_z][0])
     in_Aprime = in_A & ~at_z
     nu[np.searchsorted(Aprime, zrow.targets[in_Aprime])] = zrow.probs[in_Aprime]
-    h1_z, h2_z = exact_h(zrow, ~in_A)
+    h1_z, h2_z = expected_g(certificate, zrow.targets[~in_A], zrow.probs[~in_A])
     zrow_total = zrow.total()
     if abs(zrow_total - 1.0) > ROW_IDENTITY_TOL:
         raise AssemblyError(f"row of z={z} sums to {zrow_total:.12g}")
 
-    for x in Aprime:
-        x = int(x)
-        i = index_of[x]
+    for i, x in enumerate(Aprime.tolist()):
         row = chain.row(x)
         in_A = member_mask(row.targets, A)
         at_z = row.targets == z
         if at_z.any():
             p[i] = float(row.probs[at_z][0])
         inside = in_A & ~at_z
-        q[i] = float(row.probs[~in_A].sum())
+        outside = ~in_A
+        out_probs = row.probs[outside]
+        q[i] = float(out_probs.sum())
         cols = np.searchsorted(Aprime, row.targets[inside])
         rows_idx.append(np.full(cols.size, i, dtype=np.int64))
         cols_idx.append(cols)
         vals.append(row.probs[inside])
         r_vec[i] = problem.reward(x)
-        h1[i], h2[i] = exact_h(row, ~in_A)
+        h1[i], h2[i] = expected_g(certificate, row.targets[outside], out_probs)
         dev = abs(row.total() - 1.0)
         if dev > ROW_IDENTITY_TOL:
             raise AssemblyError(f"row of state {x} sums off by {dev:.3e}")
 
-    if certificate.h1_override is not None or certificate.h2_override is not None:
-        if certificate.h1_override is None or certificate.h2_override is None:
-            raise AssemblyError("h overrides must be supplied for both h1 and h2")
-        for x in Aprime:
-            i = index_of[int(x)]
-            h1[i] = float(certificate.h1_override(int(x)))
-            h2[i] = float(certificate.h2_override(int(x)))
-        h1_z = float(certificate.h1_override(z))
-        h2_z = float(certificate.h2_override(z))
     if np.any(h1 < 0) or np.any(h2 < 0) or h1_z < 0 or h2_z < 0:
         raise AssemblyError("overshoot bounds h must be non-negative")
 
@@ -194,7 +220,7 @@ def assemble_truncated_system(problem: TruncationProblem,
     )
 
     system = TruncatedSystem(
-        Aprime=Aprime, index_of=index_of, B=B, nu=nu, p=p, q=q, r_vec=r_vec,
+        Aprime=Aprime, B=B, nu=nu, p=p, q=q, r_vec=r_vec,
         h1=h1, h2=h2, A_full=A, z=int(z), P_zz=P_zz,
         r_z=problem.reward(z), h1_z=h1_z, h2_z=h2_z,
     )
@@ -300,7 +326,7 @@ def _solve_fixed_point(system, b, tol, transpose, max_iter, best_effort):
     return _finalize(system, x, b, transpose, tol, iterations, "fixed_point", True)
 
 
-def _check_rhs(system, b):
+def _solve(system, b, transpose, opts: SolverOptions, best_effort):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (system.size,):
         raise ValueError(f"right-hand side must have shape ({system.size},)")
@@ -308,7 +334,14 @@ def _check_rhs(system, b):
         raise ValueError("right-hand side must be finite")
     if np.any(b < 0):
         raise ValueError("right-hand side must be non-negative")
-    return b
+    if system.size == 0:
+        return SolveResult(x=np.zeros(0), residual_norm=0.0, iterations=0)
+    method = opts.method
+    if method == "auto":
+        method = "direct" if system.B.nnz <= opts.memory_budget else "fixed_point"
+    if method == "direct":
+        return _solve_direct(system, b, opts.tol, transpose)
+    return _solve_fixed_point(system, b, opts.tol, transpose, opts.max_iter, best_effort)
 
 
 def solve(system: TruncatedSystem, b: np.ndarray, tol: float = DEFAULT_TOL, *,
@@ -327,18 +360,8 @@ def solve(system: TruncatedSystem, b: np.ndarray, tol: float = DEFAULT_TOL, *,
     valid componentwise lower bound) instead of raising when the cap is
     hit.
     """
-    b = _check_rhs(system, b)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if system.size == 0:
-        return SolveResult(x=np.zeros(0), residual_norm=0.0, iterations=0)
-    if method == "auto":
-        method = "direct" if system.B.nnz <= memory_budget else "fixed_point"
-    if method == "direct":
-        return _solve_direct(system, b, tol, transpose=False)
-    if method == "fixed_point":
-        return _solve_fixed_point(system, b, tol, False, max_iter, best_effort)
-    raise ValueError(f"unknown method {method!r}")
+    opts = SolverOptions(tol, method, max_iter, memory_budget)
+    return _solve(system, b, False, opts, best_effort)
 
 
 def solve_transpose(system: TruncatedSystem, tol: float = DEFAULT_TOL, *,
@@ -352,15 +375,5 @@ def solve_transpose(system: TruncatedSystem, tol: float = DEFAULT_TOL, *,
     nu (I - B)^{-1} v afterwards via inner products y . v.
     """
     b = system.nu if b is None else b
-    b = _check_rhs(system, b)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if system.size == 0:
-        return SolveResult(x=np.zeros(0), residual_norm=0.0, iterations=0)
-    if method == "auto":
-        method = "direct" if system.B.nnz <= memory_budget else "fixed_point"
-    if method == "direct":
-        return _solve_direct(system, b, tol, transpose=True)
-    if method == "fixed_point":
-        return _solve_fixed_point(system, b, tol, True, max_iter, best_effort)
-    raise ValueError(f"unknown method {method!r}")
+    opts = SolverOptions(tol, method, max_iter, memory_budget)
+    return _solve(system, b, True, opts, best_effort)

@@ -7,6 +7,7 @@ analytic ground truth for the walk, fixed-point oracle resolution for the
 queue, and exact zero-violation requirements for the bracketing suites.
 """
 
+import csv
 import io
 import math
 import os
@@ -31,11 +32,12 @@ from stattrunc import (
     solve,
     tight_certificate,
 )
-from stattrunc.cli import run_experiment
+from stattrunc.cli import _fmt, run_experiment
 from stattrunc.config import parse_config
 from conftest import EXCURSION_P, dirichlet_chain, reflecting_walk_matrix
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 
 
 @pytest.fixture
@@ -369,3 +371,21 @@ def test_criterion_11_kac_consistency(announce):
     announce(11, ok, f"{len(corpus)} chains, z in {{0, n//2}}: "
                      f"max |pi(z) E_z tau - 1| = {worst:.1e}")
     assert ok
+
+
+def test_criterion_12_published_results_reproduced(gm1_rows, walk_rows, announce):
+    """The shipped sweeps reprint results/*.csv in every column but wall time."""
+    mismatches = []
+    for name, rows in (("gm1.csv", gm1_rows), ("random_walk.csv", walk_rows)):
+        with open(os.path.join(RESULTS_DIR, name), newline="", encoding="utf-8") as fh:
+            published = list(csv.DictReader(fh))
+        if len(published) != len(rows):
+            mismatches.append((name, "row count", len(published), len(rows)))
+            continue
+        for want, got in zip(published, rows):
+            for key in want:
+                if key != "wall_time_seconds" and _fmt(got[key]) != want[key]:
+                    mismatches.append((name, got["a"], key, want[key], _fmt(got[key])))
+    announce(12, not mismatches, "gm1 and walk sweeps match results/*.csv at 12 "
+                                 f"digits ({len(mismatches)} mismatches)")
+    assert not mismatches, mismatches

@@ -9,12 +9,9 @@ from stattrunc import (
     SolverOptions,
     TruncationProblem,
     assemble_truncated_system,
-    compute_delta_beta,
     compute_error_bound,
-    compute_lower_bounds,
     compute_pi_tilde,
     compute_tv_bound,
-    compute_upper_bounds,
     exact_stationary_finite,
     matrix_chain,
     random_walk_chain,
@@ -65,10 +62,9 @@ def test_singleton_K_walk_values():
     # K = {0}: no correction solve; beta is the ruin probability 1022/1023
     prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(10), z=0,
                              K=[0], r=lambda x: x / 2.0)
-    sys_ = assemble_truncated_system(prob, ZERO_CERT)
-    delta, beta = compute_delta_beta(sys_, [0])
-    assert delta == 1.0
-    assert beta == pytest.approx(1022.0 / 1023.0, abs=1e-14)
+    rep = run_pipeline(prob, ZERO_CERT)
+    assert rep.delta == 1.0
+    assert rep.beta == pytest.approx(1022.0 / 1023.0, abs=1e-14)
 
 
 def test_degenerate_delta_raises():
@@ -181,15 +177,8 @@ def test_component_functions_match_pipeline(excursion_chain):
     cert = tight_certificate(excursion_chain["chain"], 5,
                              excursion_chain["K"], lambda x: 1.0)
     rep = run_pipeline(prob, cert)
-    sys_ = assemble_truncated_system(prob, cert)
-    klo_r, klo_e = compute_lower_bounds(sys_)
-    delta, beta = compute_delta_beta(sys_, prob.K)
-    khi_r, khi_e = compute_upper_bounds(sys_, prob.K, delta, beta)
-    assert (klo_r, klo_e) == (rep.kappa_lower_r, rep.kappa_lower_e)
-    assert (delta, beta) == (rep.delta, rep.beta)
-    assert khi_r == pytest.approx(rep.kappa_upper_r, rel=1e-14)
-    assert khi_e == pytest.approx(rep.kappa_upper_e, rel=1e-14)
-    eb = compute_error_bound(klo_r, klo_e, khi_e, rep.Delta1, rep.Delta2)
+    eb = compute_error_bound(rep.kappa_lower_r, rep.kappa_lower_e,
+                             rep.kappa_upper_e, rep.Delta1, rep.Delta2)
     assert eb == pytest.approx(rep.error_bound, rel=1e-14)
 
 
@@ -205,6 +194,14 @@ def test_solver_options_round_trip():
     kw = opts.kwargs()
     assert kw["method"] == "fixed_point" and kw["max_iter"] == 500
     assert "tol" not in kw  # tol is passed positionally by the callers
+    assert SolverOptions(memory_budget=0).memory_budget == 0
+    for bad, fragment in [({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
+                          ({"tol": float("nan")}, "tol"),
+                          ({"method": "cg"}, "unknown method"),
+                          ({"max_iter": 0}, "max_iter"),
+                          ({"memory_budget": -1}, "memory_budget")]:
+        with pytest.raises(ValueError, match=fragment):
+            SolverOptions(**bad)
 
 
 @settings(max_examples=25)

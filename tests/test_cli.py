@@ -146,3 +146,15 @@ def test_main_all_rows_failed_exit_code(tmp_path, capsys):
 def test_main_unwritable_output(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "res.csv"
     assert main(["run", TWO_STATE_YAML, "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("solver", [
+    "{method: bogus}", "{tol: 0.0}", "{tol: -1.0}", "{max_iter: 0}",
+    "{memory_budget: -1}",
+])
+def test_main_bad_solver_settings_are_config_errors(tmp_path, capsys, solver):
+    cfg = tmp_path / "bad_solver.yaml"
+    cfg.write_text("model: random_walk\nz: 0\nK_max: 2\na_values: [10]\n"
+                   f"solver: {solver}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -158,12 +158,7 @@ def test_build_certificate_modes():
     chain = build_chain(cfg_exact)
     r = build_reward(cfg_exact)
     cert = build_certificate(cfg_exact, chain, 400, range(301), r)
-    assert cert.h1_override is None
-    cfg_lit = parse_config({**MINIMAL, "K_max": 300, "a_values": [400],
-                            "h_mode": "paper_literal"})
-    lit = build_certificate(cfg_lit, chain, 400, range(301), r)
-    assert lit.h1_override(400) == pytest.approx(401.0 ** 2 / 3.0)
-    assert lit.h1_override(10) == 0.0
+    assert cert.g1(401) == cert.g2(401) == 401.0 ** 2
 
 
 def test_build_certificate_file_model(tmp_path):

@@ -7,6 +7,7 @@ from stattrunc import (
     Gm1Params,
     LyapunovCertificate,
     TruncationProblem,
+    assemble_truncated_system,
     gm1_beta_coeffs,
     gm1_certificate,
     gm1_chain,
@@ -115,32 +116,24 @@ def test_drift_audit_detects_undersized_certificate():
     assert report.violations[0].state == 302
 
 
-def test_paper_literal_overrides_pin_boundary_state():
-    cert = random_walk_certificate(paper_literal_a=500)
-    assert cert.h1_override(500) == pytest.approx(501.0 ** 2 / 3.0)
-    assert cert.h1_override(499) == 0.0
+def test_exact_exit_bounds_match_published_magnitudes():
+    # on A = {0..a} only x = a escapes, so the exact h equals the magnitudes
+    # the published sweeps pin at the boundary state, and vanishes elsewhere
+    walk = assemble_truncated_system(
+        TruncationProblem(chain=random_walk_chain(), A=np.arange(501), z=0,
+                          K=np.arange(301), r=lambda x: x / 2.0),
+        random_walk_certificate())
+    assert walk.h1[-1] == pytest.approx(501.0 ** 2 / 3.0, rel=1e-15)
+    assert walk.h2[-1] == walk.h1[-1]
+    assert not walk.h1[:-1].any() and walk.h1_z == 0.0
     beta0 = gm1_beta_coeffs(Gm1Params(c=C, max_coeff=1))[0]
-    gcert = gm1_certificate(paper_literal_a=1000)
-    assert gcert.h1_override(1000) == pytest.approx(300.0 * beta0 * 1001.0 ** 2)
-    assert gcert.h2_override(1000) == pytest.approx(300.0 * beta0 * 1001.0)
-
-
-def test_h_override_audit_matches_exact_exit_bound():
-    # on A = {0..a} the pinned values equal the exact exit bounds: zero slack
-    prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(501), z=0,
-                             K=np.arange(301), r=lambda x: x / 2.0)
-    report = verify_lyapunov_drift(prob, random_walk_certificate(paper_literal_a=500))
-    assert report.passed
-
-
-def test_h_override_audit_flags_wrong_truncation_set():
-    # same certificate on A = {0..499}: state 499 escapes but h(499) = 0
-    prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(500), z=0,
-                             K=np.arange(301), r=lambda x: x / 2.0)
-    report = verify_lyapunov_drift(prob, random_walk_certificate(paper_literal_a=500))
-    assert not report.passed
-    assert {v.state for v in report.violations} == {499}
-    assert {v.kind for v in report.violations} == {"h1", "h2"}
+    gm1 = assemble_truncated_system(
+        TruncationProblem(chain=gm1_chain(Gm1Params(c=C)), A=np.arange(1001), z=0,
+                          K=np.arange(201), r=float),
+        gm1_certificate())
+    assert gm1.h1[-1] == pytest.approx(300.0 * beta0 * 1001.0 ** 2, rel=1e-15)
+    assert gm1.h2[-1] == pytest.approx(300.0 * beta0 * 1001.0, rel=1e-15)
+    assert not gm1.h1[:-1].any() and gm1.h1_z == 0.0
 
 
 def test_load_chain_round_trip(tmp_path):

@@ -168,15 +168,6 @@ def test_assembly_rejects_negative_lyapunov_values():
         assemble_truncated_system(prob, bad)
 
 
-def test_assembly_rejects_partial_overrides():
-    prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(6), z=0,
-                             K=[0], r=lambda x: 1.0)
-    cert = LyapunovCertificate(g1=lambda x: 0.0, g2=lambda x: 0.0,
-                               h1_override=lambda x: 0.0)
-    with pytest.raises(AssemblyError, match="both"):
-        assemble_truncated_system(prob, cert)
-
-
 def test_positions_lookup():
     sys_ = walk_system(10)
     assert sys_.positions([3, 7]).tolist() == [2, 6]
