@@ -3,9 +3,9 @@
 
 Usage:  python3 scripts/run_benchmarks.py [--out-dir results]
 
-The queue config takes 2-4 s in all, 1.5-2.6 s of it at a = 10^4, and the
-walk config under 1 s (2-core Xeon, Python 3.11, scipy 1.17).  Re-running
-overwrites the CSVs in place.
+The queue config takes 1.3-1.8 s in all, 0.8-1.1 s of it at a = 10^4 (most
+of that in the sparse LU), and the walk config under 0.05 s (2-core Xeon,
+Python 3.11, scipy 1.17).  Re-running overwrites the CSVs in place.
 """
 
 import argparse

@@ -16,6 +16,10 @@ import numpy as np
 # floating point, so exact unity is unattainable.
 ROW_SUM_TOL = 1e-12
 
+#: states per ``ChainModel.rows`` call in whole-set row scans; bounds the
+#: temporaries of a batch (a G/M/1 row has ~200 entries)
+ROW_CHUNK = 1024
+
 StateIndex = int
 RewardFn = Callable[[StateIndex], float]
 
@@ -68,26 +72,93 @@ class SparseRow:
         return problems
 
 
+#: rows(xs) result in CSR form: row i is targets/probs[indptr[i]:indptr[i+1]]
+RowBatch = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class ChainModel:
     """A Markov chain given by on-demand sparse row access.
 
     ``row_fn`` must be deterministic: repeated calls for the same state
     return identical rows.  ``n_states`` is set for finite chains and left
-    ``None`` for countably infinite ones.
+    ``None`` for countably infinite ones.  ``rows_fn``, when given, returns
+    the rows of a whole int64 state array at once in CSR form (see
+    :meth:`rows`) and must agree entry for entry with ``row_fn``.
     """
 
     row_fn: Callable[[StateIndex], SparseRow]
     description: str
     n_states: int | None = None
+    rows_fn: Callable[[np.ndarray], RowBatch] | None = None
+
+    def _check_states(self, lo: int, hi: int) -> None:
+        if lo < 0:
+            raise ValueError(f"state index must be non-negative, got {lo}")
+        if self.n_states is not None and hi >= self.n_states:
+            raise ValueError(
+                f"state {hi} out of range for finite chain with {self.n_states} states")
 
     def row(self, x: StateIndex) -> SparseRow:
-        if x < 0:
-            raise ValueError(f"state index must be non-negative, got {x}")
-        if self.n_states is not None and x >= self.n_states:
-            raise ValueError(
-                f"state {x} out of range for finite chain with {self.n_states} states")
+        self._check_states(x, x)
         return self.row_fn(x)
+
+    def rows(self, xs) -> RowBatch:
+        """Rows of the states ``xs`` as ``(indptr, targets, probs)``.
+
+        Row i of the batch is ``targets[indptr[i]:indptr[i+1]]`` with
+        ``probs`` alongside, exactly the entries of ``row(xs[i])``.  Uses
+        ``rows_fn`` when the chain has one, else stacks ``row_fn``.
+        """
+        xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+        if xs.size:
+            self._check_states(int(xs.min()), int(xs.max()))
+        if self.rows_fn is None:
+            return _stack_rows([self.row_fn(x) for x in xs.tolist()])
+        indptr, targets, probs = self.rows_fn(xs)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        probs = np.asarray(probs, dtype=np.float64)
+        if (indptr.shape != (xs.size + 1,) or indptr[0] != 0
+                or not targets.shape == probs.shape == (indptr[-1],)):
+            raise ValueError("rows_fn must return CSR arrays (indptr, targets, probs) "
+                             f"for {xs.size} states")
+        return indptr, targets, probs
+
+
+def _stack_rows(rows: Sequence[SparseRow]) -> RowBatch:
+    """CSR form ``(indptr, targets, probs)`` of a list of rows."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r.targets.size for r in rows], out=indptr[1:])
+    if not rows:
+        return indptr, np.zeros(0, dtype=np.int64), np.zeros(0)
+    return (indptr, np.concatenate([r.targets for r in rows]),
+            np.concatenate([r.probs for r in rows]))
+
+
+def csr_chain(indptr: np.ndarray, targets: np.ndarray, probs: np.ndarray,
+              description: str) -> ChainModel:
+    """Finite chain whose rows are stored once as CSR arrays.
+
+    ``row`` slices the arrays and ``rows`` gathers from them, so both give
+    the stored entries unchanged.
+    """
+    n = indptr.size - 1
+
+    def row_fn(x: StateIndex) -> SparseRow:
+        lo, hi = indptr[x], indptr[x + 1]
+        return SparseRow(targets[lo:hi], probs[lo:hi])
+
+    def rows_fn(xs: np.ndarray) -> RowBatch:
+        starts = indptr[xs]
+        counts = indptr[xs + 1] - starts
+        out = np.zeros(xs.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=out[1:])
+        src = np.repeat(starts - out[:-1], counts) + np.arange(out[-1])
+        return out, targets[src], probs[src]
+
+    return ChainModel(row_fn=row_fn, description=description, n_states=n,
+                      rows_fn=rows_fn)
 
 
 def matrix_chain(P: np.ndarray, description: str = "dense matrix chain") -> ChainModel:
@@ -95,11 +166,10 @@ def matrix_chain(P: np.ndarray, description: str = "dense matrix chain") -> Chai
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("transition matrix must be square")
-    rows = []
-    for x in range(P.shape[0]):
-        nz = np.nonzero(P[x] != 0.0)[0]
-        rows.append(SparseRow(nz.astype(np.int64), P[x, nz]))
-    return ChainModel(row_fn=lambda x: rows[x], description=description, n_states=P.shape[0])
+    src, dst = np.nonzero(P != 0.0)
+    indptr = np.zeros(P.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=P.shape[0]), out=indptr[1:])
+    return csr_chain(indptr, dst.astype(np.int64), P[src, dst], description)
 
 
 def member_mask(values: np.ndarray, sorted_states: np.ndarray) -> np.ndarray:
@@ -188,8 +258,7 @@ def one_step_fringe(chain: ChainModel, A: Iterable[StateIndex]) -> set[int]:
     """States outside A reachable from A in one step with positive probability."""
     A_arr = as_state_array(A)
     fringe: set[int] = set()
-    for x in A_arr:
-        row = chain.row(int(x))
-        outside = ~member_mask(row.targets, A_arr)
-        fringe.update(int(t) for t in row.targets[outside])
+    for start in range(0, A_arr.size, ROW_CHUNK):
+        _, targets, _ = chain.rows(A_arr[start:start + ROW_CHUNK])
+        fringe.update(np.unique(targets[~member_mask(targets, A_arr)]).tolist())
     return fringe

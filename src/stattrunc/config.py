@@ -10,6 +10,8 @@ arbitrary finite A.
 from __future__ import annotations
 
 import os
+import sys
+import typing
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -96,6 +98,33 @@ _SCHEMA = {
 _REQUIRED = ("model", "z", "K_max", "a_values")
 
 
+def _coerce(name: str, key: str, value, typ):
+    """``value`` of field ``name.key`` as ``typ`` (bool, int, float or str).
+
+    PyYAML follows YAML 1.1, which reads ``1e-12`` (no decimal point) as a
+    string, so numeric strings are parsed; an int field takes only
+    integral values.  Booleans count as neither numbers nor strings.
+    """
+    got = value
+    if typ in (int, float) and isinstance(value, str):
+        for parse in (int, float):
+            try:
+                value = parse(value)
+                break
+            except ValueError:
+                pass
+    if isinstance(value, bool) == (typ is bool):
+        if typ is float and isinstance(value, (int, float)) \
+                and not abs(value) > sys.float_info.max:
+            return float(value)
+        if typ is int and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, typ):
+            return value
+    kind = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}[typ]
+    raise ConfigError(f"bad '{name}' section: '{key}' must be {kind}, got {got!r}")
+
+
 def _section(raw: Mapping, name: str, cls):
     sub = raw.get(name, {})
     if not isinstance(sub, Mapping):
@@ -105,8 +134,15 @@ def _section(raw: Mapping, name: str, cls):
     if unknown:
         raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)} "
                           f"(allowed: {sorted(allowed)})")
+    hints = typing.get_type_hints(cls)
+    fields = {}
+    for key, value in sub.items():
+        typ, optional = hints[key], False
+        if typing.get_args(typ):        # ``T | None``
+            typ, optional = typing.get_args(typ)[0], True
+        fields[key] = None if optional and value is None else _coerce(name, key, value, typ)
     try:
-        return cls(**sub)
+        return cls(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad '{name}' section: {exc}") from exc
 

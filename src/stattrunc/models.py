@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .chain import ChainModel, SparseRow, StateIndex
+from .chain import ChainModel, RowBatch, SparseRow, StateIndex, csr_chain
 
 #: row-sum tolerance applied when loading chain files
 FILE_ROW_SUM_TOL = 1e-9
@@ -144,12 +144,46 @@ def gm1_row(x: StateIndex, params: Gm1Params = Gm1Params()) -> SparseRow:
     return SparseRow(ys[keep], ps[keep])
 
 
+def gm1_rows(xs: np.ndarray, params: Gm1Params = Gm1Params()) -> RowBatch:
+    """Rows of the embedded G/M/1 chain at the states ``xs``, in CSR form.
+
+    Each row is the one ``gm1_row`` builds: the tail ``tail[x+1]`` at
+    y = 0 first (when positive), then the Toeplitz band beta_{x+1-y} for
+    y = x+1-kmax, ..., x+1.
+    """
+    betas, tail = _beta_table_cached(params.c)
+    kmax = np.minimum(xs, betas.size - 1)
+    p0 = tail[np.minimum(xs + 1, tail.size - 1)]   # tail[-1] == 0
+    has0 = (p0 > 0.0).astype(np.int64)
+    band = kmax + 1
+    n_row = band + has0
+    indptr = np.zeros(xs.size + 1, dtype=np.int64)
+    np.cumsum(n_row, out=indptr[1:])
+    targets = np.zeros(indptr[-1], dtype=np.int64)
+    probs = p0[np.repeat(np.arange(xs.size), n_row)]
+    # every entry starts as its row's tail mass and the band overwrites all
+    # but the leading y = 0 one; band entry j of a row is y = x+1-kmax+j
+    # with coefficient index kmax-j
+    row = np.repeat(np.arange(xs.size), band)
+    j = np.arange(row.size) - np.repeat(np.cumsum(band) - band, band)
+    pos = indptr[:-1][row] + has0[row] + j
+    targets[pos] = xs[row] + 1 - kmax[row] + j
+    probs[pos] = betas[kmax[row] - j]
+    keep = probs > 0.0
+    if not keep.all():
+        indptr[1:] = np.cumsum(np.bincount(np.repeat(np.arange(xs.size), n_row)[keep],
+                                           minlength=xs.size))
+        targets, probs = targets[keep], probs[keep]
+    return indptr, targets, probs
+
+
 def gm1_chain(params: Gm1Params = Gm1Params()) -> ChainModel:
     """The embedded G/M/1 chain on {0, 1, 2, ...}."""
     return ChainModel(
         row_fn=lambda x: gm1_row(x, params),
         description=f"G/M/1 embedded chain, uniform interarrival on (0, {params.c})",
         n_states=None,
+        rows_fn=lambda xs: gm1_rows(xs, params),
     )
 
 
@@ -173,12 +207,26 @@ def random_walk_row(x: StateIndex) -> SparseRow:
     return SparseRow(np.array([x - 1, x + 1]), np.array([2.0 / 3.0, 1.0 / 3.0]))
 
 
+def random_walk_rows(xs: np.ndarray) -> RowBatch:
+    """Rows of the reflected random walk at the states ``xs``, in CSR form."""
+    at0 = xs == 0
+    targets = np.stack([xs - 1, xs + 1], axis=1)
+    probs = np.tile([2.0 / 3.0, 1.0 / 3.0], (xs.size, 1))
+    probs[at0, 1] = 1.0
+    keep = np.ones(targets.shape, dtype=bool)
+    keep[at0, 0] = False
+    indptr = np.zeros(xs.size + 1, dtype=np.int64)
+    np.cumsum(2 - at0, out=indptr[1:])
+    return indptr, targets[keep], probs[keep]
+
+
 def random_walk_chain() -> ChainModel:
     """Reflected random walk on {0, 1, 2, ...} with downward drift."""
     return ChainModel(
         row_fn=random_walk_row,
         description="reflected random walk, up 1/3 / down 2/3",
         n_states=None,
+        rows_fn=random_walk_rows,
     )
 
 
@@ -241,15 +289,19 @@ def load_chain_from_file(path) -> ChainModel:
             raise ChainFileError(f"{path}: duplicate entry for ({src}, {dst})")
         by_row[src][dst] = prob
 
-    rows = []
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    targets, probs = [], []
     for x in range(n):
         if not by_row[x]:
             raise ChainFileError(f"{path}: state {x} has no outgoing transitions")
-        targets = np.array(sorted(by_row[x]), dtype=np.int64)
-        probs = np.array([by_row[x][int(t)] for t in targets])
-        total = probs.sum()
+        row_targets = sorted(by_row[x])
+        row_probs = np.array([by_row[x][t] for t in row_targets])
+        total = row_probs.sum()
         if abs(total - 1.0) > FILE_ROW_SUM_TOL:
             raise ChainFileError(
                 f"{path}: row {x} sums to {total:.12g} (deviation {abs(total - 1.0):.3e})")
-        rows.append(SparseRow(targets, probs))
-    return ChainModel(row_fn=lambda x: rows[x], description=f"file chain ({path})", n_states=n)
+        indptr[x + 1] = indptr[x] + len(row_targets)
+        targets.extend(row_targets)
+        probs.append(row_probs)
+    return csr_chain(indptr, np.array(targets, dtype=np.int64), np.concatenate(probs),
+                     description=f"file chain ({path})")

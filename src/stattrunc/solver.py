@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import TruncationProblem, member_mask
+from .chain import ROW_CHUNK, TruncationProblem, member_mask
 from .models import LyapunovCertificate
 
 DEFAULT_TOL = 1e-12
@@ -157,7 +157,8 @@ def assemble_truncated_system(problem: TruncationProblem,
     """Build the truncated system for a problem and a Lyapunov certificate.
 
     The overshoot bounds h_i are computed exactly from the finite-support
-    rows as h_i(x) = sum_{y not in A} P(x, y) g_i(y).
+    rows as h_i(x) = sum_{y not in A} P(x, y) g_i(y).  Rows of A' are read
+    through ``chain.rows`` in chunks of ``ROW_CHUNK`` states.
     """
     chain, A, z = problem.chain, problem.A, problem.z
     if not member_mask(np.array([z]), A)[0]:
@@ -168,12 +169,8 @@ def assemble_truncated_system(problem: TruncationProblem,
     nu = np.zeros(m)
     p = np.zeros(m)
     q = np.zeros(m)
-    r_vec = np.zeros(m)
     h1 = np.zeros(m)
     h2 = np.zeros(m)
-    rows_idx: list[np.ndarray] = []
-    cols_idx: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
 
     # row of the regeneration state
     zrow = chain.row(z)
@@ -188,36 +185,54 @@ def assemble_truncated_system(problem: TruncationProblem,
     zrow_total = zrow.total()
     if abs(zrow_total - 1.0) > ROW_IDENTITY_TOL:
         raise AssemblyError(f"row of z={z} sums to {zrow_total:.12g}")
+    r_vec = np.array([problem.reward(x) for x in Aprime.tolist()], dtype=np.float64)
 
-    for i, x in enumerate(Aprime.tolist()):
-        row = chain.row(x)
-        in_A = member_mask(row.targets, A)
-        at_z = row.targets == z
-        if at_z.any():
-            p[i] = float(row.probs[at_z][0])
+    # rows of A' in chunks of ROW_CHUNK states, as CSR pieces of B; column
+    # indices already in the dtype the CSR matrix keeps, so that joining
+    # the pieces makes no wider copy
+    index_dtype = np.int32 if m < np.iinfo(np.int32).max else np.int64
+    data = [np.zeros(0)]
+    indices = [np.zeros(0, dtype=index_dtype)]
+    B_indptr = np.zeros(m + 1, dtype=np.int64)
+    for start in range(0, m, ROW_CHUNK):
+        xs = Aprime[start:start + ROW_CHUNK]
+        n = xs.size
+        indptr, targets, probs = chain.rows(xs)
+        counts = np.diff(indptr)
+        row = np.repeat(np.arange(n), counts)
+        totals = np.zeros(n)
+        nonempty = counts > 0
+        totals[nonempty] = np.add.reduceat(probs, indptr[:-1][nonempty])
+        dev = np.abs(totals - 1.0)
+        bad = np.nonzero(dev > ROW_IDENTITY_TOL)[0]
+        if bad.size:
+            raise AssemblyError(f"row of state {xs[bad[0]]} sums off by {dev[bad[0]]:.3e}")
+        in_A = member_mask(targets, A)
+        at_z = targets == z
         inside = in_A & ~at_z
         outside = ~in_A
-        out_probs = row.probs[outside]
-        q[i] = float(out_probs.sum())
-        cols = np.searchsorted(Aprime, row.targets[inside])
-        rows_idx.append(np.full(cols.size, i, dtype=np.int64))
-        cols_idx.append(cols)
-        vals.append(row.probs[inside])
-        r_vec[i] = problem.reward(x)
-        h1[i], h2[i] = expected_g(certificate, row.targets[outside], out_probs)
-        dev = abs(row.total() - 1.0)
-        if dev > ROW_IDENTITY_TOL:
-            raise AssemblyError(f"row of state {x} sums off by {dev:.3e}")
+        p[start:start + n] = np.bincount(row[at_z], weights=probs[at_z], minlength=n)
+        # q and h sum a row's escaping entries.  They are taken row by row
+        # (numpy's pairwise sum, expected_g's left-to-right loop), which
+        # bincount's sequential sum would not match bit for bit, but only
+        # on rows that have escaping entries: one row per prefix truncation
+        # on the built-in chains
+        for i in np.unique(row[outside]).tolist():
+            lo, hi = indptr[i], indptr[i + 1]
+            out_i = outside[lo:hi]
+            out_targets, out_probs = targets[lo:hi][out_i], probs[lo:hi][out_i]
+            q[start + i] = float(out_probs.sum())
+            h1[start + i], h2[start + i] = expected_g(certificate, out_targets, out_probs)
+        data.append(probs[inside])
+        indices.append(np.searchsorted(Aprime, targets[inside]).astype(index_dtype))
+        B_indptr[start + 1:start + n + 1] = np.bincount(row[inside], minlength=n)
 
     if np.any(h1 < 0) or np.any(h2 < 0) or h1_z < 0 or h2_z < 0:
         raise AssemblyError("overshoot bounds h must be non-negative")
 
-    B = sp.csr_matrix(
-        (np.concatenate(vals) if vals else np.zeros(0),
-         (np.concatenate(rows_idx) if rows_idx else np.zeros(0, dtype=np.int64),
-          np.concatenate(cols_idx) if cols_idx else np.zeros(0, dtype=np.int64))),
-        shape=(m, m),
-    )
+    np.cumsum(B_indptr, out=B_indptr)
+    B = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), B_indptr),
+                      shape=(m, m))
 
     system = TruncatedSystem(
         Aprime=Aprime, B=B, nu=nu, p=p, q=q, r_vec=r_vec,

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stattrunc import (
     ChainModel,
+    Gm1Params,
     SparseRow,
     TruncationProblem,
+    gm1_chain,
+    load_chain_from_file,
     matrix_chain,
     one_step_fringe,
     random_walk_chain,
     validate_rows,
 )
-from stattrunc.chain import as_state_array, member_mask
+from stattrunc.chain import ROW_CHUNK, as_state_array, member_mask
+from stattrunc.models import _beta_table_cached
 
 
 def test_sparse_row_round_trip():
@@ -118,3 +122,98 @@ def test_random_rows_validate(seed, n):
     P = rng.dirichlet(np.ones(n), size=n)
     report = validate_rows(matrix_chain(P), range(n))
     assert report.passed
+
+
+def stacked_rows(chain, xs):
+    """Reference for ``chain.rows``: one ``chain.row`` call per state."""
+    rows = [chain.row(int(x)) for x in xs]
+    indptr = np.concatenate(([0], np.cumsum([r.targets.size for r in rows], dtype=np.int64)))
+    return (indptr, np.concatenate([r.targets for r in rows] + [np.zeros(0, np.int64)]),
+            np.concatenate([r.probs for r in rows] + [np.zeros(0)]))
+
+
+def assert_rows_match_row(chain, xs):
+    got = chain.rows(np.asarray(xs, dtype=np.int64))
+    for g, want in zip(got, stacked_rows(chain, xs)):
+        assert g.dtype == want.dtype
+        assert np.array_equal(g, want)
+
+
+def gm1_cut(c):
+    """First x whose row has no tail mass P(x, 0): tail[x + 1] == 0."""
+    return _beta_table_cached(c)[0].size - 1
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2.01, 0.5, 7.0]), st.data())
+def test_gm1_rows_match_row(c, data):
+    cut = gm1_cut(c)
+    chain = gm1_chain(Gm1Params(c=c))
+    assert chain.row(cut).targets[0] > 0 and chain.row(cut - 1).targets[0] == 0
+    near = st.one_of(st.just(0), st.integers(0, 5), st.integers(cut - 3, cut + 3),
+                     st.integers(0, 3 * cut))
+    assert_rows_match_row(chain, data.draw(st.lists(near, max_size=25)))
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 10**6)), max_size=25))
+def test_random_walk_rows_match_row(xs):
+    assert_rows_match_row(random_walk_chain(), xs)
+
+
+@pytest.fixture(scope="module")
+def file_chain(tmp_path_factory):
+    rng = np.random.default_rng(3)
+    n = 40
+    path = tmp_path_factory.mktemp("chains") / "chain.txt"
+    lines = [f"states {n}"]
+    for x in rng.permutation(n):  # rows listed out of order
+        targets = rng.choice(n, size=rng.integers(1, 6), replace=False)
+        for t, p in zip(targets, rng.dirichlet(np.ones(targets.size))):
+            lines.append(f"{x} {t} {float(p)!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return load_chain_from_file(str(path))
+
+
+@given(st.lists(st.integers(0, 39), max_size=60))
+def test_file_chain_rows_match_row(file_chain, xs):
+    assert_rows_match_row(file_chain, xs)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.data())
+def test_matrix_chain_rows_match_row(seed, n, data):
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.5)
+    P[np.arange(n), rng.integers(0, n, size=n)] += 0.5  # no empty row
+    chain = matrix_chain(P / P.sum(axis=1, keepdims=True))
+    assert_rows_match_row(chain, data.draw(st.lists(st.integers(0, n - 1), max_size=30)))
+
+
+def test_rows_fallback_stacks_row_fn():
+    walk = random_walk_chain()
+    plain = ChainModel(row_fn=walk.row_fn, description="walk without rows_fn")
+    xs = [0, 5, 0, 9]
+    for g, want in zip(plain.rows(xs), walk.rows(xs)):
+        assert np.array_equal(g, want)
+    empty = plain.rows([])
+    assert empty[0].tolist() == [0] and empty[1].size == empty[2].size == 0
+
+
+def test_rows_index_guards_and_shape_check():
+    chain = matrix_chain(np.eye(3))
+    with pytest.raises(ValueError, match="non-negative"):
+        chain.rows([0, -1])
+    with pytest.raises(ValueError, match="out of range"):
+        chain.rows([1, 3])
+    short = ChainModel(row_fn=chain.row_fn, description="bad batch",
+                       rows_fn=lambda xs: (np.array([0, 1]), np.array([0]), np.array([1.0])))
+    with pytest.raises(ValueError, match="CSR"):
+        short.rows([0, 1])
+
+
+def test_one_step_fringe_spans_row_chunks():
+    walk = random_walk_chain()
+    A = [x for x in range(3 * ROW_CHUNK) if x % 500 != 7]
+    holes = {x for x in range(3 * ROW_CHUNK) if x % 500 == 7}
+    assert one_step_fringe(walk, A) == holes | {3 * ROW_CHUNK}
+    gm1 = gm1_chain()
+    assert one_step_fringe(gm1, range(50)) == {50}

@@ -172,3 +172,37 @@ def test_build_certificate_file_model(tmp_path):
     assert cert.g1(0) == 0.0
     assert cert.g2(1) == pytest.approx(3.0)
     assert cert.g2(2) == pytest.approx(4.0)
+
+
+def load_yaml_config(tmp_path, section: str):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("model: random_walk\nz: 0\nK_max: 2\na_values: [10]\n" + section + "\n")
+    return load_config(str(path))
+
+
+@pytest.mark.parametrize("section,name,key,value", [
+    # YAML 1.1 reads an exponent without a decimal point as a string
+    ("solver: {tol: 1e-12}", "solver", "tol", 1e-12),
+    ("solver: {max_iter: 1e6}", "solver", "max_iter", 10 ** 6),
+    ('solver: {memory_budget: "10"}', "solver", "memory_budget", 10),
+    ("oracle: {n_cycles: 1e4, seed: 7.0}", "oracle", "n_cycles", 10 ** 4),
+    ("output: {path: null}", "output", "path", None),
+])
+def test_numeric_strings_take_the_field_type(tmp_path, section, name, key, value):
+    got = getattr(getattr(load_yaml_config(tmp_path, section), name), key)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("section,fragment", [
+    ('oracle: {n_cycles: 1e4, enabled: "yes"}', "'oracle' section: 'enabled' must be a bool"),
+    ("oracle: {enabled: 1}", "'oracle' section: 'enabled' must be a bool"),
+    ("oracle: {n_cycles: 2.5e0}", "'oracle' section: 'n_cycles' must be an integer"),
+    ("solver: {max_iter: 1e400}", "'solver' section: 'max_iter' must be an integer"),
+    ("solver: {tol: small}", "'solver' section: 'tol' must be a number"),
+    ("solver: {tol: true}", "'solver' section: 'tol' must be a number"),
+    ("solver: {method: 3}", "'solver' section: 'method' must be a string"),
+    ("output: {path: 5}", "'output' section: 'path' must be a string"),
+])
+def test_section_values_of_the_wrong_type_are_config_errors(tmp_path, section, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        load_yaml_config(tmp_path, section)
