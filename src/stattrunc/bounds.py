@@ -31,7 +31,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .chain import StateIndex, TruncationProblem, member_mask, one_step_fringe
+from .chain import (
+    ROW_CHUNK,
+    StateIndex,
+    TruncationProblem,
+    member_mask,
+    one_step_fringe,
+)
 from .models import LyapunovCertificate
 from .solver import (
     SolverOptions,
@@ -212,8 +218,9 @@ def verify_lyapunov_drift(problem: TruncationProblem,
         sum_{y not in K} P(x, y) g1(y) <= g1(x) - r(x)
         sum_{y not in K} P(x, y) g2(y) <= g2(x) - 1
 
-    are evaluated exactly from the finite-support row of x.  States inside
-    K are excluded (the inequalities are only required on K^c).
+    are evaluated exactly from the finite-support row of x, read through
+    ``chain.rows`` in chunks of ``ROW_CHUNK`` states.  States inside K are
+    excluded (the inequalities are only required on K^c).
 
     The window check is necessarily finite; whether the inequalities hold
     on all of K^c remains the certificate supplier's analytic obligation.
@@ -234,14 +241,21 @@ def verify_lyapunov_drift(problem: TruncationProblem,
         if lhs > rhs + rel_slack * (1.0 + abs(rhs)):
             report.violations.append(DriftViolation(x, kind, lhs, rhs))
 
-    for x in sorted(window):
-        if member_mask(np.array([x]), K)[0]:
-            report.excluded_states.append(x)
-            continue
-        row = chain.row(x)
-        outside_K = ~member_mask(row.targets, K)
-        lhs1, lhs2 = expected_g(certificate, row.targets[outside_K], row.probs[outside_K])
-        record(x, "g1", lhs1, float(certificate.g1(x)) - problem.reward(x))
-        record(x, "g2", lhs2, float(certificate.g2(x)) - 1.0)
-        report.checked_states.append(x)
+    states = np.array(sorted(window), dtype=np.int64)
+    in_K = member_mask(states, K)
+    report.excluded_states = states[in_K].tolist()
+    states = states[~in_K]
+    for start in range(0, states.size, ROW_CHUNK):
+        xs = states[start:start + ROW_CHUNK]
+        indptr, targets, probs = chain.rows(xs)
+        keep = ~member_mask(targets, K)
+        # row i's entries outside K are t_out/p_out[ends[i]:ends[i+1]]
+        ends = np.concatenate(([0], np.cumsum(keep)))[indptr].tolist()
+        t_out, p_out = targets[keep], probs[keep]
+        for i, x in enumerate(xs.tolist()):
+            lo, hi = ends[i], ends[i + 1]
+            lhs1, lhs2 = expected_g(certificate, t_out[lo:hi], p_out[lo:hi])
+            record(x, "g1", lhs1, float(certificate.g1(x)) - problem.reward(x))
+            record(x, "g2", lhs2, float(certificate.g2(x)) - 1.0)
+            report.checked_states.append(x)
     return report

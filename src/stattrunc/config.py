@@ -263,13 +263,14 @@ def build_reward(config: ExperimentConfig) -> Callable[[int], float]:
 
 def build_certificate(config: ExperimentConfig, chain: ChainModel, a: int,
                       K, r) -> LyapunovCertificate:
-    """Certificate for sweep point a.
+    """Drift certificate for the sweep's K and reward.
 
-    Built-in models carry analytic drift pairs, which do not depend on a:
-    the exit bounds are computed exactly when the system for a truncation
-    set is assembled.  File chains are finite, so a provably tight
-    certificate is computed by first-step analysis (imported lazily;
-    needs the oracle module).
+    ``a`` is unused: no model's certificate depends on the truncation
+    size, so one certificate serves a whole sweep.  Built-in models carry
+    analytic drift pairs; the exit bounds are computed exactly when the
+    system for a truncation set is assembled.  File chains are finite, so
+    a provably tight certificate is computed by first-step analysis
+    (imported lazily; needs the oracle module).
     """
     if config.model == "gm1":
         return gm1_certificate()

@@ -10,6 +10,7 @@ instead of the truncated-system machinery.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -22,6 +23,14 @@ RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 
 DEFAULT_CYCLE_CAP = 10**7
 
+#: uniforms per cycle block of the simulator's stream (see simulate_cycles)
+UNIFORM_BLOCK = 256
+#: leading uniforms of each block turned into Python floats up front; the
+#: rest only for a cycle that gets that far (most cycles are short)
+UNIFORM_HEAD = 16
+#: blocks drawn from the generator per call
+UNIFORM_BATCH = 64
+
 
 class OracleError(RuntimeError):
     """Exact solve failed or its result fails a consistency check."""
@@ -31,14 +40,15 @@ def _dense_matrix(chain: ChainModel, n: int) -> np.ndarray:
     """Row-stochastic matrix of the first n states; all mass must stay inside."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    indptr, targets, probs = chain.rows(np.arange(n))
+    outside = np.flatnonzero((targets < 0) | (targets >= n))
+    if outside.size:
+        x = int(np.searchsorted(indptr, outside[0], side="right")) - 1
+        raise OracleError(
+            f"state {x} has transitions outside {{0..{n - 1}}}; "
+            "the oracle needs a genuinely finite chain")
     P = np.zeros((n, n))
-    for x in range(n):
-        row = chain.row(x)
-        if row.targets.size and (row.targets.min() < 0 or row.targets.max() >= n):
-            raise OracleError(
-                f"state {x} has transitions outside {{0..{n - 1}}}; "
-                "the oracle needs a genuinely finite chain")
-        P[x, row.targets] = row.probs
+    P[np.repeat(np.arange(n), np.diff(indptr)), targets] = probs
     return P
 
 
@@ -173,6 +183,14 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
     where Gamma_i is the first K-entry after the i-th exit from A: the
     chance the cycle is still running when the i-th outside excursion has
     come back.  Identical seeds reproduce identical results.
+
+    Stream contract: one PCG64 stream, seeded with ``seed``, is read as
+    consecutive blocks of ``UNIFORM_BLOCK`` uniforms.  Cycle c starts at
+    the next unused block and spends one uniform per step; a cycle that
+    runs past the end of its block continues into the following block,
+    and the unused tail of a cycle's last block is discarded.  A step
+    from x with uniform u moves to the first target of x's row whose
+    cumulative probability exceeds u (the last target if none does).
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -183,54 +201,67 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
     if z not in K_set or not K_set <= A_set:
         raise ValueError("need z in K and K a subset of A")
 
-    row_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    reward_cache: dict[int, float] = {}
+    # per visited state: (targets, cumulative probs, last index, reward)
+    visited: dict[int, tuple[list, list, int, float]] = {}
 
-    def sample_next(x: int, u: float) -> int:
-        entry = row_cache.get(x)
-        if entry is None:
-            row = chain.row(x)
-            entry = (row.targets, np.cumsum(row.probs))
-            row_cache[x] = entry
-        targets, cum = entry
-        j = int(np.searchsorted(cum, u, side="right"))
-        if j >= targets.size:
-            j = targets.size - 1
-        return int(targets[j])
+    def visit(x: int) -> tuple[list, list, int, float]:
+        row = chain.row(x)
+        entry = (row.targets.tolist(), np.cumsum(row.probs).tolist(),
+                 row.targets.size - 1, float(r(x)))
+        visited[x] = entry
+        return entry
 
-    def reward(x: int) -> float:
-        v = reward_cache.get(x)
-        if v is None:
-            v = float(r(x))
-            reward_cache[x] = v
-        return v
+    batch = heads = None
+    next_block = UNIFORM_BATCH
 
-    rewards = np.empty(n_cycles)
-    lengths = np.empty(n_cycles)
+    def take_block() -> int:
+        # index into ``batch`` of the next unused block; ``heads`` holds the
+        # first UNIFORM_HEAD values of each block as Python floats
+        nonlocal batch, heads, next_block
+        if next_block == UNIFORM_BATCH:
+            batch = rng.random((UNIFORM_BATCH, UNIFORM_BLOCK))
+            heads = batch[:, :UNIFORM_HEAD].tolist()
+            next_block = 0
+        next_block += 1
+        return next_block - 1
+
+    rewards = []
+    lengths = []
     survival_counts = np.zeros(max_tracked, dtype=np.int64)
-    r_z = reward(z)
+    z_entry = visit(z)
 
     for c in range(n_cycles):
-        x = z
-        crew = r_z
+        b = take_block()
+        uniforms = heads[b]
+        end = UNIFORM_HEAD
+        pos = 0
+        entry = z_entry
+        crew = z_entry[3]
         clen = 1
         rounds = 0
         escaped = False
-        uniforms = rng.random(256)
-        pos = 0
         while True:
-            if pos == uniforms.size:
-                uniforms = rng.random(uniforms.size)
-                pos = 0
-            x = sample_next(x, float(uniforms[pos]))
+            if pos == end:
+                if end == UNIFORM_HEAD:
+                    uniforms = batch[b].tolist()
+                    end = UNIFORM_BLOCK
+                else:
+                    b = take_block()
+                    uniforms = heads[b]
+                    end = UNIFORM_HEAD
+                    pos = 0
+            targets, cum, last, _ = entry
+            j = bisect_right(cum, uniforms[pos])
             pos += 1
+            x = targets[j] if j <= last else targets[last]
             if x == z:
                 break
             if clen >= max_steps:
                 raise RuntimeError(
                     f"cycle {c} exceeded {max_steps} steps without returning "
                     f"to z={z}; chain may not be positive recurrent")
-            crew += reward(x)
+            entry = visited.get(x) or visit(x)
+            crew += entry[3]
             clen += 1
             if not escaped:
                 if x not in A_set:
@@ -238,11 +269,13 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
             elif x in K_set:
                 rounds += 1
                 escaped = False
-        rewards[c] = crew
-        lengths[c] = clen
+        rewards.append(crew)
+        lengths.append(clen)
         if rounds:
             survival_counts[:min(rounds, max_tracked)] += 1
 
+    rewards = np.array(rewards, dtype=np.float64)
+    lengths = np.array(lengths, dtype=np.float64)
     mean_reward = float(rewards.mean())
     mean_length = float(lengths.mean())
     ratio = mean_reward / mean_length

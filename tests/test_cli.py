@@ -158,3 +158,43 @@ def test_main_bad_solver_settings_are_config_errors(tmp_path, capsys, solver):
                    f"solver: {solver}\n")
     assert main(["run", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def write_drift_chain(tmp_path, n=60):
+    """Birth-death chain on {0..n-1} with jumps of 1 or 2 and downward drift."""
+    lines = [f"states {n}"]
+    for x in range(n):
+        mass = {}
+        for d, p in ((-1, 0.4), (-2, 0.2), (1, 0.25), (2, 0.15)):
+            y = min(max(x + d, 0), n - 1)
+            mass[y] = mass.get(y, 0.0) + p
+        for y, p in sorted(mass.items()):
+            lines.append(f"{x} {y} {p!r}")
+    path = tmp_path / "drift.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_validated_sweep_builds_one_certificate(tmp_path, monkeypatch):
+    import stattrunc.cli as cli_module
+    raw = {"model": f"file:{write_drift_chain(tmp_path)}", "z": 0, "K_max": 5,
+           "a_values": [20, 30, 45, 60], "r_spec": "identity",
+           "oracle": {"n_cycles": 500, "seed": 3}}
+    builds = []
+    build = cli_module.build_certificate
+
+    def counted(*args):
+        builds.append(args[2])
+        return build(*args)
+
+    monkeypatch.setattr(cli_module, "build_certificate", counted)
+    rows = run_experiment(parse_config(raw), validate=True, log=io.StringIO())
+    assert len(builds) == 1
+    # one sweep per point builds that point's own certificate
+    reference = [run_experiment(parse_config(dict(raw, a_values=[a])), validate=True,
+                                log=io.StringIO())[0] for a in raw["a_values"]]
+    assert builds[1:] == raw["a_values"]
+    keys = [k for k in COLUMNS + ORACLE_COLUMNS if k != "wall_time_seconds"]
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert all(r["oracle_pass"] is True for r in rows)
+    assert [[r[k] for k in keys] for r in rows] == [[r[k] for k in keys] for r in reference]

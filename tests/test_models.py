@@ -116,6 +116,51 @@ def test_drift_audit_detects_undersized_certificate():
     assert report.violations[0].state == 302
 
 
+def reference_drift_audit(problem, certificate, window, rel_slack=1e-12):
+    """The per-state audit: one ``chain.row`` and one K lookup per window state."""
+    from stattrunc.bounds import DriftReport, DriftViolation
+    from stattrunc.chain import member_mask
+    from stattrunc.solver import expected_g
+    report = DriftReport()
+
+    def record(x, kind, lhs, rhs):
+        slack = rhs - lhs
+        report.max_slack = max(report.max_slack, slack)
+        report.min_slack = min(report.min_slack, slack)
+        if lhs > rhs + rel_slack * (1.0 + abs(rhs)):
+            report.violations.append(DriftViolation(x, kind, lhs, rhs))
+
+    for x in sorted(set(window)):
+        if member_mask(np.array([x]), problem.K)[0]:
+            report.excluded_states.append(x)
+            continue
+        row = problem.chain.row(x)
+        out = ~member_mask(row.targets, problem.K)
+        lhs1, lhs2 = expected_g(certificate, row.targets[out], row.probs[out])
+        record(x, "g1", lhs1, float(certificate.g1(x)) - problem.reward(x))
+        record(x, "g2", lhs2, float(certificate.g2(x)) - 1.0)
+        report.checked_states.append(x)
+    return report
+
+
+@pytest.mark.parametrize("model", ["gm1", "walk", "walk_undersized"])
+def test_drift_audit_matches_per_state_reference(model):
+    # windows span several ROW_CHUNKs, skip states and include K states
+    if model == "gm1":
+        chain, cert, K, r = gm1_chain(), gm1_certificate(), np.arange(61), float
+    else:
+        chain, K, r = random_walk_chain(), np.arange(301), lambda x: x / 2.0
+        cert = random_walk_certificate()
+        if model == "walk_undersized":
+            cert = LyapunovCertificate(g1=lambda x: 0.1 * x * x, g2=lambda x: float(x) ** 2)
+    prob = TruncationProblem(chain=chain, A=np.arange(2600), z=0, K=K, r=r)
+    window = [x for x in range(3100) if x % 7 != 3] + [5000, 299]
+    report = verify_lyapunov_drift(prob, cert, window)
+    assert report == reference_drift_audit(prob, cert, window)
+    assert report.checked_states and report.excluded_states
+    assert (model == "walk") == report.passed
+
+
 def test_exact_exit_bounds_match_published_magnitudes():
     # on A = {0..a} only x = a escapes, so the exact h equals the magnitudes
     # the published sweeps pin at the boundary state, and vanishes elsewhere

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stattrunc import (
     OracleError,
@@ -13,7 +14,13 @@ from stattrunc import (
     tight_certificate,
     verify_lyapunov_drift,
 )
-from stattrunc.oracle import Z_99
+from stattrunc.oracle import (
+    DEFAULT_CYCLE_CAP,
+    UNIFORM_BATCH,
+    Z_99,
+    CycleStats,
+    _dense_matrix,
+)
 from conftest import dirichlet_chain, reflecting_walk_matrix
 
 
@@ -99,6 +106,180 @@ def test_tight_certificate_rejects_unreachable_K():
     P[2, 2] = 1.0  # state 2 can never reach K = {0}
     with pytest.raises(OracleError, match="singular"):
         tight_certificate(matrix_chain(P), 3, [0], lambda x: 1.0)
+
+
+def test_dense_matrix_names_first_state_leaving_the_block():
+    from stattrunc import random_walk_chain
+    P = _dense_matrix(matrix_chain(reflecting_walk_matrix(6, 0.3)), 6)
+    np.testing.assert_array_equal(P, reflecting_walk_matrix(6, 0.3))
+    with pytest.raises(OracleError, match=r"state 39 has transitions outside \{0..39\}"):
+        _dense_matrix(random_walk_chain(), 40)
+    # states 1 and 3 both leave {0..3}; the first is named
+    P = np.zeros((6, 6))
+    P[[0, 1, 2, 3, 4, 5], [1, 5, 0, 5, 0, 0]] = 1.0
+    with pytest.raises(OracleError, match=r"state 1 has transitions outside \{0..3\}"):
+        _dense_matrix(matrix_chain(P), 4)
+
+
+def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
+                              max_steps=DEFAULT_CYCLE_CAP, max_tracked=64,
+                              blocks=None):
+    """The per-step numpy simulator that defines the stream contract.
+
+    One ``rng.random(256)`` call at the start of each cycle and one more
+    each time a cycle uses up its block; ``np.searchsorted`` on the row's
+    cumulative probabilities, clamped to the last target.  When given, the
+    list ``blocks`` receives the number of blocks each cycle drew.
+    """
+    rng = np.random.default_rng(seed)
+    z = int(z)
+    K_set = {int(k) for k in K}
+    A_set = {int(a) for a in A}
+    row_cache = {}
+
+    def sample_next(x, u):
+        if x not in row_cache:
+            row = chain.row(x)
+            row_cache[x] = (row.targets, np.cumsum(row.probs))
+        targets, cum = row_cache[x]
+        j = int(np.searchsorted(cum, u, side="right"))
+        if j >= targets.size:
+            j = targets.size - 1
+        return int(targets[j])
+
+    rewards = np.empty(n_cycles)
+    lengths = np.empty(n_cycles)
+    survival_counts = np.zeros(max_tracked, dtype=np.int64)
+    for c in range(n_cycles):
+        x, crew, clen, rounds, escaped = z, float(r(z)), 1, 0, False
+        uniforms = rng.random(256)
+        pos, drawn = 0, 1
+        while True:
+            if pos == uniforms.size:
+                uniforms = rng.random(uniforms.size)
+                pos, drawn = 0, drawn + 1
+            x = sample_next(x, float(uniforms[pos]))
+            pos += 1
+            if x == z:
+                break
+            if clen >= max_steps:
+                raise RuntimeError(
+                    f"cycle {c} exceeded {max_steps} steps without returning "
+                    f"to z={z}; chain may not be positive recurrent")
+            crew += float(r(x))
+            clen += 1
+            if not escaped:
+                if x not in A_set:
+                    escaped = True
+            elif x in K_set:
+                rounds += 1
+                escaped = False
+        rewards[c] = crew
+        lengths[c] = clen
+        if rounds:
+            survival_counts[:min(rounds, max_tracked)] += 1
+        if blocks is not None:
+            blocks.append(drawn)
+
+    mean_reward = float(rewards.mean())
+    mean_length = float(lengths.mean())
+    ratio = mean_reward / mean_length
+    if n_cycles > 1:
+        d = rewards - ratio * lengths
+        hw = Z_99 * float(d.std(ddof=1)) / (mean_length * np.sqrt(n_cycles))
+    else:
+        hw = float("inf")
+    tracked = int(np.max(np.nonzero(survival_counts)[0]) + 1) \
+        if survival_counts.any() else 0
+    survival = tuple(float(survival_counts[i]) / n_cycles for i in range(tracked))
+    return CycleStats(n_cycles=n_cycles, mean_reward=mean_reward,
+                      mean_length=mean_length, ratio=ratio, half_width=hw,
+                      excursion_survival=survival, seed=int(seed))
+
+
+def assert_matches_reference(*args, blocks=None, **kwargs):
+    expected = reference_simulate_cycles(*args, blocks=blocks, **kwargs)
+    assert simulate_cycles(*args, **kwargs) == expected
+    return expected
+
+
+def random_sparse_chain(seed, n):
+    """Irreducible chain on {0..n-1}: a cycle 0->1->..->0 plus random extra edges."""
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.4)
+    P[np.arange(n), (np.arange(n) + 1) % n] += rng.random(n) + 0.05
+    return matrix_chain(P / P.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 9), st.integers(1, 150),
+       st.integers(0, 2**63 - 1), st.data())
+def test_simulation_matches_reference_on_random_chains(chain_seed, n, n_cycles,
+                                                       seed, data):
+    chain = random_sparse_chain(chain_seed, n)
+    z = data.draw(st.integers(0, n - 1))
+    K = {z} | data.draw(st.sets(st.integers(0, n - 1)))
+    A = K | data.draw(st.sets(st.integers(0, n - 1)))
+    rvals = data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+    assert_matches_reference(chain, z, K, A, lambda x: rvals[x], n_cycles, seed)
+
+
+@pytest.mark.parametrize("n_cycles", [1, UNIFORM_BATCH, UNIFORM_BATCH + 1])
+def test_simulation_matches_reference_at_batch_boundary(excursion_chain, n_cycles):
+    stats = assert_matches_reference(
+        excursion_chain["chain"], 0, excursion_chain["K"], excursion_chain["A"],
+        lambda x: 0.1 * x, n_cycles, 17)
+    assert stats.n_cycles == n_cycles
+
+
+def forward_path_chain(n):
+    """0 -> 1, then steps of +1 or +2 (prob 1/2 each) up to n-1, which returns to 0."""
+    P = np.zeros((n, n))
+    P[0, 1] = 1.0
+    for x in range(1, n - 1):
+        P[x, x + 1] += 0.5
+        P[x, min(x + 2, n - 1)] += 0.5
+    P[n - 1, 0] = 1.0
+    return matrix_chain(P)
+
+
+def test_simulation_matches_reference_on_long_cycles():
+    # cycles of ~256 steps use one or two blocks, so the block queue both
+    # overruns and moves to a new batch in the middle of a cycle
+    chain = forward_path_chain(383)
+    blocks = []
+    stats = assert_matches_reference(chain, 0, range(10), range(100),
+                                     lambda x: 0.01 * x, 3 * UNIFORM_BATCH, 6,
+                                     blocks=blocks)
+    assert stats.mean_length > 200 and max(blocks) == 2
+    starts = np.cumsum([0] + blocks[:-1])
+    crossing = [c for c, (s, b) in enumerate(zip(starts, blocks))
+                if s // UNIFORM_BATCH != (s + b - 1) // UNIFORM_BATCH]
+    assert crossing
+    # a near-critical walk: cycles of several blocks
+    walk = matrix_chain(reflecting_walk_matrix(400, 0.49))
+    blocks = []
+    assert_matches_reference(walk, 0, range(5), range(50), float, 300, 3,
+                             blocks=blocks)
+    assert max(blocks) > 2
+
+
+def test_simulation_matches_reference_when_row_mass_falls_short():
+    # rows summing to 0.6: uniforms above the cumulative sum take the last target
+    P = np.array([[0.2, 0.4], [0.3, 0.3]])
+    chain = matrix_chain(P)
+    stats = assert_matches_reference(chain, 0, [0], [0, 1], float, 500, 8)
+    assert stats.mean_length > 1.0
+
+
+def test_simulation_cycle_cap_message_matches_reference():
+    for chain, cap in ((forward_path_chain(383), 200), (random_sparse_chain(3, 6), 1)):
+        with pytest.raises(RuntimeError) as expected:
+            reference_simulate_cycles(chain, 0, [0], [0], float, 100, 2,
+                                      max_steps=cap)
+        with pytest.raises(RuntimeError) as got:
+            simulate_cycles(chain, 0, [0], [0], float, 100, 2, max_steps=cap)
+        assert str(got.value) == str(expected.value)
 
 
 def test_simulation_is_deterministic(two_state):
