@@ -269,8 +269,9 @@ def build_certificate(config: ExperimentConfig, chain: ChainModel, a: int,
     size, so one certificate serves a whole sweep.  Built-in models carry
     analytic drift pairs; the exit bounds are computed exactly when the
     system for a truncation set is assembled.  File chains are finite, so
-    a provably tight certificate is computed by first-step analysis
-    (imported lazily; needs the oracle module).
+    a provably tight certificate is computed by first-step analysis: one
+    sparse LU of I - P on the states outside K serves both g1 and g2
+    (``oracle.tight_certificate``, imported lazily).
     """
     if config.model == "gm1":
         return gm1_certificate()

@@ -4,8 +4,10 @@ Exact stationary solves and first-step regenerative expectations on finite
 chains, a seeded Monte Carlo cycle simulator with excursion statistics,
 and helpers for building provably tight drift certificates on finite
 chains.  Nothing here shares code with the bound pipeline: these are the
-cross-checks, so they go through the generic dense linear algebra route
-instead of the truncated-system machinery.
+cross-checks, so they build the whole finite transition matrix from the
+chain's rows instead of using the truncated-system machinery.  First-step
+systems are solved by one sparse LU of I - P restricted to the states
+outside the stopping set; only ``exact_stationary_finite`` goes dense.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .chain import ChainModel, StateIndex
 from .models import LyapunovCertificate
@@ -36,7 +40,7 @@ class OracleError(RuntimeError):
     """Exact solve failed or its result fails a consistency check."""
 
 
-def _dense_matrix(chain: ChainModel, n: int) -> np.ndarray:
+def _sparse_matrix(chain: ChainModel, n: int) -> sp.csr_matrix:
     """Row-stochastic matrix of the first n states; all mass must stay inside."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -47,9 +51,32 @@ def _dense_matrix(chain: ChainModel, n: int) -> np.ndarray:
         raise OracleError(
             f"state {x} has transitions outside {{0..{n - 1}}}; "
             "the oracle needs a genuinely finite chain")
-    P = np.zeros((n, n))
-    P[np.repeat(np.arange(n), np.diff(indptr)), targets] = probs
-    return P
+    return sp.csr_matrix((probs, targets, indptr), shape=(n, n))
+
+
+def _first_step_solve(P: sp.csr_matrix, idx: np.ndarray, F: np.ndarray,
+                      what: str) -> np.ndarray:
+    """Solve (I - P[idx, idx]) U = F, one column of U per column of F.
+
+    One sparse LU serves every column, followed by one refinement step
+    against the same factors.  Each column must then meet
+    max|M u - f| <= 1e-9 (1 + max|u|); a singular factor, a non-finite
+    solution or a larger residual raises ``OracleError``.
+    """
+    M = (sp.identity(idx.size, format="csr") - P[idx][:, idx]).tocsc()
+    try:
+        lu = spla.splu(M)
+    except RuntimeError as exc:
+        raise OracleError(f"{what} solve singular: {exc}") from exc
+    U = lu.solve(F)
+    U = U + lu.solve(F - M @ U)
+    if not np.isfinite(U).all():
+        raise OracleError(f"{what} solve produced non-finite values")
+    residual = np.abs(M @ U - F).max(axis=0)
+    scale = 1.0 + np.abs(U).max(axis=0)
+    if np.any(residual > 1e-9 * scale):
+        raise OracleError(f"{what} residual {float(residual.max()):.3e} too large")
+    return U
 
 
 def exact_stationary_finite(chain: ChainModel, n: int,
@@ -61,7 +88,7 @@ def exact_stationary_finite(chain: ChainModel, n: int,
     balance system to ``tol``.  Reducible or otherwise degenerate inputs
     surface as ``OracleError``.
     """
-    P = _dense_matrix(chain, n)
+    P = _sparse_matrix(chain, n).toarray()
     M = P.T - np.eye(n)
     M[-1, :] = 1.0
     b = np.zeros(n)
@@ -91,25 +118,17 @@ def regenerative_expectation_exact(chain: ChainModel, n: int, z: StateIndex,
     f(z) + sum_y P(z, y) u(y) with u(z) = 0.  With f = 1 this is the mean
     return time E_z tau(z).
     """
-    P = _dense_matrix(chain, n)
+    P = _sparse_matrix(chain, n)
     if not 0 <= z < n:
         raise ValueError(f"z={z} out of range")
-    idx = np.array([x for x in range(n) if x != z], dtype=np.int64)
-    fvec = np.array([float(f(int(x))) for x in idx])
+    idx = np.setdiff1d(np.arange(n), [z])
     fz = float(f(int(z)))
     if idx.size == 0:
         return fz
-    M = np.eye(idx.size) - P[np.ix_(idx, idx)]
-    try:
-        u = np.linalg.solve(M, fvec)
-        u = u + np.linalg.solve(M, fvec - M @ u)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(f"first-step solve singular: {exc}") from exc
-    residual = float(np.abs(M @ u - fvec).max())
-    scale = 1.0 + float(np.abs(u).max())
-    if not np.isfinite(u).all() or residual > 1e-9 * scale:
-        raise OracleError(f"first-step residual {residual:.3e} too large")
-    return fz + float(P[z, idx] @ u)
+    u = np.zeros(n)
+    u[idx] = _first_step_solve(P, idx, np.array([float(f(int(x))) for x in idx]),
+                               "first-step")
+    return fz + (P[z] @ u).item()
 
 
 def tight_certificate(chain: ChainModel, n: int,
@@ -120,25 +139,20 @@ def tight_certificate(chain: ChainModel, n: int,
     g1(x) = E_x sum of r until hitting K, g2(x) = E_x (hitting time of K),
     both zero on K itself.  These satisfy the drift inequalities exactly,
     so they are valid certificates for any truncation problem on this
-    chain with this K, with no analytic work.
+    chain with this K, with no analytic work.  Both come from one sparse
+    LU of I - P restricted to the states outside K.
     """
-    P = _dense_matrix(chain, n)
+    P = _sparse_matrix(chain, n)
     K_set = {int(k) for k in K}
     if not K_set or any(not 0 <= k < n for k in K_set):
         raise ValueError("K must be a non-empty subset of {0..n-1}")
-    idx = np.array(sorted(set(range(n)) - K_set), dtype=np.int64)
+    idx = np.setdiff1d(np.arange(n), list(K_set))
     g1 = np.zeros(n)
     g2 = np.zeros(n)
     if idx.size:
-        M = np.eye(idx.size) - P[np.ix_(idx, idx)]
         rvec = np.array([float(r(int(x))) for x in idx])
-        try:
-            u1 = np.linalg.solve(M, rvec)
-            u2 = np.linalg.solve(M, np.ones(idx.size))
-        except np.linalg.LinAlgError as exc:
-            raise OracleError(f"certificate solve singular: {exc}") from exc
-        if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
-            raise OracleError("certificate solve produced non-finite values")
+        u1, u2 = _first_step_solve(P, idx, np.column_stack([rvec, np.ones(idx.size)]),
+                                   "certificate").T
         if u1.min() < -1e-9 or u2.min() < 1.0 - 1e-9:
             raise OracleError("certificate solve inconsistent; K may be "
                               "unreachable from part of the chain")
@@ -323,32 +337,22 @@ def excursion_bound_check(chain: ChainModel, n: int,
     where the drift inequality itself fails (no guarantee applies there,
     but values and slack are still reported).
     """
-    P = _dense_matrix(chain, n)
+    P = _sparse_matrix(chain, n)
     stop = {int(s) for s in (K if stop_set is None else stop_set)}
     A_set = {int(a) for a in A}
     K_set = {int(k) for k in K}
-    idx = np.array(sorted(set(range(n)) - stop), dtype=np.int64)
+    idx = np.setdiff1d(np.arange(n), list(stop))
     u = np.zeros(n)
-    if idx.size:
-        M = np.eye(idx.size) - P[np.ix_(idx, idx)]
-        fvec = np.array([float(f(int(x))) for x in idx])
-        try:
-            sol = np.linalg.solve(M, fvec)
-        except np.linalg.LinAlgError as exc:
-            raise OracleError(f"excursion solve singular: {exc}") from exc
-        if not np.isfinite(sol).all():
-            raise OracleError("excursion solve produced non-finite values")
-        u[idx] = sol
-
     g_all = np.array([float(g(x)) for x in range(n)])
-    g_masked = g_all.copy()
-    g_masked[sorted(s for s in stop if 0 <= s < n)] = 0.0
     report = ExcursionReport()
-    for x in idx:
-        x = int(x)
-        lhs = float(P[x] @ g_masked)
-        if lhs > g_all[x] - float(f(x)) + 1e-9 * (1.0 + abs(g_all[x])):
-            report.drift_failures.append(x)
+    if idx.size:
+        fvec = np.array([float(f(int(x))) for x in idx])
+        u[idx] = _first_step_solve(P, idx, fvec, "excursion")
+        g_idx = g_all[idx]
+        g_masked = np.zeros(n)
+        g_masked[idx] = g_idx
+        failed = (P @ g_masked)[idx] > g_idx - fvec + 1e-9 * (1.0 + np.abs(g_idx))
+        report.drift_failures = idx[failed].tolist()
     for x in sorted(A_set - K_set):
         if x in stop or not 0 <= x < n:
             continue

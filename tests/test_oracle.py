@@ -19,7 +19,7 @@ from stattrunc.oracle import (
     UNIFORM_BATCH,
     Z_99,
     CycleStats,
-    _dense_matrix,
+    _sparse_matrix,
 )
 from conftest import dirichlet_chain, reflecting_walk_matrix
 
@@ -108,17 +108,177 @@ def test_tight_certificate_rejects_unreachable_K():
         tight_certificate(matrix_chain(P), 3, [0], lambda x: 1.0)
 
 
+def reference_tight_certificate(chain, n, K, r):
+    """Dense reference for ``tight_certificate``.
+
+    P from per-state ``chain.row`` calls, then two separate dense solves of
+    (I - P restricted to the complement of K) u = r, 1.  Returns (g1, g2)
+    as arrays over {0..n-1}.
+    """
+    P = np.zeros((n, n))
+    for x in range(n):
+        row = chain.row(x)
+        P[x, row.targets] = row.probs
+    K_set = {int(k) for k in K}
+    idx = np.array(sorted(set(range(n)) - K_set), dtype=np.int64)
+    g1 = np.zeros(n)
+    g2 = np.zeros(n)
+    if idx.size:
+        M = np.eye(idx.size) - P[np.ix_(idx, idx)]
+        rvec = np.array([float(r(int(x))) for x in idx])
+        try:
+            u1 = np.linalg.solve(M, rvec)
+            u2 = np.linalg.solve(M, np.ones(idx.size))
+        except np.linalg.LinAlgError as exc:
+            raise OracleError(f"certificate solve singular: {exc}") from exc
+        if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
+            raise OracleError("certificate solve produced non-finite values")
+        if u1.min() < -1e-9 or u2.min() < 1.0 - 1e-9:
+            raise OracleError("certificate solve inconsistent; K may be "
+                              "unreachable from part of the chain")
+        g1[idx] = np.maximum(u1, 0.0)
+        g2[idx] = np.maximum(u2, 0.0)
+    return g1, g2
+
+
+def certificate_arrays(cert, n):
+    return (np.array([cert.g1(x) for x in range(n)]),
+            np.array([cert.g2(x) for x in range(n)]))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 40), st.data())
+def test_tight_certificate_matches_dense_reference(chain_seed, n, data):
+    chain = random_sparse_chain(chain_seed, n)
+    K = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    rvals = data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+    r = lambda x: rvals[x]
+    cert = tight_certificate(chain, n, K, r)
+    g1, g2 = certificate_arrays(cert, n)
+    ref1, ref2 = reference_tight_certificate(chain, n, K, r)
+    np.testing.assert_allclose(g1, ref1, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(g2, ref2, rtol=1e-10, atol=0.0)
+    prob = TruncationProblem(chain=chain, A=range(n), z=min(K), K=K, r=r)
+    report = verify_lyapunov_drift(prob, cert)
+    assert report.passed
+    scale = 1.0 + float(max(g1.max(), g2.max()))
+    assert abs(report.min_slack) <= 1e-10 * scale
+
+
+def test_tight_certificate_rejects_closed_class_outside_K():
+    # a 25-state reflecting walk plus a closed 5-cycle that never reaches it
+    P = np.zeros((30, 30))
+    P[:25, :25] = reflecting_walk_matrix(25, 0.4)
+    for i in range(5):
+        P[25 + i, 25 + (i + 1) % 5] = 1.0
+    chain = matrix_chain(P)
+    with pytest.raises(OracleError, match="singular"):
+        tight_certificate(chain, 30, [0], lambda x: 1.0)
+    with pytest.raises(OracleError, match="singular"):
+        reference_tight_certificate(chain, 30, [0], lambda x: 1.0)
+
+
+def test_tight_certificate_single_state_complement():
+    # K = {0, 2}: from 1 the chain waits a geometric time, then hits K
+    P = np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
+    cert = tight_certificate(matrix_chain(P), 3, [0, 2], lambda x: 2.0)
+    g1, g2 = certificate_arrays(cert, 3)
+    np.testing.assert_allclose(g1, [0.0, 2.0 / 0.7, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(g2, [0.0, 1.0 / 0.7, 0.0], rtol=1e-15)
+
+
+class _SkewedFactor:
+    """An LU whose solves come back scaled by ``factor``."""
+
+    def __init__(self, lu, factor):
+        self.lu, self.factor = lu, factor
+
+    def solve(self, b):
+        return self.factor * self.lu.solve(b)
+
+
+@pytest.mark.parametrize("factor, message", [(1.1, "certificate residual"),
+                                             (np.nan, "non-finite")])
+def test_tight_certificate_checks_its_solve(monkeypatch, factor, message):
+    import scipy.sparse.linalg as spla
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda M: _SkewedFactor(splu(M), factor))
+    chain, _, _ = dirichlet_chain(9, 12)
+    with pytest.raises(OracleError, match=message):
+        tight_certificate(chain, 12, [0, 1], lambda x: float(x) + 0.5)
+
+
+def drift_chain_file(path, seed, n=1500):
+    """Sparse chain on {0..n-1}: jumps of +-1..3 with a downward drift.
+
+    Each state picks 1-3 jump sizes with random weights and a down
+    probability in [0.52, 0.62]; jumps below 0 land on 0 and jumps past
+    n-1 are dropped before normalising, so the chain is irreducible.
+    """
+    rng = np.random.default_rng(seed)
+    lines = [f"states {n}"]
+    for x in range(n):
+        k = int(rng.integers(1, 4))
+        weights = rng.dirichlet(np.ones(k))
+        p_down = float(rng.uniform(0.52, 0.62))
+        mass = {}
+        for d, w in zip(range(1, k + 1), weights):
+            mass[max(x - d, 0)] = mass.get(max(x - d, 0), 0.0) + p_down * float(w)
+            if x + d < n:
+                mass[x + d] = mass.get(x + d, 0.0) + (1.0 - p_down) * float(w)
+        total = sum(mass.values())
+        lines += [f"{x} {y} {mass[y] / total!r}" for y in sorted(mass)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+G_FREE_COLUMNS = ("a", "kappa_lower_r", "kappa_lower_e", "delta", "beta",
+                  "pi_tilde_r", "status", "oracle_ratio", "oracle_half_width",
+                  "oracle_pass")
+G_COLUMNS = ("Delta1", "Delta2", "kappa_upper_r", "kappa_upper_e", "lower",
+             "upper", "error_bound", "tv_bound")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_validated_file_sweep_matches_dense_certificate(tmp_path, monkeypatch, seed):
+    import io
+    import stattrunc.oracle as oracle_module
+    from stattrunc import LyapunovCertificate
+    from stattrunc.cli import run_experiment
+    from stattrunc.config import parse_config
+
+    config = parse_config({
+        "model": f"file:{drift_chain_file(tmp_path / 'chain.txt', seed)}",
+        "z": 0, "K_max": 20, "a_values": [200, 400, 800, 1500],
+        "r_spec": "identity", "oracle": {"seed": seed, "n_cycles": 2000}})
+    rows = run_experiment(config, validate=True, log=io.StringIO())
+
+    def dense(chain, n, K, r):
+        g1, g2 = reference_tight_certificate(chain, n, K, r)
+        return LyapunovCertificate(g1=lambda x: float(g1[x]),
+                                   g2=lambda x: float(g2[x]))
+
+    monkeypatch.setattr(oracle_module, "tight_certificate", dense)
+    expected = run_experiment(config, validate=True, log=io.StringIO())
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert all(r["oracle_pass"] is True for r in rows)
+    for row, ref in zip(rows, expected):
+        assert [row[c] for c in G_FREE_COLUMNS] == [ref[c] for c in G_FREE_COLUMNS]
+        np.testing.assert_allclose([row[c] for c in G_COLUMNS],
+                                   [ref[c] for c in G_COLUMNS], rtol=1e-12, atol=0.0)
+
+
 def test_dense_matrix_names_first_state_leaving_the_block():
     from stattrunc import random_walk_chain
-    P = _dense_matrix(matrix_chain(reflecting_walk_matrix(6, 0.3)), 6)
+    P = _sparse_matrix(matrix_chain(reflecting_walk_matrix(6, 0.3)), 6).toarray()
     np.testing.assert_array_equal(P, reflecting_walk_matrix(6, 0.3))
     with pytest.raises(OracleError, match=r"state 39 has transitions outside \{0..39\}"):
-        _dense_matrix(random_walk_chain(), 40)
+        _sparse_matrix(random_walk_chain(), 40)
     # states 1 and 3 both leave {0..3}; the first is named
     P = np.zeros((6, 6))
     P[[0, 1, 2, 3, 4, 5], [1, 5, 0, 5, 0, 0]] = 1.0
     with pytest.raises(OracleError, match=r"state 1 has transitions outside \{0..3\}"):
-        _dense_matrix(matrix_chain(P), 4)
+        _sparse_matrix(matrix_chain(P), 4)
 
 
 def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
@@ -354,6 +514,10 @@ def test_excursion_check_tight_bound_has_zero_slack():
     report = excursion_bound_check(chain, 10, [0], range(10), cert.g1, r)
     assert report.passed and not report.drift_failures
     assert max(abs(s) for s in report.slack) <= 1e-9 * (1.0 + max(report.bounds))
+    # the drift sum stops at K, so g's values on K do not enter it
+    lifted = excursion_bound_check(chain, 10, [0], range(10),
+                                   lambda x: 1e6 if x == 0 else cert.g1(x), r)
+    assert lifted == report
 
 
 def test_excursion_check_detects_undersized_bound():
