@@ -22,6 +22,7 @@ from .bounds import (
 )
 from .chain import (
     ChainModel,
+    Reward,
     SparseRow,
     TruncationProblem,
     ValidationReport,

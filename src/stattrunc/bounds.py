@@ -35,6 +35,7 @@ from .chain import (
     ROW_CHUNK,
     StateIndex,
     TruncationProblem,
+    as_state_array,
     member_mask,
     one_step_fringe,
 )
@@ -43,7 +44,7 @@ from .solver import (
     SolverOptions,
     TruncatedSystem,
     assemble_truncated_system,
-    expected_g,
+    expected_g_rows,
     solve,
     solve_transpose,
 )
@@ -219,7 +220,9 @@ def verify_lyapunov_drift(problem: TruncationProblem,
         sum_{y not in K} P(x, y) g2(y) <= g2(x) - 1
 
     are evaluated exactly from the finite-support row of x, read through
-    ``chain.rows`` in chunks of ``ROW_CHUNK`` states.  States inside K are
+    ``chain.rows`` in chunks of ``ROW_CHUNK`` states, with g and r
+    evaluated on whole chunks; each left-hand side is summed left to right
+    along its row, exactly as ``expected_g`` sums it.  States inside K are
     excluded (the inequalities are only required on K^c).
 
     The window check is necessarily finite; whether the inequalities hold
@@ -229,19 +232,11 @@ def verify_lyapunov_drift(problem: TruncationProblem,
     """
     chain, A, K = problem.chain, problem.A, problem.K
     if check_window is None:
-        window = set(int(s) for s in A) | one_step_fringe(chain, A)
+        fringe = np.fromiter(one_step_fringe(chain, A), dtype=np.int64)
+        states = np.union1d(A, fringe)
     else:
-        window = set(int(s) for s in check_window)
+        states = as_state_array(check_window)
     report = DriftReport()
-
-    def record(x, kind, lhs, rhs):
-        slack = rhs - lhs
-        report.max_slack = max(report.max_slack, slack)
-        report.min_slack = min(report.min_slack, slack)
-        if lhs > rhs + rel_slack * (1.0 + abs(rhs)):
-            report.violations.append(DriftViolation(x, kind, lhs, rhs))
-
-    states = np.array(sorted(window), dtype=np.int64)
     in_K = member_mask(states, K)
     report.excluded_states = states[in_K].tolist()
     states = states[~in_K]
@@ -249,13 +244,20 @@ def verify_lyapunov_drift(problem: TruncationProblem,
         xs = states[start:start + ROW_CHUNK]
         indptr, targets, probs = chain.rows(xs)
         keep = ~member_mask(targets, K)
-        # row i's entries outside K are t_out/p_out[ends[i]:ends[i+1]]
-        ends = np.concatenate(([0], np.cumsum(keep)))[indptr].tolist()
-        t_out, p_out = targets[keep], probs[keep]
-        for i, x in enumerate(xs.tolist()):
-            lo, hi = ends[i], ends[i + 1]
-            lhs1, lhs2 = expected_g(certificate, t_out[lo:hi], p_out[lo:hi])
-            record(x, "g1", lhs1, float(certificate.g1(x)) - problem.reward(x))
-            record(x, "g2", lhs2, float(certificate.g2(x)) - 1.0)
-            report.checked_states.append(x)
+        counts = np.bincount(np.repeat(np.arange(xs.size), np.diff(indptr))[keep],
+                             minlength=xs.size)
+        _, lhs1, lhs2 = expected_g_rows(certificate, counts, targets[keep], probs[keep])
+        g1, g2 = certificate.values(xs)
+        found = []
+        for kind, lhs, rhs in (("g1", lhs1, g1 - problem.rewards(xs)),
+                               ("g2", lhs2, g2 - 1.0)):
+            slack = rhs - lhs
+            report.max_slack = max(report.max_slack, float(slack.max()))
+            report.min_slack = min(report.min_slack, float(slack.min()))
+            bad = np.flatnonzero(lhs > rhs + rel_slack * (1.0 + np.abs(rhs)))
+            found += [(i, kind, DriftViolation(int(xs[i]), kind, float(lhs[i]), float(rhs[i])))
+                      for i in bad.tolist()]
+        # state order, and g1 before g2 at one state
+        report.violations += [v for _, _, v in sorted(found, key=lambda f: f[:2])]
+        report.checked_states.extend(xs.tolist())
     return report

@@ -172,21 +172,88 @@ def matrix_chain(P: np.ndarray, description: str = "dense matrix chain") -> Chai
     return csr_chain(indptr, dst.astype(np.int64), P[src, dst], description)
 
 
+def is_contiguous(sorted_states: np.ndarray) -> bool:
+    """Whether a sorted, duplicate-free integer array is a range lo..hi."""
+    return bool(sorted_states.size) and \
+        int(sorted_states[-1]) - int(sorted_states[0]) == sorted_states.size - 1
+
+
 def member_mask(values: np.ndarray, sorted_states: np.ndarray) -> np.ndarray:
-    """Boolean mask of which ``values`` occur in the sorted array ``sorted_states``."""
+    """Boolean mask of which ``values`` occur in the sorted array ``sorted_states``.
+
+    ``sorted_states`` must be sorted and duplicate-free.  When it is a
+    range of integers and ``values`` are integers too, membership is the
+    range test lo <= v <= hi; otherwise a binary search.
+    """
     if sorted_states.size == 0:
         return np.zeros(values.shape, dtype=bool)
+    if values.dtype.kind == "i" and is_contiguous(sorted_states):
+        return (values >= sorted_states[0]) & (values <= sorted_states[-1])
     idx = np.searchsorted(sorted_states, values)
     idx_c = np.minimum(idx, sorted_states.size - 1)
     return (idx < sorted_states.size) & (sorted_states[idx_c] == values)
 
 
 def as_state_array(states: Iterable[StateIndex]) -> np.ndarray:
-    """Normalize a collection of states to a sorted, duplicate-free int64 array."""
-    arr = np.unique(np.asarray(list(states), dtype=np.int64))
+    """Normalize a collection of states to a sorted, duplicate-free int64 array.
+
+    A 1-d integer ndarray is converted in one copy, and sorted only when
+    it is not already strictly increasing.
+    """
+    if isinstance(states, np.ndarray) and states.ndim == 1 \
+            and np.can_cast(states.dtype, np.int64):
+        arr = states.astype(np.int64)
+        if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
+            arr = np.unique(arr)
+    else:
+        arr = np.unique(np.asarray(list(states), dtype=np.int64))
     if arr.size and arr[0] < 0:
         raise ValueError("state indices must be non-negative")
     return arr
+
+
+@dataclass(frozen=True)
+class Reward:
+    """A reward r(x) with an optional batch form.
+
+    ``fn`` maps one state to its reward.  ``batch_fn``, when given, maps an
+    int64 state array to the float64 rewards of all of them at once and
+    must agree bit for bit with ``fn`` (the way ``ChainModel.rows_fn``
+    extends ``row_fn``).  A ``Reward`` is called like ``fn``, so code that
+    evaluates one state at a time takes it unchanged; ``reward_values``
+    evaluates many.
+    """
+
+    fn: RewardFn
+    batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __call__(self, x: StateIndex) -> float:
+        return self.fn(x)
+
+
+def reward_values(r: RewardFn, xs) -> np.ndarray:
+    """Rewards of the states ``xs`` as a float64 array.
+
+    Uses the batch form of a ``Reward`` that has one and otherwise calls
+    ``r`` once per state, so any callable works.  Every value must be
+    finite and non-negative; the first state whose value is not is named
+    in the ``ValueError``.
+    """
+    xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+    batch_fn = r.batch_fn if isinstance(r, Reward) else None
+    if batch_fn is None:
+        vals = np.array([float(r(x)) for x in xs.tolist()], dtype=np.float64)
+    else:
+        vals = np.asarray(batch_fn(xs), dtype=np.float64)
+        if vals.shape != xs.shape:
+            raise ValueError(f"reward batch_fn must return {xs.size} values, "
+                             f"got shape {vals.shape}")
+    bad = ~(np.isfinite(vals) & (vals >= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"reward must be finite and non-negative, "
+                         f"got r({xs[i]})={vals[i]}")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -195,15 +262,16 @@ class TruncationProblem:
 
     ``A`` is the finite truncation set, ``z`` the regeneration state and
     ``K`` the finite set on whose complement the Lyapunov drift holds.
-    Requires z in K and K a subset of A.  The reward ``r`` must be
-    non-negative on every state it is queried at.
+    Requires z in K and K a subset of A.  The reward ``r`` (a plain
+    callable or a ``Reward``) must be finite and non-negative on every
+    state it is queried at.
     """
 
     chain: ChainModel
     A: np.ndarray
     z: StateIndex
     K: np.ndarray
-    r: RewardFn
+    r: RewardFn | Reward
 
     def __post_init__(self):
         object.__setattr__(self, "A", as_state_array(self.A))
@@ -214,10 +282,11 @@ class TruncationProblem:
             raise ValueError("K must be a subset of the truncation set A")
 
     def reward(self, x: StateIndex) -> float:
-        val = float(self.r(x))
-        if val < 0.0:
-            raise ValueError(f"reward must be non-negative, got r({x})={val}")
-        return val
+        return float(self.rewards([x])[0])
+
+    def rewards(self, xs) -> np.ndarray:
+        """Checked rewards of the states ``xs`` (see ``reward_values``)."""
+        return reward_values(self.r, xs)
 
 
 @dataclass

@@ -13,11 +13,12 @@ import os
 import sys
 import typing
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
+import numpy as np
 import yaml
 
-from .chain import ChainModel
+from .chain import ChainModel, Reward, member_mask
 from .models import (
     Gm1Params,
     LyapunovCertificate,
@@ -206,10 +207,12 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def load_reward_table(path: str) -> Callable[[int], float]:
+def load_reward_table(path: str) -> Reward:
     """Reward table file: one 'state value' pair per line, default 0.
 
-    '#' starts a comment.  Values must be finite and non-negative.
+    '#' starts a comment.  Values must be finite and non-negative.  The
+    batch form looks states up in the sorted table (a range test and an
+    offset when the table's states are a range).
     """
     table: dict[int, float] = {}
     try:
@@ -228,13 +231,22 @@ def load_reward_table(path: str) -> Callable[[int], float]:
                 state, value = int(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if state < 0 or not value >= 0.0 or value != value:
+            if state < 0 or not 0.0 <= value < float("inf"):
                 raise ConfigError(f"{path}:{lineno}: need state >= 0 and "
                                   "finite value >= 0")
             if state in table:
                 raise ConfigError(f"{path}:{lineno}: duplicate state {state}")
             table[state] = value
-    return lambda x: table.get(int(x), 0.0)
+    states = np.array(sorted(table), dtype=np.int64)
+    values = np.array([table[x] for x in states.tolist()], dtype=np.float64)
+
+    def batch_fn(xs: np.ndarray) -> np.ndarray:
+        out = np.zeros(xs.shape)
+        hit = member_mask(xs, states)
+        out[hit] = values[np.searchsorted(states, xs[hit])]
+        return out
+
+    return Reward(lambda x: table.get(int(x), 0.0), batch_fn)
 
 
 def build_chain(config: ExperimentConfig) -> ChainModel:
@@ -253,11 +265,12 @@ def build_chain(config: ExperimentConfig) -> ChainModel:
     return load_chain_from_file(config.model[5:])
 
 
-def build_reward(config: ExperimentConfig) -> Callable[[int], float]:
+def build_reward(config: ExperimentConfig) -> Reward:
+    """The config's reward, with a batch form equal to it bit for bit."""
     if config.r_spec == "identity":
-        return lambda x: float(x)
+        return Reward(lambda x: float(x), lambda xs: xs.astype(np.float64))
     if config.r_spec == "half":
-        return lambda x: float(x) / 2.0
+        return Reward(lambda x: float(x) / 2.0, lambda xs: xs.astype(np.float64) / 2.0)
     return load_reward_table(config.r_spec[5:])
 
 

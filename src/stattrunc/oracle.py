@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import ChainModel, StateIndex
+from .chain import ChainModel, StateIndex, reward_values
 from .models import LyapunovCertificate
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
@@ -150,7 +150,7 @@ def tight_certificate(chain: ChainModel, n: int,
     g1 = np.zeros(n)
     g2 = np.zeros(n)
     if idx.size:
-        rvec = np.array([float(r(int(x))) for x in idx])
+        rvec = reward_values(r, idx)
         u1, u2 = _first_step_solve(P, idx, np.column_stack([rvec, np.ones(idx.size)]),
                                    "certificate").T
         if u1.min() < -1e-9 or u2.min() < 1.0 - 1e-9:
@@ -161,6 +161,7 @@ def tight_certificate(chain: ChainModel, n: int,
     return LyapunovCertificate(
         g1=lambda x: float(g1[x]),
         g2=lambda x: float(g2[x]),
+        g_fn=lambda xs: (g1[xs], g2[xs]),
     )
 
 

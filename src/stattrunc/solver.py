@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import ROW_CHUNK, TruncationProblem, member_mask
+from .chain import ROW_CHUNK, TruncationProblem, is_contiguous, member_mask
 from .models import LyapunovCertificate
 
 DEFAULT_TOL = 1e-12
@@ -132,24 +132,63 @@ class SolveResult:
     monotone_lower_bound: bool = False
 
 
+def _g_values(certificate: LyapunovCertificate,
+              xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``certificate.values(xs)``, a bad value raising ``AssemblyError``."""
+    try:
+        return certificate.values(xs)
+    except ValueError as exc:
+        raise AssemblyError(str(exc)) from exc
+
+
 def expected_g(certificate: LyapunovCertificate, targets: np.ndarray,
                probs: np.ndarray) -> tuple[float, float]:
     """(sum_y P(x, y) g1(y), sum_y P(x, y) g2(y)) over the given row entries.
 
     The sums run left to right in the order given, so equal inputs give
-    bit-equal sums.  A negative g value raises ``AssemblyError``: the
-    drift functions of a certificate are non-negative by definition.
+    bit-equal sums.  A negative or non-finite g value raises
+    ``AssemblyError``: the drift functions of a certificate are finite and
+    non-negative by definition.
     """
-    g1, g2 = certificate.g1, certificate.g2
+    g1, g2 = _g_values(certificate, targets)
     acc1 = acc2 = 0.0
-    for y, pr in zip(targets.tolist(), probs.tolist()):
-        g1y = float(g1(y))
-        g2y = float(g2(y))
-        if g1y < 0 or g2y < 0:
-            raise AssemblyError(f"Lyapunov function negative at state {y}")
+    for pr, g1y, g2y in zip(probs.tolist(), g1.tolist(), g2.tolist()):
         acc1 += pr * g1y
         acc2 += pr * g2y
     return acc1, acc2
+
+
+def expected_g_rows(certificate: LyapunovCertificate, counts: np.ndarray,
+                    targets: np.ndarray, probs: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row mass and ``expected_g`` of consecutive runs of row entries.
+
+    Row i owns the next ``counts[i]`` entries of ``targets``/``probs``.
+    Returns ``(mass, s1, s2)``: each row's probability sum (numpy's sum of
+    its entries) and its ``expected_g`` pair, bit for bit.  One ``g`` call
+    covers every entry; the sums run a column at a time over a
+    longest-row x rows layout padded with zeros, which keeps each row's
+    left-to-right order.
+    """
+    n = counts.size
+    mass, s1, s2 = np.zeros(n), np.zeros(n), np.zeros(n)
+    if targets.size == 0:
+        return mass, s1, s2
+    g1, g2 = _g_values(certificate, targets)
+    ends = np.cumsum(counts)
+    row = np.repeat(np.arange(n), counts)
+    col = np.arange(targets.size) - (ends - counts)[row]
+    P, G1, G2 = (np.zeros((int(counts.max()), n)) for _ in range(3))
+    P[col, row], G1[col, row], G2[col, row] = probs, g1, g2
+    for j in range(P.shape[0]):
+        mass += P[j]
+        s1 += P[j] * G1[j]
+        s2 += P[j] * G2[j]
+    # any order sums two terms alike; a longer row takes numpy's own
+    # (pairwise) sum, which is how a row's mass is defined
+    for i in np.flatnonzero(counts > 2).tolist():
+        mass[i] = probs[ends[i] - counts[i]:ends[i]].sum()
+    return mass, s1, s2
 
 
 def assemble_truncated_system(problem: TruncationProblem,
@@ -158,7 +197,8 @@ def assemble_truncated_system(problem: TruncationProblem,
 
     The overshoot bounds h_i are computed exactly from the finite-support
     rows as h_i(x) = sum_{y not in A} P(x, y) g_i(y).  Rows of A' are read
-    through ``chain.rows`` in chunks of ``ROW_CHUNK`` states.
+    through ``chain.rows`` in chunks of ``ROW_CHUNK`` states; rewards and
+    drift functions are evaluated on whole arrays of states.
     """
     chain, A, z = problem.chain, problem.A, problem.z
     if not member_mask(np.array([z]), A)[0]:
@@ -185,12 +225,14 @@ def assemble_truncated_system(problem: TruncationProblem,
     zrow_total = zrow.total()
     if abs(zrow_total - 1.0) > ROW_IDENTITY_TOL:
         raise AssemblyError(f"row of z={z} sums to {zrow_total:.12g}")
-    r_vec = np.array([problem.reward(x) for x in Aprime.tolist()], dtype=np.float64)
+    r_vec = problem.rewards(Aprime)
 
     # rows of A' in chunks of ROW_CHUNK states, as CSR pieces of B; column
     # indices already in the dtype the CSR matrix keeps, so that joining
-    # the pieces makes no wider copy
+    # the pieces makes no wider copy.  When A' is a range, a state's
+    # column is its offset from the first state
     index_dtype = np.int32 if m < np.iinfo(np.int32).max else np.int64
+    first = int(Aprime[0]) if is_contiguous(Aprime) else None
     data = [np.zeros(0)]
     indices = [np.zeros(0, dtype=index_dtype)]
     B_indptr = np.zeros(m + 1, dtype=np.int64)
@@ -212,19 +254,17 @@ def assemble_truncated_system(problem: TruncationProblem,
         inside = in_A & ~at_z
         outside = ~in_A
         p[start:start + n] = np.bincount(row[at_z], weights=probs[at_z], minlength=n)
-        # q and h sum a row's escaping entries.  They are taken row by row
-        # (numpy's pairwise sum, expected_g's left-to-right loop), which
-        # bincount's sequential sum would not match bit for bit, but only
-        # on rows that have escaping entries: one row per prefix truncation
-        # on the built-in chains
-        for i in np.unique(row[outside]).tolist():
-            lo, hi = indptr[i], indptr[i + 1]
-            out_i = outside[lo:hi]
-            out_targets, out_probs = targets[lo:hi][out_i], probs[lo:hi][out_i]
-            q[start + i] = float(out_probs.sum())
-            h1[start + i], h2[start + i] = expected_g(certificate, out_targets, out_probs)
+        if outside.any():
+            # q and h over the rows that have escaping entries (one row
+            # per prefix truncation on the built-in chains)
+            n_out = np.bincount(row[outside], minlength=n)
+            esc = np.flatnonzero(n_out)
+            q[start + esc], h1[start + esc], h2[start + esc] = expected_g_rows(
+                certificate, n_out[esc], targets[outside], probs[outside])
         data.append(probs[inside])
-        indices.append(np.searchsorted(Aprime, targets[inside]).astype(index_dtype))
+        cols = (targets[inside] - first if first is not None
+                else np.searchsorted(Aprime, targets[inside]))
+        indices.append(cols.astype(index_dtype))
         B_indptr[start + 1:start + n + 1] = np.bincount(row[inside], minlength=n)
 
     if np.any(h1 < 0) or np.any(h2 < 0) or h1_z < 0 or h2_z < 0:

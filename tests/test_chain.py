@@ -14,7 +14,7 @@ from stattrunc import (
     random_walk_chain,
     validate_rows,
 )
-from stattrunc.chain import ROW_CHUNK, as_state_array, member_mask
+from stattrunc.chain import ROW_CHUNK, Reward, as_state_array, member_mask, reward_values
 from stattrunc.models import _beta_table_cached
 
 
@@ -75,6 +75,100 @@ def test_as_state_array_normalizes():
     assert as_state_array([3, 1, 3, 2]).tolist() == [1, 2, 3]
     with pytest.raises(ValueError):
         as_state_array([1, -2])
+
+
+BIG = np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize("states", [
+    [], [7], [5, 6, 7, 8], [0, 1, 2], [BIG - 3, BIG - 2, BIG - 1, BIG],
+    [2, 5, 9], [1, 4, 7],
+])
+def test_member_mask_range_test_matches_isin(states):
+    # a contiguous set takes the range test, the others the binary search;
+    # both must give np.isin's answer below, inside, between and above
+    sorted_states = np.array(states, dtype=np.int64)
+    lo = states[0] if states else 0
+    hi = states[-1] if states else 0
+    near = {v + d for v in (lo, hi) for d in (-2, -1, 0, 1, 2)}
+    vals = np.array(sorted(v for v in near | {0, 1, 3, 6, 8, 10, BIG, -BIG - 1}
+                           if -BIG - 1 <= v <= BIG), dtype=np.int64)
+    assert member_mask(vals, sorted_states).tolist() == np.isin(vals, sorted_states).tolist()
+    assert member_mask(vals[:0], sorted_states).shape == (0,)
+
+
+def _old_as_state_array(states):
+    """The list round trip ``as_state_array`` had before its ndarray path."""
+    arr = np.unique(np.asarray(list(states), dtype=np.int64))
+    if arr.size and arr[0] < 0:
+        raise ValueError("state indices must be non-negative")
+    return arr
+
+
+@given(st.lists(st.integers(-3, 60), max_size=30),
+       st.sampled_from([np.int64, np.int32, np.uint8, np.int8, bool]))
+def test_as_state_array_ndarray_path_keeps_list_results(values, dtype):
+    if dtype is np.uint8:
+        values = [v for v in values if v >= 0]
+    arr = np.array(values, dtype=dtype)
+    try:
+        want = _old_as_state_array(arr).tolist()
+    except ValueError as exc:
+        want = exc
+    for states in (arr, arr.tolist(), tuple(arr.tolist()), set(arr.tolist()), iter(arr.tolist())):
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match=str(want)):
+                as_state_array(states)
+        else:
+            got = as_state_array(states)
+            assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_as_state_array_edge_inputs():
+    increasing = np.array([2, 5, 9], dtype=np.int64)
+    out = as_state_array(increasing)
+    increasing[0] = 99                  # the result is a copy, not a view
+    assert out.tolist() == [2, 5, 9]
+    assert as_state_array(np.array([9, 2, 2, 5])).tolist() == [2, 5, 9]
+    assert as_state_array(np.array([[2, 1], [0, 5]])).tolist() == [0, 1, 2, 5]
+    assert as_state_array(np.array([1.7, 0.2])).tolist() == [0, 1]
+    assert as_state_array(np.array([3, 1], dtype=np.uint64)).tolist() == [1, 3]
+    assert as_state_array(range(4)).tolist() == [0, 1, 2, 3]
+    for bad, err in ((np.array([4, -1]), ValueError), (np.array([-1, 4]), ValueError),
+                     (np.array([np.nan]), ValueError), (np.array(4), TypeError)):
+        with pytest.raises(err):
+            as_state_array(bad)
+
+
+def test_reward_values_batch_and_scalar_paths():
+    xs = np.array([0, 3, 7])
+    half = Reward(lambda x: x / 2.0, lambda xs: xs / 2.0)
+    assert half(3) == 1.5
+    assert reward_values(half, xs).tolist() == [0.0, 1.5, 3.5]
+    assert reward_values(half.fn, xs).tolist() == [0.0, 1.5, 3.5]
+    assert reward_values(Reward(lambda x: 1.0), xs).tolist() == [1.0, 1.0, 1.0]
+    assert reward_values(half, []).shape == (0,)
+
+
+@pytest.mark.parametrize("batch_out", [np.zeros(2), np.zeros((3, 1)), np.float64(1.0)])
+def test_reward_batch_of_wrong_shape_is_rejected(batch_out):
+    r = Reward(lambda x: 1.0, lambda xs: batch_out)
+    with pytest.raises(ValueError, match="batch_fn must return 3 values"):
+        reward_values(r, np.array([0, 1, 2]))
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("batch", [False, True])
+def test_reward_values_name_the_first_bad_state(bad, batch):
+    def scalar(x):
+        return bad if x in (5, 8) else 1.0
+    r = Reward(scalar, lambda xs: np.where((xs == 5) | (xs == 8), bad, 1.0)) if batch else scalar
+    with pytest.raises(ValueError, match=rf"finite and non-negative, got r\(5\)={bad}"):
+        reward_values(r, np.arange(10))
+    prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(10), z=0, K=[0], r=r)
+    assert prob.reward(4) == 1.0
+    with pytest.raises(ValueError, match=r"r\(8\)"):
+        prob.reward(8)
 
 
 def test_truncation_problem_membership_checks(two_state):

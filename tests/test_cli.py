@@ -66,6 +66,21 @@ def test_run_experiment_degenerate_row(tmp_path):
     assert "enlarge A or shrink K" in log.getvalue()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_reward_row_is_a_numerical_error(monkeypatch, value):
+    import stattrunc.cli as cli_module
+    from stattrunc import Reward
+    monkeypatch.setattr(cli_module, "build_reward", lambda cfg: Reward(
+        lambda x: value if x == 5 else x / 2.0))
+    cfg = parse_config({"model": "random_walk", "z": 0, "K_max": 0,
+                        "a_values": [4, 100], "r_spec": "half"})
+    log = io.StringIO()
+    rows = run_experiment(cfg, log=log)
+    assert [r["status"] for r in rows] == ["ok", "numerical_error"]
+    assert rows[1]["upper"] != rows[1]["upper"]  # NaN, not a printed interval
+    assert f"r(5)={value}" in log.getvalue()
+
+
 def test_emit_csv_round_trip(tmp_path):
     rows = [{"a": 1, "x": 0.123456789012345, "ok": True},
             {"a": 2, "x": float("nan"), "ok": False}]

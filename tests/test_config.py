@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from stattrunc import ConfigError, load_config
@@ -10,6 +11,7 @@ from stattrunc.config import (
     load_reward_table,
     parse_config,
 )
+from stattrunc.chain import ROW_CHUNK
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -117,6 +119,7 @@ def test_reward_table_round_trip(tmp_path):
     ("0 -1.0\n", "need state"),
     ("-1 1.0\n", "need state"),
     ("0 nan\n", "need state"),
+    ("0 inf\n", "need state"),
     ("0\n", "expected 'state value'"),
     ("zero 1.0\n", "invalid literal"),
 ])
@@ -151,6 +154,27 @@ def test_build_reward_variants(tmp_path):
     table.write_text("2 9.0\n")
     cfg = parse_config({**MINIMAL, "r_spec": f"file:{table}"})
     assert build_reward(cfg)(2) == 9.0
+
+
+@pytest.mark.parametrize("spec,table_body", [
+    ("identity", None), ("half", None),
+    ("file", "2 9.0\n7 0.125\n1025 3.5\n"),                           # scattered states
+    ("file", "".join(f"{x} {x / 3.0!r}\n" for x in range(1500))),      # a range
+    ("file", "# nothing listed\n"),
+])
+def test_config_reward_batch_forms_equal_scalar_forms(tmp_path, spec, table_body):
+    r_spec = spec
+    if spec == "file":
+        table = tmp_path / "r.txt"
+        table.write_text(table_body)
+        r_spec = f"file:{table}"
+    reward = build_reward(parse_config({**MINIMAL, "r_spec": r_spec}))
+    states = [0, 1, 2, 7, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 1499, 1500,
+              2 * ROW_CHUNK, 10 ** 5, 3 * 10 ** 9 + 7]
+    for xs in (np.array(states), np.arange(3 * ROW_CHUNK + 5)):
+        batch = reward.batch_fn(xs)
+        assert batch.dtype == np.float64
+        assert batch.tobytes() == np.array([reward(x) for x in xs.tolist()]).tobytes()
 
 
 def test_build_certificate_modes():

@@ -17,6 +17,7 @@ from stattrunc import (
     validate_rows,
     verify_lyapunov_drift,
 )
+from stattrunc.chain import ROW_CHUNK, Reward
 
 C = 2.01
 
@@ -143,7 +144,7 @@ def reference_drift_audit(problem, certificate, window, rel_slack=1e-12):
     return report
 
 
-@pytest.mark.parametrize("model", ["gm1", "walk", "walk_undersized"])
+@pytest.mark.parametrize("model", ["gm1", "walk", "walk_undersized", "walk_both_undersized"])
 def test_drift_audit_matches_per_state_reference(model):
     # windows span several ROW_CHUNKs, skip states and include K states
     if model == "gm1":
@@ -153,12 +154,67 @@ def test_drift_audit_matches_per_state_reference(model):
         cert = random_walk_certificate()
         if model == "walk_undersized":
             cert = LyapunovCertificate(g1=lambda x: 0.1 * x * x, g2=lambda x: float(x) ** 2)
+        if model == "walk_both_undersized":   # g1 and g2 violations interleave
+            cert = LyapunovCertificate(g1=lambda x: 0.1 * x * x, g2=lambda x: 1e-3 * x * x)
     prob = TruncationProblem(chain=chain, A=np.arange(2600), z=0, K=K, r=r)
     window = [x for x in range(3100) if x % 7 != 3] + [5000, 299]
     report = verify_lyapunov_drift(prob, cert, window)
     assert report == reference_drift_audit(prob, cert, window)
     assert report.checked_states and report.excluded_states
     assert (model == "walk") == report.passed
+
+
+#: states 0 and 1, both sides of the first chunk boundaries, the walk's
+#: deepest point, and one far past the range where x^2 is exact in doubles
+BATCH_STATES = [0, 1, 2, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK - 1,
+                2 * ROW_CHUNK, 10 ** 5 - 1, 10 ** 5, 10 ** 5 + 1, 10 ** 8 + 1, 3 * 10 ** 9 + 7]
+
+
+@pytest.mark.parametrize("make", [gm1_certificate, random_walk_certificate])
+def test_builtin_certificate_batch_forms_equal_scalar_forms(make):
+    cert = make()
+    for xs in (np.array(BATCH_STATES), np.arange(3 * ROW_CHUNK + 5)):
+        g1, g2 = cert.g_fn(xs)
+        assert g1.dtype == g2.dtype == np.float64
+        assert g1.tobytes() == np.array([cert.g1(x) for x in xs.tolist()]).tobytes()
+        assert g2.tobytes() == np.array([cert.g2(x) for x in xs.tolist()]).tobytes()
+        scalar_only = LyapunovCertificate(g1=cert.g1, g2=cert.g2)
+        for a, b in zip(cert.values(xs), scalar_only.values(xs)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_certificate_values_reject_bad_shapes_and_values():
+    xs = np.arange(5)
+    short = LyapunovCertificate(g1=float, g2=float, g_fn=lambda xs: (xs[:-1] * 1.0, xs * 1.0))
+    with pytest.raises(ValueError, match="g_fn must return two arrays of 5 values"):
+        short.values(xs)
+    for bad in (-1.0, np.nan, np.inf):
+        g = lambda x, bad=bad: bad if x == 3 else 1.0
+        for cert in (LyapunovCertificate(g1=float, g2=g),
+                     LyapunovCertificate(g1=float, g2=g, g_fn=lambda xs, g=g: (
+                         xs * 1.0, np.array([g(x) for x in xs.tolist()])))):
+            with pytest.raises(ValueError, match=rf"g2 must be finite and non-negative, "
+                                                 rf"got g2\(3\)={bad}"):
+                cert.values(xs)
+    assert [v.size for v in short.values([])] == [0, 0]
+
+
+@pytest.mark.parametrize("model", ["gm1", "walk"])
+def test_drift_audit_scalar_and_batch_forms_agree(model):
+    if model == "gm1":
+        chain, cert, K = gm1_chain(), gm1_certificate(), np.arange(61)
+        reward = Reward(float, lambda xs: xs.astype(np.float64))
+    else:
+        chain, cert, K = random_walk_chain(), random_walk_certificate(), np.arange(301)
+        reward = Reward(lambda x: x / 2.0, lambda xs: xs / 2.0)
+    scalar_cert = LyapunovCertificate(g1=cert.g1, g2=cert.g2)
+    reports = []
+    for c, r in ((cert, reward), (scalar_cert, reward.fn)):
+        prob = TruncationProblem(chain=chain, A=np.arange(2600), z=0, K=K, r=r)
+        reports.append(verify_lyapunov_drift(prob, c))
+    assert reports[0] == reports[1]
+    assert reports[0] == reference_drift_audit(prob, scalar_cert, reports[0].checked_states
+                                               + reports[0].excluded_states)
 
 
 def test_exact_exit_bounds_match_published_magnitudes():

@@ -8,6 +8,8 @@ from stattrunc import (
     AssemblyError,
     ChainModel,
     LyapunovCertificate,
+    PipelineError,
+    Reward,
     SolverConvergenceError,
     SolverError,
     TruncationProblem,
@@ -321,3 +323,107 @@ def test_assembly_names_state_whose_batch_row_breaks_row_sum():
             assemble_truncated_system(prob, WALK_CERT)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+def _system_arrays(sys_) -> dict:
+    out = {k: getattr(sys_, k) for k in ("Aprime", "nu", "p", "q", "r_vec", "h1", "h2",
+                                         "A_full", "z", "P_zz", "r_z", "h1_z", "h2_z")}
+    out.update(B_data=sys_.B.data, B_indices=sys_.B.indices, B_indptr=sys_.B.indptr)
+    return out
+
+
+def _outcome(problem, certificate):
+    """Assembled arrays and report, or the error each stage ends in."""
+    try:
+        arrays = _system_arrays(assemble_truncated_system(problem, certificate))
+    except Exception as exc:     # noqa: BLE001 - compared, not handled
+        return repr(exc), None
+    try:
+        report = run_pipeline(problem, certificate)
+    except Exception as exc:     # noqa: BLE001
+        report = repr(exc)
+    return arrays, report
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**31 - 1), st.integers(3, 40),
+       st.sampled_from(["prefix", "range", "holes"]), st.booleans(), st.data())
+def test_batch_and_scalar_forms_assemble_bit_identically(seed, n, shape, tight, data):
+    """Batch ``Reward``/``g_fn`` against the same functions as plain scalar
+    lambdas: every assembled array (with its dtype) and the report agree."""
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.6)
+    P[np.arange(n), (np.arange(n) + 1) % n] += 0.2
+    P[np.arange(n), (np.arange(n) - 1) % n] += 0.2
+    chain = matrix_chain(P / P.sum(axis=1, keepdims=True))
+    if shape == "prefix":
+        A = list(range(data.draw(st.integers(1, n))))
+        z = 0
+    elif shape == "range":
+        lo = data.draw(st.integers(0, n - 1))
+        A = list(range(lo, data.draw(st.integers(lo + 1, n))))
+        z = A[len(A) // 2]
+    else:
+        A = data.draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
+        z = data.draw(st.sampled_from(A))
+    K = sorted({z} | set(data.draw(st.lists(st.sampled_from(A), max_size=3))))
+    reward = Reward(lambda x: float(x % 5) * 0.75 + 0.5,
+                    lambda xs: (xs % 5).astype(np.float64) * 0.75 + 0.5)
+    if tight:
+        cert = tight_certificate(chain, n, K, reward)
+    else:
+        cert = LyapunovCertificate(
+            g1=lambda x: 1.0 + float(x) * float(x), g2=lambda x: 2.0 + float(x),
+            g_fn=lambda xs: (1.0 + xs.astype(np.float64) ** 2, 2.0 + xs.astype(np.float64)))
+    scalar = LyapunovCertificate(g1=lambda x: cert.g1(x), g2=lambda x: cert.g2(x))
+    batch_arrays, batch_report = _outcome(
+        TruncationProblem(chain=chain, A=np.array(A), z=z, K=K, r=reward), cert)
+    scalar_arrays, scalar_report = _outcome(
+        TruncationProblem(chain=chain, A=A, z=z, K=K, r=lambda x: reward.fn(x)), scalar)
+    assert batch_report == scalar_report
+    if isinstance(batch_arrays, str):
+        assert batch_arrays == scalar_arrays
+        return
+    for key, value in scalar_arrays.items():
+        got = batch_arrays[key]
+        assert np.asarray(got).dtype == np.asarray(value).dtype, key
+        assert np.array_equal(got, value), key
+
+
+def test_assembly_rejects_batch_forms_of_the_wrong_shape():
+    def problem(r):
+        return TruncationProblem(chain=random_walk_chain(), A=np.arange(10), z=0,
+                                 K=[0], r=r)
+    with pytest.raises(ValueError, match="batch_fn must return 9 values"):
+        assemble_truncated_system(problem(Reward(float, lambda xs: xs[1:] * 1.0)), WALK_CERT)
+    wide = LyapunovCertificate(g1=WALK_CERT.g1, g2=WALK_CERT.g2,
+                               g_fn=lambda xs: (np.zeros(xs.size), np.zeros(xs.size + 1)))
+    with pytest.raises(AssemblyError, match="g_fn must return two arrays of 0 values"):
+        assemble_truncated_system(problem(float), wide)
+
+
+def _nan_at(x0, value):
+    return lambda x: value if x == x0 else x / 2.0
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+@pytest.mark.parametrize("where,value,fragment", [
+    ("r", np.nan, r"r\(5\)=nan"),
+    ("r", np.inf, r"r\(5\)=inf"),
+    ("g1", np.nan, r"g1\(100\)=nan"),
+    ("g2", np.inf, r"g2\(100\)=inf"),
+])
+def test_non_finite_rewards_and_drift_values_fail_assembly(batch, where, value, fragment):
+    """Walk, A = {0..99}, K = {0}: one bad value ends in the assemble stage,
+    never in an interval of NaN or inf."""
+    r = _nan_at(5, value) if where == "r" else (lambda x: x / 2.0)
+    g1 = _nan_at(100, value) if where == "g1" else WALK_CERT.g1
+    g2 = _nan_at(100, value) if where == "g2" else WALK_CERT.g2
+    cert = LyapunovCertificate(g1=g1, g2=g2)
+    if batch:
+        r = Reward(r, lambda xs: np.array([r(x) for x in xs.tolist()]))
+        cert = LyapunovCertificate(g1=g1, g2=g2, g_fn=lambda xs: (
+            np.array([g1(x) for x in xs.tolist()]), np.array([g2(x) for x in xs.tolist()])))
+    prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(100), z=0, K=[0], r=r)
+    with pytest.raises(PipelineError, match="stage 'assemble' failed: .*" + fragment):
+        run_pipeline(prob, cert)
