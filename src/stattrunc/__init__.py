@@ -55,7 +55,6 @@ from .oracle import (
 from .solver import (
     AssemblyError,
     SolveResult,
-    SolverConvergenceError,
     SolverError,
     SolverOptions,
     TruncatedSystem,

@@ -107,7 +107,7 @@ def compute_pi_tilde(system: TruncatedSystem,
     pi(x) = y(x) / (1 + y . e) for x in A' and pi(z) = 1 / (1 + y . e);
     states outside A carry zero mass.  Sums to one by construction.
     """
-    y = solve_transpose(system, options.tol, **options.kwargs()).x
+    y = solve_transpose(system, options.tol).x
     denom = 1.0 + float(y.sum())
     pi = np.empty(system.A_full.size)
     z_pos = int(np.searchsorted(system.A_full, system.z))
@@ -152,7 +152,6 @@ def run_pipeline(problem: TruncationProblem,
     against y.
     """
     opts = options or SolverOptions()
-    kw = opts.kwargs()
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -161,7 +160,7 @@ def run_pipeline(problem: TruncationProblem,
             raise PipelineError(f"stage '{name}' failed: {exc}") from exc
 
     system = stage("assemble", assemble_truncated_system, problem, certificate)
-    y = stage("transpose_solve", solve_transpose, system, opts.tol, **kw).x
+    y = stage("transpose_solve", solve_transpose, system, opts.tol).x
     kappa_lower_r = system.r_z + float(y @ system.r_vec)
     kappa_lower_e = 1.0 + float(y.sum())
     pi_tilde_r = kappa_lower_r / kappa_lower_e
@@ -173,15 +172,15 @@ def run_pipeline(problem: TruncationProblem,
     if kp.size == 0:
         delta = 1.0
     else:
-        u_p = stage("delta_solve", solve, system, system.p, opts.tol, **kw).x
+        u_p = stage("delta_solve", solve, system, system.p, opts.tol).x
         delta = float(u_p[kp].min())
         if delta <= 10.0 * opts.tol:
             raise DegenerateDeltaError(
                 f"delta={delta:.3e} <= 10*tol={10 * opts.tol:.1e}; enlarge A or shrink K")
         delta = _clamp_unit(delta, "delta", opts.tol)
-        u1 = stage("upper_solves", solve, system, system.r_vec + system.h1, opts.tol, **kw).x
+        u1 = stage("upper_solves", solve, system, system.r_vec + system.h1, opts.tol).x
         u2 = stage("upper_solves", solve, system, np.ones(system.size) + system.h2,
-                   opts.tol, **kw).x
+                   opts.tol).x
         amp = max(0.0, 1.0 - beta) / delta
         corr1 = amp * float(u1[kp].max())
         corr2 = amp * float(u2[kp].max())

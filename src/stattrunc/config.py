@@ -99,8 +99,8 @@ _SCHEMA = {
 _REQUIRED = ("model", "z", "K_max", "a_values")
 
 
-def _coerce(name: str, key: str, value, typ):
-    """``value`` of field ``name.key`` as ``typ`` (bool, int, float or str).
+def _coerce(what: str, value, typ):
+    """``value`` as ``typ`` (bool, int, float or str); ``what`` names it in errors.
 
     PyYAML follows YAML 1.1, which reads ``1e-12`` (no decimal point) as a
     string, so numeric strings are parsed; an int field takes only
@@ -123,7 +123,7 @@ def _coerce(name: str, key: str, value, typ):
         if isinstance(value, typ):
             return value
     kind = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}[typ]
-    raise ConfigError(f"bad '{name}' section: '{key}' must be {kind}, got {got!r}")
+    raise ConfigError(f"{what} must be {kind}, got {got!r}")
 
 
 def _section(raw: Mapping, name: str, cls):
@@ -141,7 +141,8 @@ def _section(raw: Mapping, name: str, cls):
         typ, optional = hints[key], False
         if typing.get_args(typ):        # ``T | None``
             typ, optional = typing.get_args(typ)[0], True
-        fields[key] = None if optional and value is None else _coerce(name, key, value, typ)
+        fields[key] = (None if optional and value is None
+                       else _coerce(f"bad '{name}' section: '{key}'", value, typ))
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
@@ -175,10 +176,8 @@ def parse_config(raw: Mapping, base_dir: str = ".") -> ExperimentConfig:
             return "file:" + p
         return spec
 
-    try:
-        a_values = tuple(int(a) for a in raw["a_values"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"a_values must be a list of integers: {exc}") from exc
+    a_values = tuple(_coerce(f"a_values must be a list of integers: item {i}", a, int)
+                     for i, a in enumerate(raw["a_values"]))
     return ExperimentConfig(
         model=resolve(raw["model"]),
         z=int(raw["z"]),
@@ -284,13 +283,18 @@ def build_certificate(config: ExperimentConfig, chain: ChainModel, a: int,
     system for a truncation set is assembled.  File chains are finite, so
     a provably tight certificate is computed by first-step analysis: one
     sparse LU of I - P on the states outside K serves both g1 and g2
-    (``oracle.tight_certificate``, imported lazily).
+    (``oracle.tight_certificate``, imported lazily).  A file chain for
+    which that solve fails (K unreachable from some state) is a
+    ``ConfigError``.
     """
     if config.model == "gm1":
         return gm1_certificate()
     if config.model == "random_walk":
         return random_walk_certificate()
-    from .oracle import tight_certificate
+    from .oracle import OracleError, tight_certificate
     if chain.n_states is None:
         raise ConfigError("file model must declare its state count")
-    return tight_certificate(chain, chain.n_states, K, r)
+    try:
+        return tight_certificate(chain, chain.n_states, K, r)
+    except OracleError as exc:
+        raise ConfigError(f"no drift certificate for {config.model[5:]}: {exc}") from exc

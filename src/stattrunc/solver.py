@@ -7,11 +7,10 @@ Neumann series sum_j B^j.  Everything downstream reduces to one transpose
 solve against the entry row nu(x) = P(z, x) plus a handful of column
 solves, all sharing a single factorization.
 
-Two solution methods are provided: direct sparse LU (with iterative
-refinement until the max-norm residual certificate is met) and the
-monotone fixed-point iteration x <- Bx + b started at zero, whose iterates
-increase toward the solution from below.  The correctness contract is the
-reported residual, not the method.
+Every solve is a direct sparse LU solve against that one factorization,
+refined iteratively toward the roundoff floor, clamped to be
+non-negative and returned only with a checked max-norm residual
+certificate.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from .chain import ROW_CHUNK, TruncationProblem, is_contiguous, member_mask
 from .models import LyapunovCertificate
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10 ** 6
-#: stored-nonzero budget above which solves fall back to the matrix-free iteration
-DEFAULT_MEMORY_BUDGET = 10 ** 8
 
 ROW_IDENTITY_TOL = 1e-10
 
@@ -42,39 +38,19 @@ class SolverError(RuntimeError):
     """Raised when a linear solve cannot certify its residual."""
 
 
-class SolverConvergenceError(SolverError):
-    """Iteration cap exceeded; signals a degenerate or mis-assembled system."""
-
-
-METHODS = ("auto", "direct", "fixed_point")
-
-
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs shared by all linear solves in one pipeline run.
+    """The residual tolerance shared by all linear solves in one pipeline run.
 
     Also the ``solver`` section of an experiment config, so a bad value is
     rejected when the config is read, not at the first solve.
     """
 
     tol: float = DEFAULT_TOL
-    method: str = "auto"
-    max_iter: int = DEFAULT_MAX_ITER
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r} (expected one of {METHODS})")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if not self.memory_budget >= 0:
-            raise ValueError(f"memory_budget must be >= 0, got {self.memory_budget!r}")
-
-    def kwargs(self) -> dict:
-        return dict(method=self.method, max_iter=self.max_iter,
-                    memory_budget=self.memory_budget)
 
 
 @dataclass
@@ -124,12 +100,7 @@ class SolveResult:
 
     x: np.ndarray
     residual_norm: float
-    iterations: int
-    method: str = "direct"
-    # True when x was produced by the monotone iteration from zero, in which
-    # case it underestimates the true solution componentwise even if stopped
-    # early (up to roundoff).
-    monotone_lower_bound: bool = False
+    iterations: int              # refinement steps after the first LU solve
 
 
 def _g_values(certificate: LyapunovCertificate,
@@ -313,75 +284,7 @@ def _scale(b: np.ndarray, x: np.ndarray) -> float:
     return max(1.0, bmax, xmax)
 
 
-def _finalize(system, x, b, transpose, tol, iterations, method, monotone):
-    if not np.all(np.isfinite(x)):
-        raise SolverError("non-finite intermediate in linear solve")
-    lo = x.min() if x.size else 0.0
-    if lo < 0.0:
-        scale = max(1.0, float(np.abs(x).max()))
-        if lo < -1e-8 * scale:
-            raise SolverError(f"solution significantly negative (min {lo:.3e})")
-        x = np.maximum(x, 0.0)
-    res = float(np.abs(_residual(system, x, b, transpose)).max()) if x.size else 0.0
-    cap = tol * _scale(b, x)
-    if res > cap:
-        raise SolverError(f"residual {res:.3e} exceeds tolerance {cap:.3e}")
-    return SolveResult(x=x, residual_norm=res, iterations=iterations,
-                       method=method, monotone_lower_bound=monotone)
-
-
-def _solve_direct(system, b, tol, transpose):
-    lu = _lu(system)
-    trans = "T" if transpose else "N"
-    x = lu.solve(b, trans=trans)
-    iterations = 0
-    # iterative refinement toward the roundoff floor, not just the requested
-    # certificate: the extra triangular solves are cheap next to the
-    # factorization and the downstream bound arithmetic benefits from
-    # residuals at the eps level
-    floor = 4.0 * np.finfo(np.float64).eps
-    best = np.inf
-    for _ in range(8):
-        res = float(np.abs(_residual(system, x, b, transpose)).max(initial=0.0))
-        if res <= floor * _scale(b, x) or res >= 0.9 * best:
-            break
-        best = res
-        x = x + lu.solve(_residual(system, x, b, transpose), trans=trans)
-        iterations += 1
-    return _finalize(system, x, b, transpose, tol, iterations, "direct", False)
-
-
-def _solve_fixed_point(system, b, tol, transpose, max_iter, best_effort):
-    Bop = system.B.T.tocsr() if transpose else system.B
-    x = np.zeros_like(b)
-    iterations = 0
-    step_norm = np.inf
-    while iterations < max_iter:
-        x_next = Bop @ x + b
-        # monotone from zero; a gross decrease means a broken system
-        drop = float((x - x_next).max(initial=0.0))
-        if drop > 1e-12 * (1.0 + float(np.abs(x_next).max(initial=0.0))):
-            raise SolverError(f"fixed-point iterate decreased by {drop:.3e}")
-        step_norm = float(np.abs(x_next - x).max(initial=0.0))
-        x = x_next
-        iterations += 1
-        if step_norm <= 0.25 * tol * _scale(b, x):
-            res = np.abs(_residual(system, x, b, transpose)).max(initial=0.0)
-            if res <= 0.5 * tol * _scale(b, x):
-                break
-    else:
-        if not best_effort:
-            raise SolverConvergenceError(
-                f"no convergence in {max_iter} iterations (last step {step_norm:.3e}); "
-                "the system may be degenerate or mis-assembled")
-        res = float(np.abs(_residual(system, x, b, transpose)).max(initial=0.0))
-        return SolveResult(x=np.maximum(x, 0.0), residual_norm=res,
-                           iterations=iterations, method="fixed_point",
-                           monotone_lower_bound=True)
-    return _finalize(system, x, b, transpose, tol, iterations, "fixed_point", True)
-
-
-def _solve(system, b, transpose, opts: SolverOptions, best_effort):
+def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (system.size,):
         raise ValueError(f"right-hand side must have shape ({system.size},)")
@@ -391,44 +294,63 @@ def _solve(system, b, transpose, opts: SolverOptions, best_effort):
         raise ValueError("right-hand side must be non-negative")
     if system.size == 0:
         return SolveResult(x=np.zeros(0), residual_norm=0.0, iterations=0)
-    method = opts.method
-    if method == "auto":
-        method = "direct" if system.B.nnz <= opts.memory_budget else "fixed_point"
-    if method == "direct":
-        return _solve_direct(system, b, opts.tol, transpose)
-    return _solve_fixed_point(system, b, opts.tol, transpose, opts.max_iter, best_effort)
+    lu = _lu(system)
+    trans = "T" if transpose else "N"
+    x = lu.solve(b, trans=trans)
+    residual = _residual(system, x, b, transpose)
+    iterations = 0
+    # iterative refinement toward the roundoff floor, not just the requested
+    # certificate: the extra triangular solves are cheap next to the
+    # factorization and the downstream bound arithmetic benefits from
+    # residuals at the eps level.  ``residual`` always belongs to the
+    # current x, so each residual is evaluated once
+    floor = 4.0 * np.finfo(np.float64).eps
+    best = np.inf
+    for _ in range(8):
+        res = float(np.abs(residual).max())
+        if res <= floor * _scale(b, x) or res >= 0.9 * best:
+            break
+        best = res
+        x = x + lu.solve(residual, trans=trans)
+        residual = _residual(system, x, b, transpose)
+        iterations += 1
+
+    if not np.all(np.isfinite(x)):
+        raise SolverError("non-finite intermediate in linear solve")
+    lo = x.min()
+    if lo < 0.0:
+        scale = max(1.0, float(np.abs(x).max()))
+        if lo < -1e-8 * scale:
+            raise SolverError(f"solution significantly negative (min {lo:.3e})")
+        x = np.maximum(x, 0.0)
+        residual = _residual(system, x, b, transpose)
+    res = float(np.abs(residual).max())
+    cap = opts.tol * _scale(b, x)
+    if res > cap:
+        raise SolverError(f"residual {res:.3e} exceeds tolerance {cap:.3e}")
+    return SolveResult(x=x, residual_norm=res, iterations=iterations)
 
 
-def solve(system: TruncatedSystem, b: np.ndarray, tol: float = DEFAULT_TOL, *,
-          method: str = "auto", max_iter: int = DEFAULT_MAX_ITER,
-          memory_budget: int = DEFAULT_MEMORY_BUDGET,
-          best_effort: bool = False) -> SolveResult:
+def solve(system: TruncatedSystem, b: np.ndarray,
+          tol: float = DEFAULT_TOL) -> SolveResult:
     """Solve (I - B) x = b with a certified max-norm residual.
 
-    The certificate is |b - (I - B) x|_inf <= tol * max(1, |b|_inf,
-    |x|_inf): an absolute bound for O(1) systems, relative for large ones
-    (absolute 1e-12 is unreachable in double precision once the data grow
-    past ~1e4).  ``method`` is "direct", "fixed_point" or "auto" (direct
-    when the stored nonzeros fit the memory budget).  The fixed-point path
-    iterates x <- Bx + b from zero, which increases monotonically toward
-    the solution; with ``best_effort`` it returns the current iterate (a
-    valid componentwise lower bound) instead of raising when the cap is
-    hit.
+    The system's sparse LU factorization (computed once and cached) gives
+    x, which is refined, clamped at zero and checked.  The certificate is
+    |b - (I - B) x|_inf <= tol * max(1, |b|_inf, |x|_inf): an absolute
+    bound for O(1) systems, relative for large ones (absolute 1e-12 is
+    unreachable in double precision once the data grow past ~1e4).
     """
-    opts = SolverOptions(tol, method, max_iter, memory_budget)
-    return _solve(system, b, False, opts, best_effort)
+    return _solve(system, b, False, SolverOptions(tol))
 
 
 def solve_transpose(system: TruncatedSystem, tol: float = DEFAULT_TOL, *,
-                    b: np.ndarray | None = None, method: str = "auto",
-                    max_iter: int = DEFAULT_MAX_ITER,
-                    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-                    best_effort: bool = False) -> SolveResult:
+                    b: np.ndarray | None = None) -> SolveResult:
     """Solve y (I - B) = nu (or a supplied row vector b) with certificate.
 
-    One transpose solve serves every expression of the form
-    nu (I - B)^{-1} v afterwards via inner products y . v.
+    The same factorization and certificate as ``solve``.  One transpose
+    solve serves every expression of the form nu (I - B)^{-1} v afterwards
+    via inner products y . v.
     """
     b = system.nu if b is None else b
-    opts = SolverOptions(tol, method, max_iter, memory_budget)
-    return _solve(system, b, True, opts, best_effort)
+    return _solve(system, b, True, SolverOptions(tol))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,18 +192,13 @@ def test_error_bound_rejects_negative_gaps():
 
 
 def test_solver_options_round_trip():
-    opts = SolverOptions(tol=1e-10, method="fixed_point", max_iter=500)
-    kw = opts.kwargs()
-    assert kw["method"] == "fixed_point" and kw["max_iter"] == 500
-    assert "tol" not in kw  # tol is passed positionally by the callers
-    assert SolverOptions(memory_budget=0).memory_budget == 0
-    for bad, fragment in [({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"),
-                          ({"tol": float("nan")}, "tol"),
-                          ({"method": "cg"}, "unknown method"),
-                          ({"max_iter": 0}, "max_iter"),
-                          ({"memory_budget": -1}, "memory_budget")]:
-        with pytest.raises(ValueError, match=fragment):
-            SolverOptions(**bad)
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol"]
+    assert SolverOptions().tol == 1e-12
+    assert SolverOptions(tol=1e-10) == SolverOptions(1e-10)
+    assert SolverOptions(tol=1e-10).tol == 1e-10
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SolverOptions(tol=bad)
 
 
 @settings(max_examples=25)

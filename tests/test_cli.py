@@ -175,6 +175,21 @@ def test_main_bad_solver_settings_are_config_errors(tmp_path, capsys, solver):
     assert "config error" in capsys.readouterr().err
 
 
+def test_main_chain_without_certificate_is_a_config_error(tmp_path, capsys):
+    # two closed classes, 0 <-> 1 and 2 <-> 3: K = {0} is unreachable from
+    # 2 and 3, so no drift certificate exists
+    chain = tmp_path / "two_classes.txt"
+    chain.write_text("states 4\n0 1 1.0\n1 0 1.0\n2 3 1.0\n3 2 1.0\n")
+    cfg = tmp_path / "two_classes.yaml"
+    cfg.write_text(f"model: file:{chain.name}\nz: 0\nK_max: 0\na_values: [4]\n")
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("stattrunc: config error: ")
+    assert "no drift certificate" in lines[0] and "two_classes.txt" in lines[0]
+
+
 def write_drift_chain(tmp_path, n=60):
     """Birth-death chain on {0..n-1} with jumps of 1 or 2 and downward drift."""
     lines = [f"states {n}"]

@@ -64,6 +64,10 @@ def test_parse_config_defaults():
     ({"output": "csv"}, "must have type dict"),
     ({"solver": {"tolerance": 1e-9}}, "unknown keys in 'solver'"),
     ({"frobnicate": 1}, "unknown top-level"),
+    ({"a_values": [1000.5]}, "item 0 must be an integer, got 1000.5"),
+    ({"a_values": [True, 5]}, "item 0 must be an integer, got True"),
+    ({"a_values": [10, 2.5e1, None]}, "item 2 must be an integer, got None"),
+    ({"a_values": ["1e400"]}, "item 0 must be an integer"),
 ])
 def test_parse_config_rejections(patch, fragment):
     raw = {**MINIMAL, **patch}
@@ -71,6 +75,15 @@ def test_parse_config_rejections(patch, fragment):
         raw.pop("model")
     with pytest.raises(ConfigError, match=fragment):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("items,want", [
+    (["1e4"], (10000,)),
+    ([10, "20", 3e1, 4.0e1], (10, 20, 30, 40)),
+])
+def test_a_values_items_take_the_int_type(items, want):
+    got = parse_config({**MINIMAL, "a_values": items}).a_values
+    assert got == want and all(type(a) is int for a in got)
 
 
 def test_parse_config_missing_required():
@@ -207,8 +220,8 @@ def load_yaml_config(tmp_path, section: str):
 @pytest.mark.parametrize("section,name,key,value", [
     # YAML 1.1 reads an exponent without a decimal point as a string
     ("solver: {tol: 1e-12}", "solver", "tol", 1e-12),
-    ("solver: {max_iter: 1e6}", "solver", "max_iter", 10 ** 6),
-    ('solver: {memory_budget: "10"}', "solver", "memory_budget", 10),
+    ("oracle: {seed: 1e6}", "oracle", "seed", 10 ** 6),
+    ('oracle: {seed: "10"}', "oracle", "seed", 10),
     ("oracle: {n_cycles: 1e4, seed: 7.0}", "oracle", "n_cycles", 10 ** 4),
     ("output: {path: null}", "output", "path", None),
 ])
@@ -221,12 +234,19 @@ def test_numeric_strings_take_the_field_type(tmp_path, section, name, key, value
     ('oracle: {n_cycles: 1e4, enabled: "yes"}', "'oracle' section: 'enabled' must be a bool"),
     ("oracle: {enabled: 1}", "'oracle' section: 'enabled' must be a bool"),
     ("oracle: {n_cycles: 2.5e0}", "'oracle' section: 'n_cycles' must be an integer"),
-    ("solver: {max_iter: 1e400}", "'solver' section: 'max_iter' must be an integer"),
+    ("oracle: {n_cycles: 1e400}", "'oracle' section: 'n_cycles' must be an integer"),
     ("solver: {tol: small}", "'solver' section: 'tol' must be a number"),
     ("solver: {tol: true}", "'solver' section: 'tol' must be a number"),
-    ("solver: {method: 3}", "'solver' section: 'method' must be a string"),
+    ("output: {format: 3}", "'output' section: 'format' must be a string"),
     ("output: {path: 5}", "'output' section: 'path' must be a string"),
 ])
 def test_section_values_of_the_wrong_type_are_config_errors(tmp_path, section, fragment):
     with pytest.raises(ConfigError, match=fragment):
         load_yaml_config(tmp_path, section)
+
+
+@pytest.mark.parametrize("key", ["method", "max_iter", "memory_budget"])
+def test_removed_solver_keys_are_config_errors(tmp_path, key):
+    # tol is the only solver key
+    with pytest.raises(ConfigError, match=rf"unknown keys in 'solver': \['{key}'\]"):
+        load_yaml_config(tmp_path, f"solver: {{{key}: 1}}")

@@ -10,7 +10,6 @@ from stattrunc import (
     LyapunovCertificate,
     PipelineError,
     Reward,
-    SolverConvergenceError,
     SolverError,
     TruncationProblem,
     assemble_truncated_system,
@@ -96,32 +95,6 @@ def test_transpose_matches_adjoint_identity():
     assert float(y @ b) == pytest.approx(float(sys_.nu @ solve(sys_, b).x), rel=1e-11)
 
 
-def test_methods_agree():
-    sys_ = walk_system(30)
-    d = solve(sys_, sys_.p, method="direct")
-    f = solve(sys_, sys_.p, method="fixed_point")
-    assert d.method == "direct" and f.method == "fixed_point"
-    assert f.monotone_lower_bound and not d.monotone_lower_bound
-    assert f.iterations > 0
-    np.testing.assert_allclose(f.x, d.x, atol=1e-11)
-
-
-def test_auto_respects_memory_budget():
-    sys_ = walk_system(30)
-    assert solve(sys_, sys_.p, memory_budget=0).method == "fixed_point"
-    assert solve(sys_, sys_.p).method == "direct"
-
-
-def test_fixed_point_iteration_cap():
-    sys_ = walk_system(200)
-    with pytest.raises(SolverConvergenceError, match="no convergence"):
-        solve(sys_, sys_.p, method="fixed_point", max_iter=3)
-    partial = solve(sys_, sys_.p, method="fixed_point", max_iter=3, best_effort=True)
-    full = solve(sys_, sys_.p, method="direct")
-    assert partial.monotone_lower_bound
-    assert np.all(partial.x <= full.x + 1e-12)
-
-
 def test_direct_unreachable_tolerance_raises():
     sys_ = walk_system(30)
     with pytest.raises(SolverError, match="exceeds tolerance"):
@@ -139,6 +112,33 @@ def test_residual_certificate_is_scale_relative():
     assert res.residual_norm <= 1e-12 * scale
 
 
+def test_each_residual_is_evaluated_once(monkeypatch):
+    # one residual per iterate: the first LU solve and each refinement step;
+    # a dense random chain, on which these solves do refine
+    rng = np.random.default_rng(5)
+    P = rng.uniform(size=(150, 150)) ** 4
+    P /= P.sum(axis=1, keepdims=True)
+    prob = TruncationProblem(chain=matrix_chain(P), A=np.arange(150), z=0, K=[0],
+                             r=lambda x: 1.0)
+    sys_ = assemble_truncated_system(prob, ZERO_CERT)
+    calls = []
+    orig = solver_module._residual
+
+    def counting(system, x, b, transpose):
+        calls.append(transpose)
+        return orig(system, x, b, transpose)
+
+    monkeypatch.setattr(solver_module, "_residual", counting)
+    steps = []
+    for transpose in (False, True):
+        for b in (sys_.p, np.ones(sys_.size)):
+            calls.clear()
+            res = solve_transpose(sys_, b=b) if transpose else solve(sys_, b)
+            assert calls == [transpose] * (res.iterations + 1)
+            steps.append(res.iterations)
+    assert max(steps) >= 1
+
+
 def test_rhs_validation():
     sys_ = walk_system(10)
     with pytest.raises(ValueError, match="shape"):
@@ -149,8 +149,6 @@ def test_rhs_validation():
         solve(sys_, np.full(sys_.size, np.nan))
     with pytest.raises(ValueError, match="tol"):
         solve(sys_, sys_.p, tol=0.0)
-    with pytest.raises(ValueError, match="unknown method"):
-        solve(sys_, sys_.p, method="cg")
 
 
 def test_empty_system():
