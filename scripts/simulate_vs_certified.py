@@ -4,7 +4,8 @@
 Runs the reflected walk (up 1/3, down 2/3, r = x/2) at a modest truncation
 and prints the certified interval next to a regenerative point estimate
 with its 99% confidence half-width.  The estimate has no business leaving
-the interval by more than its own noise; the exact answer is 3/4.
+the interval by more than its own noise; the exact answer is 3/4.  Exits 1
+when it does (``agreement : NO``).
 """
 
 import argparse
@@ -18,7 +19,7 @@ from stattrunc import (
 )
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--a", type=int, default=200)
     ap.add_argument("--k-max", type=int, default=20)
@@ -40,7 +41,8 @@ def main() -> None:
     inside = (rep.interval[0] - stats.half_width <= stats.ratio
               <= rep.interval[1] + stats.half_width)
     print(f"agreement : {'yes' if inside else 'NO'}")
+    return 0 if inside else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

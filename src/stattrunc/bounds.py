@@ -32,7 +32,6 @@ from typing import Iterable
 import numpy as np
 
 from .chain import (
-    ROW_CHUNK,
     StateIndex,
     TruncationProblem,
     as_state_array,
@@ -219,10 +218,11 @@ def verify_lyapunov_drift(problem: TruncationProblem,
         sum_{y not in K} P(x, y) g2(y) <= g2(x) - 1
 
     are evaluated exactly from the finite-support row of x, read through
-    ``chain.rows`` in chunks of ``ROW_CHUNK`` states, with g and r
-    evaluated on whole chunks; each left-hand side is summed left to right
-    along its row, exactly as ``expected_g`` sums it.  States inside K are
-    excluded (the inequalities are only required on K^c).
+    ``chain.row_chunks`` like the rows of an assembly, with g and r
+    evaluated on whole chunks; each left-hand side is ``expected_g_rows``
+    of the row's entries outside K, summed left to right along the row.
+    States inside K are excluded (the inequalities are only required on
+    K^c).
 
     The window check is necessarily finite; whether the inequalities hold
     on all of K^c remains the certificate supplier's analytic obligation.
@@ -239,9 +239,7 @@ def verify_lyapunov_drift(problem: TruncationProblem,
     in_K = member_mask(states, K)
     report.excluded_states = states[in_K].tolist()
     states = states[~in_K]
-    for start in range(0, states.size, ROW_CHUNK):
-        xs = states[start:start + ROW_CHUNK]
-        indptr, targets, probs = chain.rows(xs)
+    for _, xs, indptr, targets, probs in chain.row_chunks(states):
         keep = ~member_mask(targets, K)
         counts = np.bincount(np.repeat(np.arange(xs.size), np.diff(indptr))[keep],
                              minlength=xs.size)

@@ -16,8 +16,8 @@ import numpy as np
 # floating point, so exact unity is unattainable.
 ROW_SUM_TOL = 1e-12
 
-#: states per ``ChainModel.rows`` call in whole-set row scans; bounds the
-#: temporaries of a batch (a G/M/1 row has ~200 entries)
+#: states per ``ChainModel.rows`` call in ``ChainModel.row_chunks``; bounds
+#: the temporaries of a batch (a G/M/1 row has ~200 entries)
 ROW_CHUNK = 1024
 
 StateIndex = int
@@ -124,6 +124,16 @@ class ChainModel:
             raise ValueError("rows_fn must return CSR arrays (indptr, targets, probs) "
                              f"for {xs.size} states")
         return indptr, targets, probs
+
+    def row_chunks(self, xs: np.ndarray):
+        """Scan the rows of the int64 states ``xs`` in chunks of ``ROW_CHUNK``.
+
+        Yields ``(start, chunk, indptr, targets, probs)``: ``chunk`` is
+        ``xs[start:start + ROW_CHUNK]`` and the rest is ``rows(chunk)``.
+        """
+        for start in range(0, xs.size, ROW_CHUNK):
+            chunk = xs[start:start + ROW_CHUNK]
+            yield (start, chunk, *self.rows(chunk))
 
 
 def _stack_rows(rows: Sequence[SparseRow]) -> RowBatch:
@@ -327,7 +337,6 @@ def one_step_fringe(chain: ChainModel, A: Iterable[StateIndex]) -> set[int]:
     """States outside A reachable from A in one step with positive probability."""
     A_arr = as_state_array(A)
     fringe: set[int] = set()
-    for start in range(0, A_arr.size, ROW_CHUNK):
-        _, targets, _ = chain.rows(A_arr[start:start + ROW_CHUNK])
+    for _, _, _, targets, _ in chain.row_chunks(A_arr):
         fringe.update(np.unique(targets[~member_mask(targets, A_arr)]).tolist())
     return fringe

@@ -126,14 +126,15 @@ def _coerce(what: str, value, typ):
     raise ConfigError(f"{what} must be {kind}, got {got!r}")
 
 
-def _section(raw: Mapping, name: str, cls):
+def _section(raw: Mapping, name: str, cls, keys: str = "keys"):
+    """``raw[name]`` (default empty) as a ``cls``; an unknown key is "unknown <keys>"."""
     sub = raw.get(name, {})
     if not isinstance(sub, Mapping):
         raise ConfigError(f"section '{name}' must be a mapping")
     allowed = set(cls.__dataclass_fields__)
     unknown = set(sub) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)} "
+        raise ConfigError(f"unknown {keys} in '{name}': {sorted(unknown)} "
                           f"(allowed: {sorted(allowed)})")
     hints = typing.get_type_hints(cls)
     fields = {}
@@ -250,13 +251,8 @@ def load_reward_table(path: str) -> Reward:
 
 def build_chain(config: ExperimentConfig) -> ChainModel:
     if config.model == "gm1":
-        unknown = set(config.model_params) - set(Gm1Params.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown gm1 model_params: {sorted(unknown)}")
-        try:
-            return gm1_chain(Gm1Params(**config.model_params))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad gm1 model_params: {exc}") from exc
+        return gm1_chain(_section({"model_params": config.model_params}, "model_params",
+                                  Gm1Params, "gm1 keys"))
     if config.model == "random_walk":
         if config.model_params:
             raise ConfigError("random_walk takes no model_params")

@@ -47,20 +47,15 @@ class Gm1Params:
     """Parameters of the embedded G/M/1 chain.
 
     ``c`` is the endpoint of the uniform interarrival support (2.01 in the
-    benchmark configuration); ``max_coeff`` is how many beta coefficients
-    ``gm1_beta_coeffs`` returns.  Internally the chain always tabulates
-    coefficients until they underflow to zero, so rows are exact for every
-    state regardless of ``max_coeff``.
+    benchmark configuration).  The chain tabulates the beta coefficients
+    until they underflow to zero, so rows are exact for every state.
     """
 
     c: float = 2.01
-    max_coeff: int = 256
 
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError("interarrival endpoint c must be positive")
-        if self.max_coeff < 1:
-            raise ValueError("max_coeff must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,6 +101,7 @@ class LyapunovCertificate:
         return g1, g2
 
 
+@lru_cache(maxsize=8)
 def _beta_table(c: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients beta_i until underflow, plus tail sums.
 
@@ -128,27 +124,20 @@ def _beta_table(c: float) -> tuple[np.ndarray, np.ndarray]:
     return betas, tail
 
 
-@lru_cache(maxsize=8)
-def _beta_table_cached(c: float) -> tuple[np.ndarray, np.ndarray]:
-    return _beta_table(c)
-
-
 def gm1_beta_coeffs(params: Gm1Params) -> np.ndarray:
-    """First ``max_coeff`` downward-jump coefficients of the G/M/1 chain.
+    """Downward-jump coefficients of the G/M/1 chain, up to their underflow.
 
     Evaluated through the regularized incomplete gamma function, which is
     stable for all i (the naive 1 - exp(-c) * sum_k c^k/k! form cancels
-    catastrophically once the partial sum approaches exp(c)).
+    catastrophically once the partial sum approaches exp(c)).  The
+    returned array is a copy of the table the chain's rows use.
     """
-    betas, _ = _beta_table_cached(params.c)
-    out = np.zeros(params.max_coeff)
-    m = min(params.max_coeff, betas.size)
-    out[:m] = betas[:m]
-    if not np.all(np.isfinite(out)):
+    betas = _beta_table(params.c)[0].copy()
+    if not np.all(np.isfinite(betas)):
         raise FloatingPointError("non-finite beta coefficient")
-    if np.cumsum(out)[-1] > 1.0 + 1e-12:
+    if np.cumsum(betas)[-1] > 1.0 + 1e-12:
         raise FloatingPointError("beta partial sums exceed 1")
-    return out
+    return betas
 
 
 def gm1_row(x: StateIndex, params: Gm1Params = Gm1Params()) -> SparseRow:
@@ -160,7 +149,7 @@ def gm1_row(x: StateIndex, params: Gm1Params = Gm1Params()) -> SparseRow:
     """
     if x < 0:
         raise ValueError("state must be non-negative")
-    betas, tail = _beta_table_cached(params.c)
+    betas, tail = _beta_table(params.c)
     kmax = min(x, betas.size - 1)
     # y runs from x+1-kmax up to x+1; coefficient index k = x+1-y
     ys = np.arange(x + 1 - kmax, x + 2, dtype=np.int64)
@@ -180,7 +169,7 @@ def gm1_rows(xs: np.ndarray, params: Gm1Params = Gm1Params()) -> RowBatch:
     y = 0 first (when positive), then the Toeplitz band beta_{x+1-y} for
     y = x+1-kmax, ..., x+1.
     """
-    betas, tail = _beta_table_cached(params.c)
+    betas, tail = _beta_table(params.c)
     kmax = np.minimum(xs, betas.size - 1)
     p0 = tail[np.minimum(xs + 1, tail.size - 1)]   # tail[-1] == 0
     has0 = (p0 > 0.0).astype(np.int64)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import ROW_CHUNK, TruncationProblem, is_contiguous, member_mask
+from .chain import TruncationProblem, is_contiguous, member_mask
 from .models import LyapunovCertificate
 
 DEFAULT_TOL = 1e-12
@@ -103,49 +103,29 @@ class SolveResult:
     iterations: int              # refinement steps after the first LU solve
 
 
-def _g_values(certificate: LyapunovCertificate,
-              xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``certificate.values(xs)``, a bad value raising ``AssemblyError``."""
-    try:
-        return certificate.values(xs)
-    except ValueError as exc:
-        raise AssemblyError(str(exc)) from exc
-
-
-def expected_g(certificate: LyapunovCertificate, targets: np.ndarray,
-               probs: np.ndarray) -> tuple[float, float]:
-    """(sum_y P(x, y) g1(y), sum_y P(x, y) g2(y)) over the given row entries.
-
-    The sums run left to right in the order given, so equal inputs give
-    bit-equal sums.  A negative or non-finite g value raises
-    ``AssemblyError``: the drift functions of a certificate are finite and
-    non-negative by definition.
-    """
-    g1, g2 = _g_values(certificate, targets)
-    acc1 = acc2 = 0.0
-    for pr, g1y, g2y in zip(probs.tolist(), g1.tolist(), g2.tolist()):
-        acc1 += pr * g1y
-        acc2 += pr * g2y
-    return acc1, acc2
-
-
 def expected_g_rows(certificate: LyapunovCertificate, counts: np.ndarray,
                     targets: np.ndarray, probs: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row mass and ``expected_g`` of consecutive runs of row entries.
+    """Per-row mass and expected g of consecutive runs of row entries.
 
     Row i owns the next ``counts[i]`` entries of ``targets``/``probs``.
     Returns ``(mass, s1, s2)``: each row's probability sum (numpy's sum of
-    its entries) and its ``expected_g`` pair, bit for bit.  One ``g`` call
-    covers every entry; the sums run a column at a time over a
-    longest-row x rows layout padded with zeros, which keeps each row's
-    left-to-right order.
+    its entries) and ``sum_y P(x, y) g_i(y)`` over its entries, summed
+    left to right in the order given, so equal rows give bit-equal sums
+    whatever else the batch holds.  One ``g`` call covers every entry;
+    the sums run a column at a time over a longest-row x rows layout
+    padded with zeros, which keeps each row's left-to-right order.  A
+    negative or non-finite g value raises ``AssemblyError``: the drift
+    functions of a certificate are finite and non-negative by definition.
     """
     n = counts.size
     mass, s1, s2 = np.zeros(n), np.zeros(n), np.zeros(n)
     if targets.size == 0:
         return mass, s1, s2
-    g1, g2 = _g_values(certificate, targets)
+    try:
+        g1, g2 = certificate.values(targets)
+    except ValueError as exc:
+        raise AssemblyError(str(exc)) from exc
     ends = np.cumsum(counts)
     row = np.repeat(np.arange(n), counts)
     col = np.arange(targets.size) - (ends - counts)[row]
@@ -167,50 +147,36 @@ def assemble_truncated_system(problem: TruncationProblem,
     """Build the truncated system for a problem and a Lyapunov certificate.
 
     The overshoot bounds h_i are computed exactly from the finite-support
-    rows as h_i(x) = sum_{y not in A} P(x, y) g_i(y).  Rows of A' are read
-    through ``chain.rows`` in chunks of ``ROW_CHUNK`` states; rewards and
-    drift functions are evaluated on whole arrays of states.
+    rows as h_i(x) = sum_{y not in A} P(x, y) g_i(y).  Every row of A, z's
+    included, is read once through ``chain.row_chunks``: z's row gives the
+    entry row nu, the self-loop P(z, z) and h_i(z) exactly as any other
+    row gives its B row, p, q and h_i.  Rewards and drift functions are
+    evaluated on whole arrays of states.
     """
     chain, A, z = problem.chain, problem.A, problem.z
-    if not member_mask(np.array([z]), A)[0]:
+    is_z = A == z
+    if not is_z.any():
         raise AssemblyError(f"regeneration state z={z} not in truncation set")
-    Aprime = A[A != z]
+    iz = int(np.argmax(is_z))
+    Aprime = A[~is_z]
     m = Aprime.size
-
-    nu = np.zeros(m)
-    p = np.zeros(m)
-    q = np.zeros(m)
-    h1 = np.zeros(m)
-    h2 = np.zeros(m)
-
-    # row of the regeneration state
-    zrow = chain.row(z)
-    in_A = member_mask(zrow.targets, A)
-    P_zz = 0.0
-    at_z = zrow.targets == z
-    if at_z.any():
-        P_zz = float(zrow.probs[at_z][0])
-    in_Aprime = in_A & ~at_z
-    nu[np.searchsorted(Aprime, zrow.targets[in_Aprime])] = zrow.probs[in_Aprime]
-    h1_z, h2_z = expected_g(certificate, zrow.targets[~in_A], zrow.probs[~in_A])
-    zrow_total = zrow.total()
-    if abs(zrow_total - 1.0) > ROW_IDENTITY_TOL:
-        raise AssemblyError(f"row of z={z} sums to {zrow_total:.12g}")
     r_vec = problem.rewards(Aprime)
 
-    # rows of A' in chunks of ROW_CHUNK states, as CSR pieces of B; column
-    # indices already in the dtype the CSR matrix keeps, so that joining
-    # the pieces makes no wider copy.  When A' is a range, a state's
-    # column is its offset from the first state
+    p, q, h1, h2, nu = (np.zeros(m) for _ in range(5))
+    # B as CSR pieces, column indices already in the dtype the CSR matrix
+    # keeps, so that joining the pieces makes no wider copy.  When A' is a
+    # range, a state's column is its offset from the first state
     index_dtype = np.int32 if m < np.iinfo(np.int32).max else np.int64
     first = int(Aprime[0]) if is_contiguous(Aprime) else None
+
+    def columns(targets):
+        return targets - first if first is not None else np.searchsorted(Aprime, targets)
+
     data = [np.zeros(0)]
     indices = [np.zeros(0, dtype=index_dtype)]
     B_indptr = np.zeros(m + 1, dtype=np.int64)
-    for start in range(0, m, ROW_CHUNK):
-        xs = Aprime[start:start + ROW_CHUNK]
+    for start, xs, indptr, targets, probs in chain.row_chunks(A):
         n = xs.size
-        indptr, targets, probs = chain.rows(xs)
         counts = np.diff(indptr)
         row = np.repeat(np.arange(n), counts)
         totals = np.zeros(n)
@@ -224,23 +190,37 @@ def assemble_truncated_system(problem: TruncationProblem,
         at_z = targets == z
         inside = in_A & ~at_z
         outside = ~in_A
-        p[start:start + n] = np.bincount(row[at_z], weights=probs[at_z], minlength=n)
+        p_c = np.bincount(row[at_z], weights=probs[at_z], minlength=n)
+        q_c, h1_c, h2_c = np.zeros(n), np.zeros(n), np.zeros(n)
         if outside.any():
             # q and h over the rows that have escaping entries (one row
             # per prefix truncation on the built-in chains)
             n_out = np.bincount(row[outside], minlength=n)
             esc = np.flatnonzero(n_out)
-            q[start + esc], h1[start + esc], h2[start + esc] = expected_g_rows(
+            q_c[esc], h1_c[esc], h2_c[esc] = expected_g_rows(
                 certificate, n_out[esc], targets[outside], probs[outside])
+        keep = xs != z
+        if not keep.all():
+            # z's row: its entries inside A' are nu, not a row of B, and
+            # q_c[i] is z's own escaping mass q_z, which no bound uses
+            i = iz - start
+            P_zz, h1_z, h2_z = float(p_c[i]), float(h1_c[i]), float(h2_c[i])
+            lo, hi = indptr[i], indptr[i + 1]
+            to_nu = lo + np.flatnonzero(inside[lo:hi])
+            nu[columns(targets[to_nu])] = probs[to_nu]
+            inside[lo:hi] = False
+        # the chunk's other rows are consecutive rows of A', written in
+        # place: splitting arrays over all of A after the scan fragments
+        # the heap and raised the gm1 a = 10^4 peak RSS by ~30 MB
+        s0 = start - int(iz < start)
+        out = slice(s0, s0 + int(keep.sum()))
+        p[out], q[out], h1[out], h2[out] = p_c[keep], q_c[keep], h1_c[keep], h2_c[keep]
         data.append(probs[inside])
-        cols = (targets[inside] - first if first is not None
-                else np.searchsorted(Aprime, targets[inside]))
-        indices.append(cols.astype(index_dtype))
-        B_indptr[start + 1:start + n + 1] = np.bincount(row[inside], minlength=n)
+        indices.append(columns(targets[inside]).astype(index_dtype))
+        B_indptr[out.start + 1:out.stop + 1] = np.bincount(row[inside], minlength=n)[keep]
 
     if np.any(h1 < 0) or np.any(h2 < 0) or h1_z < 0 or h2_z < 0:
         raise AssemblyError("overshoot bounds h must be non-negative")
-
     np.cumsum(B_indptr, out=B_indptr)
     B = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), B_indptr),
                       shape=(m, m))

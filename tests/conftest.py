@@ -26,6 +26,20 @@ def reflecting_walk_matrix(n: int, up: float) -> np.ndarray:
     return P
 
 
+def expected_g(certificate, targets: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """(sum_y P(x, y) g1(y), sum_y P(x, y) g2(y)) over one row's entries.
+
+    The per-row reference for ``solver.expected_g_rows``: scalar sums, left
+    to right in the order given.
+    """
+    g1, g2 = certificate.values(targets)
+    acc1 = acc2 = 0.0
+    for pr, g1y, g2y in zip(probs.tolist(), g1.tolist(), g2.tolist()):
+        acc1 += pr * g1y
+        acc2 += pr * g2y
+    return acc1, acc2
+
+
 def dirichlet_chain(seed: int, n: int, conc: float = 1.0):
     """Random dense irreducible chain plus its exact stationary vector."""
     rng = np.random.default_rng(seed)

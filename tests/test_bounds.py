@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import stattrunc.bounds as bounds_mod
 from stattrunc import (
+    ChainModel,
     DegenerateDeltaError,
     LyapunovCertificate,
     SolverOptions,
@@ -15,10 +16,15 @@ from stattrunc import (
     compute_pi_tilde,
     compute_tv_bound,
     exact_stationary_finite,
+    gm1_certificate,
+    gm1_chain,
     matrix_chain,
+    one_step_fringe,
+    random_walk_certificate,
     random_walk_chain,
     run_pipeline,
     tight_certificate,
+    verify_lyapunov_drift,
 )
 from conftest import dirichlet_chain
 
@@ -223,3 +229,25 @@ def test_sandwich_on_random_chains(seed):
         return
     assert rep.interval[0] <= pir <= rep.interval[1]
     assert rep.error_bound >= abs(pir - rep.pi_tilde_r) - 1e-12
+
+
+@pytest.mark.parametrize("model", ["walk", "gm1"])
+def test_pipeline_reads_rows_only_through_rows_fn(model):
+    """A chain whose per-state ``row_fn`` raises gives the built-in chain's
+    report, drift audit and fringe: every row is read through ``rows``."""
+    chain, cert = ((random_walk_chain(), random_walk_certificate()) if model == "walk"
+                   else (gm1_chain(), gm1_certificate()))
+
+    def no_row(x):
+        raise AssertionError(f"row({x}) read one state at a time")
+
+    rows_only = ChainModel(row_fn=no_row, description="rows_fn only", rows_fn=chain.rows_fn)
+    # z inside K and away from 0; its own row escapes A through the hole at z + 1
+    A = np.setdiff1d(np.arange(400), [26])
+    results = []
+    for each in (chain, rows_only):
+        prob = TruncationProblem(chain=each, A=A, z=25, K=np.arange(26), r=lambda x: x / 2.0)
+        results.append((run_pipeline(prob, cert), verify_lyapunov_drift(prob, cert),
+                        one_step_fringe(each, A)))
+    assert results[0] == results[1]
+    assert results[0][0].Delta1 > 0 and 26 in results[0][2]

@@ -15,7 +15,7 @@ from stattrunc import (
     validate_rows,
 )
 from stattrunc.chain import ROW_CHUNK, Reward, as_state_array, member_mask, reward_values
-from stattrunc.models import _beta_table_cached
+from stattrunc.models import _beta_table
 
 
 def test_sparse_row_round_trip():
@@ -235,7 +235,7 @@ def assert_rows_match_row(chain, xs):
 
 def gm1_cut(c):
     """First x whose row has no tail mass P(x, 0): tail[x + 1] == 0."""
-    return _beta_table_cached(c)[0].size - 1
+    return _beta_table(c)[0].size - 1
 
 
 @settings(max_examples=60)

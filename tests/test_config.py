@@ -250,3 +250,21 @@ def test_removed_solver_keys_are_config_errors(tmp_path, key):
     # tol is the only solver key
     with pytest.raises(ConfigError, match=rf"unknown keys in 'solver': \['{key}'\]"):
         load_yaml_config(tmp_path, f"solver: {{{key}: 1}}")
+
+
+def gm1_yaml_config(tmp_path, model_params: str):
+    path = tmp_path / "gm1.yaml"
+    path.write_text("model: gm1\nz: 0\nK_max: 2\na_values: [10]\n"
+                    f"model_params: {model_params}\n")
+    return load_config(str(path))
+
+
+def test_gm1_model_params_take_the_field_type(tmp_path):
+    # YAML 1.1 reads 2e0 (no decimal point) as a string
+    chain = build_chain(gm1_yaml_config(tmp_path, "{c: 2e0}"))
+    assert chain.description.endswith("uniform interarrival on (0, 2.0)")
+
+
+def test_gm1_model_params_of_the_wrong_type_are_config_errors(tmp_path):
+    with pytest.raises(ConfigError, match="'c' must be a number, got True"):
+        build_chain(gm1_yaml_config(tmp_path, "{c: true}"))

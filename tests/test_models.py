@@ -19,12 +19,14 @@ from stattrunc import (
 )
 from stattrunc.chain import ROW_CHUNK, Reward
 
+from conftest import expected_g
+
 C = 2.01
 
 
 def test_beta_coeffs_match_quadrature():
     """beta_i = integral_0^c exp(-t) t^i / (c i!) dt, checked for i = 0..25."""
-    betas = gm1_beta_coeffs(Gm1Params(c=C, max_coeff=26))
+    betas = gm1_beta_coeffs(Gm1Params(c=C))[:26]
     for i in range(26):
         ref, err = integrate.quad(
             lambda t, i=i: np.exp(-t + i * np.log(t) - sum(np.log(k) for k in range(1, i + 1))) / C,
@@ -34,21 +36,15 @@ def test_beta_coeffs_match_quadrature():
 
 def test_beta_coeffs_mass_and_mean():
     # total mass 1; mean number served = E[interarrival] = c/2
-    betas = gm1_beta_coeffs(Gm1Params(c=C, max_coeff=256))
+    betas = gm1_beta_coeffs(Gm1Params(c=C))[:256]
     assert betas.sum() == pytest.approx(1.0, abs=1e-13)
-    assert (np.arange(256) * betas).sum() == pytest.approx(C / 2.0, abs=1e-12)
+    assert (np.arange(betas.size) * betas).sum() == pytest.approx(C / 2.0, abs=1e-12)
     assert np.all(betas >= 0.0)
-
-
-def test_beta_coeffs_truncation_independent():
-    short = gm1_beta_coeffs(Gm1Params(c=C, max_coeff=8))
-    full = gm1_beta_coeffs(Gm1Params(c=C, max_coeff=64))
-    assert np.array_equal(short, full[:8])
 
 
 def test_gm1_row_structure():
     chain = gm1_chain()
-    betas = gm1_beta_coeffs(Gm1Params(c=C, max_coeff=64))
+    betas = gm1_beta_coeffs(Gm1Params(c=C))[:64]
     row0 = chain.row(0)
     assert row0.targets.tolist() == [0, 1]
     assert row0.probs[1] == pytest.approx(betas[0], abs=1e-15)
@@ -121,7 +117,6 @@ def reference_drift_audit(problem, certificate, window, rel_slack=1e-12):
     """The per-state audit: one ``chain.row`` and one K lookup per window state."""
     from stattrunc.bounds import DriftReport, DriftViolation
     from stattrunc.chain import member_mask
-    from stattrunc.solver import expected_g
     report = DriftReport()
 
     def record(x, kind, lhs, rhs):
@@ -227,7 +222,7 @@ def test_exact_exit_bounds_match_published_magnitudes():
     assert walk.h1[-1] == pytest.approx(501.0 ** 2 / 3.0, rel=1e-15)
     assert walk.h2[-1] == walk.h1[-1]
     assert not walk.h1[:-1].any() and walk.h1_z == 0.0
-    beta0 = gm1_beta_coeffs(Gm1Params(c=C, max_coeff=1))[0]
+    beta0 = gm1_beta_coeffs(Gm1Params(c=C))[0]
     gm1 = assemble_truncated_system(
         TruncationProblem(chain=gm1_chain(Gm1Params(c=C)), A=np.arange(1001), z=0,
                           K=np.arange(201), r=float),

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import stattrunc.chain as chain_module
 import stattrunc.solver as solver_module
 from stattrunc import (
     AssemblyError,
@@ -27,7 +28,8 @@ from stattrunc import (
 )
 from stattrunc.chain import ROW_CHUNK, member_mask
 from stattrunc.models import random_walk_rows
-from stattrunc.solver import expected_g
+
+from conftest import expected_g
 
 ZERO_CERT = LyapunovCertificate(g1=lambda x: 0.0, g2=lambda x: 0.0)
 
@@ -70,7 +72,7 @@ def test_gm1_assembly_exact_mode():
     prob = TruncationProblem(chain=gm1_chain(), A=np.arange(a), z=0, K=[0],
                              r=lambda x: float(x))
     sys_ = assemble_truncated_system(prob, ZERO_CERT)
-    beta0 = gm1_beta_coeffs(Gm1Params(max_coeff=1))[0]
+    beta0 = gm1_beta_coeffs(Gm1Params())[0]
     # upward jumps go one step at a time, so only x = a-1 escapes
     nz = np.nonzero(sys_.q)[0]
     assert sys_.Aprime[nz].tolist() == [a - 1]
@@ -254,9 +256,10 @@ WALK_CERT = LyapunovCertificate(g1=lambda x: float(x) ** 2, g2=lambda x: float(x
 
 
 @pytest.mark.parametrize("chunk", [5, 64, ROW_CHUNK])
-@pytest.mark.parametrize("case", ["walk-prefix", "walk-holes", "gm1-prefix", "gm1-holes"])
+@pytest.mark.parametrize("case", ["walk-prefix", "walk-holes", "walk-zhole",
+                                  "gm1-prefix", "gm1-holes", "gm1-zhole"])
 def test_assembly_matches_per_row_reference(monkeypatch, chunk, case):
-    monkeypatch.setattr(solver_module, "ROW_CHUNK", chunk)
+    monkeypatch.setattr(chain_module, "ROW_CHUNK", chunk)
     model, shape = case.split("-")
     a = 3 * ROW_CHUNK + 17 if chunk == ROW_CHUNK else 400
     A = np.arange(a)
@@ -265,11 +268,16 @@ def test_assembly_matches_per_row_reference(monkeypatch, chunk, case):
         # non-prefix A with z != 0: holes leave rows several escaping entries
         A = A[(A % 97 != 40) & ((A < 150) | (A > 153))]
         z, K = 12, [3, 12]
+    if shape == "zhole":
+        # z in the middle of a chunk, and its own row escapes through z + 1
+        z = a // 2 + 3
+        A, K = A[A != z + 1], [3, z]
     chain, cert = ((random_walk_chain(), WALK_CERT) if model == "walk"
                    else (gm1_chain(), gm1_certificate()))
     prob = TruncationProblem(chain=chain, A=A, z=z, K=K, r=lambda x: x / 2.0)
     sys_ = assert_matches_reference(prob, cert)
-    assert np.count_nonzero(sys_.q) > (1 if shape == "holes" else 0)
+    assert np.count_nonzero(sys_.q) > (0 if shape == "prefix" else 1)
+    assert (sys_.h1_z > 0 and sys_.h2_z > 0) == (shape == "zhole")
 
 
 def test_assembly_through_row_fn_fallback_matches_batch_rows():
@@ -396,7 +404,7 @@ def test_assembly_rejects_batch_forms_of_the_wrong_shape():
         assemble_truncated_system(problem(Reward(float, lambda xs: xs[1:] * 1.0)), WALK_CERT)
     wide = LyapunovCertificate(g1=WALK_CERT.g1, g2=WALK_CERT.g2,
                                g_fn=lambda xs: (np.zeros(xs.size), np.zeros(xs.size + 1)))
-    with pytest.raises(AssemblyError, match="g_fn must return two arrays of 0 values"):
+    with pytest.raises(AssemblyError, match="g_fn must return two arrays of 1 values"):
         assemble_truncated_system(problem(float), wide)
 
 
