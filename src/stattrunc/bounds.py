@@ -37,6 +37,7 @@ from .chain import (
     as_state_array,
     member_mask,
     one_step_fringe,
+    reward_values,
 )
 from .models import LyapunovCertificate
 from .solver import (
@@ -47,6 +48,9 @@ from .solver import (
     solve,
     solve_transpose,
 )
+
+#: relative slack of the drift audit's inequalities
+DRIFT_REL_SLACK = 1e-12
 
 
 class DegenerateDeltaError(RuntimeError):
@@ -99,14 +103,13 @@ class DriftReport:
         return not self.violations
 
 
-def compute_pi_tilde(system: TruncatedSystem,
-                     options: SolverOptions = SolverOptions()) -> np.ndarray:
+def compute_pi_tilde(system: TruncatedSystem) -> np.ndarray:
     """Truncation approximation to the stationary vector, indexed by A_full.
 
     pi(x) = y(x) / (1 + y . e) for x in A' and pi(z) = 1 / (1 + y . e);
     states outside A carry zero mass.  Sums to one by construction.
     """
-    y = solve_transpose(system, options.tol).x
+    y = solve_transpose(system).x
     denom = 1.0 + float(y.sum())
     pi = np.empty(system.A_full.size)
     z_pos = int(np.searchsorted(system.A_full, system.z))
@@ -119,7 +122,7 @@ def compute_pi_tilde(system: TruncatedSystem,
 
 def _clamp_unit(value: float, name: str, tol: float) -> float:
     if value < -10.0 * tol or value > 1.0 + 10.0 * tol:
-        raise RuntimeError(f"{name}={value!r} outside [0, 1] beyond tolerance; "
+        raise PipelineError(f"{name}={value!r} outside [0, 1] beyond tolerance; "
                            "system looks mis-assembled")
     return min(max(value, 0.0), 1.0)
 
@@ -208,8 +211,8 @@ def run_pipeline(problem: TruncationProblem,
 
 def verify_lyapunov_drift(problem: TruncationProblem,
                           certificate: LyapunovCertificate,
-                          check_window: Iterable[StateIndex] | None = None,
-                          rel_slack: float = 1e-12) -> DriftReport:
+                          check_window: Iterable[StateIndex] | None = None
+                          ) -> DriftReport:
     """Audit the drift inequalities pointwise over a finite window.
 
     For each window state x outside K the two inequalities
@@ -226,8 +229,8 @@ def verify_lyapunov_drift(problem: TruncationProblem,
 
     The window check is necessarily finite; whether the inequalities hold
     on all of K^c remains the certificate supplier's analytic obligation.
-    ``rel_slack`` absorbs roundoff for certificates that are tight by
-    construction.
+    ``DRIFT_REL_SLACK`` absorbs roundoff for certificates that are tight
+    by construction.
     """
     chain, A, K = problem.chain, problem.A, problem.K
     if check_window is None:
@@ -244,14 +247,15 @@ def verify_lyapunov_drift(problem: TruncationProblem,
         counts = np.bincount(np.repeat(np.arange(xs.size), np.diff(indptr))[keep],
                              minlength=xs.size)
         _, lhs1, lhs2 = expected_g_rows(certificate, counts, targets[keep], probs[keep])
-        g1, g2 = certificate.values(xs)
+        g1 = reward_values(certificate.g1, xs, "g1")
+        g2 = reward_values(certificate.g2, xs, "g2")
         found = []
         for kind, lhs, rhs in (("g1", lhs1, g1 - problem.rewards(xs)),
                                ("g2", lhs2, g2 - 1.0)):
             slack = rhs - lhs
             report.max_slack = max(report.max_slack, float(slack.max()))
             report.min_slack = min(report.min_slack, float(slack.min()))
-            bad = np.flatnonzero(lhs > rhs + rel_slack * (1.0 + np.abs(rhs)))
+            bad = np.flatnonzero(lhs > rhs + DRIFT_REL_SLACK * (1.0 + np.abs(rhs)))
             found += [(i, kind, DriftViolation(int(xs[i]), kind, float(lhs[i]), float(rhs[i])))
                       for i in bad.tolist()]
         # state order, and g1 before g2 at one state

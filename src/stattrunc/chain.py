@@ -224,10 +224,11 @@ def as_state_array(states: Iterable[StateIndex]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Reward:
-    """A reward r(x) with an optional batch form.
+    """A function of states, r(x) or a drift function g_i(x), with an
+    optional batch form.
 
-    ``fn`` maps one state to its reward.  ``batch_fn``, when given, maps an
-    int64 state array to the float64 rewards of all of them at once and
+    ``fn`` maps one state to its value.  ``batch_fn``, when given, maps an
+    int64 state array to the float64 values at all of them at once and
     must agree bit for bit with ``fn`` (the way ``ChainModel.rows_fn``
     extends ``row_fn``).  A ``Reward`` is called like ``fn``, so code that
     evaluates one state at a time takes it unchanged; ``reward_values``
@@ -241,13 +242,13 @@ class Reward:
         return self.fn(x)
 
 
-def reward_values(r: RewardFn, xs) -> np.ndarray:
-    """Rewards of the states ``xs`` as a float64 array.
+def reward_values(r: RewardFn, xs, name: str = "r") -> np.ndarray:
+    """Values of the state function ``r`` at the states ``xs``, as float64.
 
     Uses the batch form of a ``Reward`` that has one and otherwise calls
     ``r`` once per state, so any callable works.  Every value must be
     finite and non-negative; the first state whose value is not is named
-    in the ``ValueError``.
+    in the ``ValueError``, as ``name(x)=value``.
     """
     xs = np.asarray(xs, dtype=np.int64).reshape(-1)
     batch_fn = r.batch_fn if isinstance(r, Reward) else None
@@ -256,13 +257,13 @@ def reward_values(r: RewardFn, xs) -> np.ndarray:
     else:
         vals = np.asarray(batch_fn(xs), dtype=np.float64)
         if vals.shape != xs.shape:
-            raise ValueError(f"reward batch_fn must return {xs.size} values, "
+            raise ValueError(f"{name} batch_fn must return {xs.size} values, "
                              f"got shape {vals.shape}")
     bad = ~(np.isfinite(vals) & (vals >= 0.0))
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"reward must be finite and non-negative, "
-                         f"got r({xs[i]})={vals[i]}")
+        raise ValueError(f"{name} must be finite and non-negative, "
+                         f"got {name}({xs[i]})={vals[i]}")
     return vals
 
 

@@ -34,7 +34,6 @@ from .config import (
 )
 from .models import ChainFileError
 from .oracle import simulate_cycles
-from .solver import SolverError
 
 COLUMNS = (
     "a", "kappa_lower_r", "kappa_lower_e", "kappa_upper_r", "kappa_upper_e",
@@ -59,7 +58,7 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
 
     Rows that hit a degenerate delta or a solver failure carry a status
     marker and NaN numerics instead of aborting the sweep.  With
-    validation enabled, sweep points with a <= 2000 get a Monte Carlo
+    ``validate``, sweep points with a <= 2000 get a Monte Carlo
     cross-check (per-row seed = configured seed + a) whose 3-half-width
     band must overlap the certified interval.
 
@@ -77,7 +76,6 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
         raise ConfigError(
             f"a={max(config.a_values)} exceeds the chain's {chain.n_states} states")
     K = np.arange(config.K_max + 1)
-    do_oracle = validate or config.oracle.enabled
     cert = build_certificate(config, chain, max(config.a_values), K, reward)
 
     rows = []
@@ -94,7 +92,7 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
         except DegenerateDeltaError as exc:
             row["status"] = "degenerate_delta"
             print(f"stattrunc: a={a}: {exc}", file=log)
-        except (PipelineError, SolverError) as exc:
+        except PipelineError as exc:
             row["status"] = "numerical_error"
             print(f"stattrunc: a={a}: {exc}", file=log)
         else:
@@ -109,7 +107,7 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
             )
         row["wall_time_seconds"] = time.perf_counter() - start
 
-        if do_oracle:
+        if validate:
             for c in ORACLE_COLUMNS:
                 row[c] = math.nan
             if row["status"] == "ok" and a <= VALIDATE_MAX_A:

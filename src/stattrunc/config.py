@@ -42,7 +42,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class OracleSettings:
-    enabled: bool = False
     n_cycles: int = 20000
     seed: int = 12345
 
@@ -100,7 +99,7 @@ _REQUIRED = ("model", "z", "K_max", "a_values")
 
 
 def _coerce(what: str, value, typ):
-    """``value`` as ``typ`` (bool, int, float or str); ``what`` names it in errors.
+    """``value`` as ``typ`` (int, float or str); ``what`` names it in errors.
 
     PyYAML follows YAML 1.1, which reads ``1e-12`` (no decimal point) as a
     string, so numeric strings are parsed; an int field takes only
@@ -114,7 +113,7 @@ def _coerce(what: str, value, typ):
                 break
             except ValueError:
                 pass
-    if isinstance(value, bool) == (typ is bool):
+    if not isinstance(value, bool):
         if typ is float and isinstance(value, (int, float)) \
                 and not abs(value) > sys.float_info.max:
             return float(value)
@@ -122,7 +121,7 @@ def _coerce(what: str, value, typ):
             return int(value)
         if isinstance(value, typ):
             return value
-    kind = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}[typ]
+    kind = {int: "an integer", float: "a number", str: "a string"}[typ]
     raise ConfigError(f"{what} must be {kind}, got {got!r}")
 
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import special
 
-from .chain import ChainModel, RowBatch, SparseRow, StateIndex, csr_chain
+from .chain import (ChainModel, Reward, RewardFn, RowBatch, SparseRow, StateIndex,
+                    csr_chain)
 
 #: row-sum tolerance applied when loading chain files
 FILE_ROW_SUM_TOL = 1e-9
@@ -63,42 +63,15 @@ class LyapunovCertificate:
     """Drift functions g1, g2 (finite and non-negative).
 
     ``g1`` controls reward accumulated on excursions outside K, ``g2``
-    excursion length.  The exit bounds h_i(x) = sum_{y not in A} P(x, y)
+    excursion length.  Each is a function of states like the reward: a
+    plain callable or a ``Reward`` with a batch form, evaluated through
+    ``reward_values``.  The exit bounds h_i(x) = sum_{y not in A} P(x, y)
     g_i(y) are computed exactly from the finite-support rows during
-    system assembly.  ``g_fn``, when given, maps an int64 state array to
-    the arrays ``(g1, g2)`` at all of them at once and must agree bit for
-    bit with ``g1`` and ``g2`` (the way ``ChainModel.rows_fn`` extends
-    ``row_fn``); ``values`` evaluates through it.
+    system assembly.
     """
 
-    g1: Callable[[StateIndex], float]
-    g2: Callable[[StateIndex], float]
-    g_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-
-    def values(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """``(g1, g2)`` at the states ``xs``, as float64 arrays.
-
-        Uses ``g_fn`` when the certificate has one and otherwise calls
-        ``g1`` and ``g2`` once per state.  A value that is negative or not
-        finite raises ``ValueError`` naming the first such state.
-        """
-        xs = np.asarray(xs, dtype=np.int64).reshape(-1)
-        if self.g_fn is None:
-            states = xs.tolist()
-            g1 = np.array([float(self.g1(x)) for x in states], dtype=np.float64)
-            g2 = np.array([float(self.g2(x)) for x in states], dtype=np.float64)
-        else:
-            g1, g2 = (np.asarray(g, dtype=np.float64) for g in self.g_fn(xs))
-            if not g1.shape == g2.shape == xs.shape:
-                raise ValueError(f"g_fn must return two arrays of {xs.size} values, "
-                                 f"got shapes {g1.shape} and {g2.shape}")
-        for name, g in (("g1", g1), ("g2", g2)):
-            bad = ~(np.isfinite(g) & (g >= 0.0))
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValueError(f"Lyapunov function {name} must be finite and "
-                                 f"non-negative, got {name}({xs[i]})={g[i]}")
-        return g1, g2
+    g1: RewardFn | Reward
+    g2: RewardFn | Reward
 
 
 @lru_cache(maxsize=8)
@@ -205,6 +178,11 @@ def gm1_chain(params: Gm1Params = Gm1Params()) -> ChainModel:
     )
 
 
+def _squares(xs: np.ndarray) -> np.ndarray:
+    x = xs.astype(np.float64)
+    return x * x
+
+
 def gm1_certificate() -> LyapunovCertificate:
     """Quadratic/linear Lyapunov pair for the G/M/1 chain.
 
@@ -214,12 +192,10 @@ def gm1_certificate() -> LyapunovCertificate:
     reported for the published sweep.  The batch form evaluates the same
     float operations elementwise.
     """
-    def g_fn(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = xs.astype(np.float64)
-        return 300.0 * (x * x), 300.0 * x
-
-    return LyapunovCertificate(g1=lambda x: 300.0 * (float(x) * float(x)),
-                               g2=lambda x: 300.0 * float(x), g_fn=g_fn)
+    return LyapunovCertificate(
+        g1=Reward(lambda x: 300.0 * (float(x) * float(x)),
+                  lambda xs: 300.0 * _squares(xs)),
+        g2=Reward(lambda x: 300.0 * float(x), lambda xs: 300.0 * xs.astype(np.float64)))
 
 
 def random_walk_row(x: StateIndex) -> SparseRow:
@@ -262,13 +238,8 @@ def random_walk_certificate() -> LyapunovCertificate:
     elsewhere.  The batch form evaluates the same float operations
     elementwise.
     """
-    def g_fn(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = xs.astype(np.float64)
-        g = x * x
-        return g, g
-
-    g = lambda x: float(x) * float(x)
-    return LyapunovCertificate(g1=g, g2=g, g_fn=g_fn)
+    g = Reward(lambda x: float(x) * float(x), _squares)
+    return LyapunovCertificate(g1=g, g2=g)
 
 
 def load_chain_from_file(path) -> ChainModel:

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import ChainModel, StateIndex, reward_values
+from .chain import ChainModel, Reward, StateIndex, reward_values
 from .models import LyapunovCertificate
 
 RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
@@ -34,6 +34,10 @@ UNIFORM_BLOCK = 256
 UNIFORM_HEAD = 16
 #: blocks drawn from the generator per call
 UNIFORM_BATCH = 64
+#: excursion rounds per cycle counted in ``CycleStats.excursion_survival``
+MAX_TRACKED = 64
+#: max-norm residual allowed of an exact stationary solve
+STATIONARY_TOL = 1e-12
 
 
 class OracleError(RuntimeError):
@@ -79,14 +83,13 @@ def _first_step_solve(P: sp.csr_matrix, idx: np.ndarray, F: np.ndarray,
     return U
 
 
-def exact_stationary_finite(chain: ChainModel, n: int,
-                            tol: float = 1e-12) -> np.ndarray:
+def exact_stationary_finite(chain: ChainModel, n: int) -> np.ndarray:
     """Stationary distribution of a finite irreducible chain.
 
     Solves pi P = pi with the normalization sum(pi) = 1 replacing the last
     balance equation, then certifies the residual max-norm of the original
-    balance system to ``tol``.  Reducible or otherwise degenerate inputs
-    surface as ``OracleError``.
+    balance system to ``STATIONARY_TOL``.  Reducible or otherwise
+    degenerate inputs surface as ``OracleError``.
     """
     P = _sparse_matrix(chain, n).toarray()
     M = P.T - np.eye(n)
@@ -101,8 +104,9 @@ def exact_stationary_finite(chain: ChainModel, n: int,
     # ill-conditioned inputs
     pi = pi + np.linalg.solve(M, b - M @ pi)
     residual = float(np.abs(pi @ P - pi).max())
-    if not np.isfinite(pi).all() or residual > tol:
-        raise OracleError(f"stationary residual {residual:.3e} exceeds {tol:.1e}")
+    if not np.isfinite(pi).all() or residual > STATIONARY_TOL:
+        raise OracleError(f"stationary residual {residual:.3e} exceeds "
+                          f"{STATIONARY_TOL:.1e}")
     if pi.min() <= 0.0:
         raise OracleError(
             "stationary solve produced a non-positive entry; "
@@ -116,19 +120,17 @@ def regenerative_expectation_exact(chain: ChainModel, n: int, z: StateIndex,
 
     Solves u(x) = f(x) + sum_{y != z} P(x, y) u(y) on S \\ {z} and returns
     f(z) + sum_y P(z, y) u(y) with u(z) = 0.  With f = 1 this is the mean
-    return time E_z tau(z).
+    return time E_z tau(z).  f must be finite and non-negative.
     """
     P = _sparse_matrix(chain, n)
     if not 0 <= z < n:
         raise ValueError(f"z={z} out of range")
     idx = np.setdiff1d(np.arange(n), [z])
-    fz = float(f(int(z)))
-    if idx.size == 0:
-        return fz
+    fvals = reward_values(f, np.arange(n), "f")
     u = np.zeros(n)
-    u[idx] = _first_step_solve(P, idx, np.array([float(f(int(x))) for x in idx]),
-                               "first-step")
-    return fz + (P[z] @ u).item()
+    if idx.size:
+        u[idx] = _first_step_solve(P, idx, fvals[idx], "first-step")
+    return float(fvals[z]) + (P[z] @ u).item()
 
 
 def tight_certificate(chain: ChainModel, n: int,
@@ -158,11 +160,8 @@ def tight_certificate(chain: ChainModel, n: int,
                               "unreachable from part of the chain")
         g1[idx] = np.maximum(u1, 0.0)
         g2[idx] = np.maximum(u2, 0.0)
-    return LyapunovCertificate(
-        g1=lambda x: float(g1[x]),
-        g2=lambda x: float(g2[x]),
-        g_fn=lambda xs: (g1[xs], g2[xs]),
-    )
+    return LyapunovCertificate(g1=Reward(lambda x: float(g1[x]), g1.__getitem__),
+                               g2=Reward(lambda x: float(g2[x]), g2.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -187,8 +186,7 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
                     K: Iterable[StateIndex], A: Iterable[StateIndex],
                     r: Callable[[StateIndex], float],
                     n_cycles: int, seed: int, *,
-                    max_steps: int = DEFAULT_CYCLE_CAP,
-                    max_tracked: int = 64) -> CycleStats:
+                    max_steps: int = DEFAULT_CYCLE_CAP) -> CycleStats:
     """Simulate independent z-cycles and summarize reward/length/excursions.
 
     Each cycle starts at X_0 = z and ends at the first return to z.  The
@@ -242,7 +240,7 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
 
     rewards = []
     lengths = []
-    survival_counts = np.zeros(max_tracked, dtype=np.int64)
+    survival_counts = np.zeros(MAX_TRACKED, dtype=np.int64)
     z_entry = visit(z)
 
     for c in range(n_cycles):
@@ -287,7 +285,7 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
         rewards.append(crew)
         lengths.append(clen)
         if rounds:
-            survival_counts[:min(rounds, max_tracked)] += 1
+            survival_counts[:min(rounds, MAX_TRACKED)] += 1
 
     rewards = np.array(rewards, dtype=np.float64)
     lengths = np.array(lengths, dtype=np.float64)
@@ -326,28 +324,25 @@ class ExcursionReport:
 def excursion_bound_check(chain: ChainModel, n: int,
                           K: Iterable[StateIndex], A: Iterable[StateIndex],
                           g: Callable[[StateIndex], float],
-                          f: Callable[[StateIndex], float], *,
-                          stop_set: Iterable[StateIndex] | None = None
-                          ) -> ExcursionReport:
+                          f: Callable[[StateIndex], float]) -> ExcursionReport:
     """Check g(x) >= E_x sum_{j<T} f(X_j) exactly on a finite chain.
 
-    T is the hitting time of ``stop_set``, which defaults to K: that is the
-    stopping time for which the drift inequality
-    sum_{y not in K} P(x, y) g(y) <= g(x) - f(x) makes g a valid upper
-    bound.  Reports per-state slack for x in A minus K, plus the states
-    where the drift inequality itself fails (no guarantee applies there,
-    but values and slack are still reported).
+    T is the hitting time of K: that is the stopping time for which the
+    drift inequality sum_{y not in K} P(x, y) g(y) <= g(x) - f(x) makes g
+    a valid upper bound.  Reports per-state slack for x in A minus K,
+    plus the states where the drift inequality itself fails (no guarantee
+    applies there, but values and slack are still reported).  g and f
+    must be finite and non-negative.
     """
     P = _sparse_matrix(chain, n)
-    stop = {int(s) for s in (K if stop_set is None else stop_set)}
     A_set = {int(a) for a in A}
     K_set = {int(k) for k in K}
-    idx = np.setdiff1d(np.arange(n), list(stop))
+    idx = np.setdiff1d(np.arange(n), list(K_set))
     u = np.zeros(n)
-    g_all = np.array([float(g(x)) for x in range(n)])
+    g_all = reward_values(g, np.arange(n), "g")
     report = ExcursionReport()
     if idx.size:
-        fvec = np.array([float(f(int(x))) for x in idx])
+        fvec = reward_values(f, idx, "f")
         u[idx] = _first_step_solve(P, idx, fvec, "excursion")
         g_idx = g_all[idx]
         g_masked = np.zeros(n)
@@ -355,7 +350,7 @@ def excursion_bound_check(chain: ChainModel, n: int,
         failed = (P @ g_masked)[idx] > g_idx - fvec + 1e-9 * (1.0 + np.abs(g_idx))
         report.drift_failures = idx[failed].tolist()
     for x in sorted(A_set - K_set):
-        if x in stop or not 0 <= x < n:
+        if not 0 <= x < n:
             continue
         val = float(u[x])
         bound = float(g_all[x])

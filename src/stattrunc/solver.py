@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import TruncationProblem, is_contiguous, member_mask
+from .chain import TruncationProblem, is_contiguous, member_mask, reward_values
 from .models import LyapunovCertificate
 
 DEFAULT_TOL = 1e-12
@@ -110,33 +110,26 @@ def expected_g_rows(certificate: LyapunovCertificate, counts: np.ndarray,
 
     Row i owns the next ``counts[i]`` entries of ``targets``/``probs``.
     Returns ``(mass, s1, s2)``: each row's probability sum (numpy's sum of
-    its entries) and ``sum_y P(x, y) g_i(y)`` over its entries, summed
-    left to right in the order given, so equal rows give bit-equal sums
-    whatever else the batch holds.  One ``g`` call covers every entry;
-    the sums run a column at a time over a longest-row x rows layout
-    padded with zeros, which keeps each row's left-to-right order.  A
-    negative or non-finite g value raises ``AssemblyError``: the drift
-    functions of a certificate are finite and non-negative by definition.
+    its entries) and ``sum_y P(x, y) g_i(y)`` over its entries.  One
+    evaluation of each g covers every entry, and ``np.bincount`` sums
+    each row from 0.0 left to right in the order given, so equal rows give
+    bit-equal sums whatever else the batch holds.  A negative or
+    non-finite g value raises ``AssemblyError``: the drift functions of a
+    certificate are finite and non-negative by definition.
     """
     n = counts.size
-    mass, s1, s2 = np.zeros(n), np.zeros(n), np.zeros(n)
-    if targets.size == 0:
-        return mass, s1, s2
     try:
-        g1, g2 = certificate.values(targets)
+        g1 = reward_values(certificate.g1, targets, "g1")
+        g2 = reward_values(certificate.g2, targets, "g2")
     except ValueError as exc:
         raise AssemblyError(str(exc)) from exc
-    ends = np.cumsum(counts)
     row = np.repeat(np.arange(n), counts)
-    col = np.arange(targets.size) - (ends - counts)[row]
-    P, G1, G2 = (np.zeros((int(counts.max()), n)) for _ in range(3))
-    P[col, row], G1[col, row], G2[col, row] = probs, g1, g2
-    for j in range(P.shape[0]):
-        mass += P[j]
-        s1 += P[j] * G1[j]
-        s2 += P[j] * G2[j]
+    mass = np.bincount(row, probs, minlength=n)
+    s1 = np.bincount(row, probs * g1, minlength=n)
+    s2 = np.bincount(row, probs * g2, minlength=n)
     # any order sums two terms alike; a longer row takes numpy's own
     # (pairwise) sum, which is how a row's mass is defined
+    ends = np.cumsum(counts)
     for i in np.flatnonzero(counts > 2).tolist():
         mass[i] = probs[ends[i] - counts[i]:ends[i]].sum()
     return mass, s1, s2

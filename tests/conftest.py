@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from stattrunc import exact_stationary_finite, matrix_chain
+from stattrunc.chain import reward_values
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -32,7 +33,8 @@ def expected_g(certificate, targets: np.ndarray, probs: np.ndarray) -> tuple[flo
     The per-row reference for ``solver.expected_g_rows``: scalar sums, left
     to right in the order given.
     """
-    g1, g2 = certificate.values(targets)
+    g1 = reward_values(certificate.g1, targets, "g1")
+    g2 = reward_values(certificate.g2, targets, "g2")
     acc1 = acc2 = 0.0
     for pr, g1y, g2y in zip(probs.tolist(), g1.tolist(), g2.tolist()):
         acc1 += pr * g1y

@@ -9,6 +9,7 @@ from stattrunc import (
     ChainModel,
     DegenerateDeltaError,
     LyapunovCertificate,
+    PipelineError,
     SolverOptions,
     TruncationProblem,
     assemble_truncated_system,
@@ -82,6 +83,16 @@ def test_degenerate_delta_raises():
                              r=lambda x: 1.0)
     with pytest.raises(DegenerateDeltaError, match="enlarge A or shrink K"):
         run_pipeline(prob, ZERO_CERT)
+
+
+def test_delta_beyond_one_is_a_pipeline_error():
+    """gm1 with a hole at z + 1: every state below z passes z to leave A,
+    so delta is exactly 1, but the delta solve lands ~7e-9 above it.  A
+    ``PipelineError`` is what a sweep records as a numerical error."""
+    A = np.setdiff1d(np.arange(3000), [1031])
+    prob = TruncationProblem(chain=gm1_chain(), A=A, z=1030, K=[0, 1030], r=float)
+    with pytest.raises(PipelineError, match=r"delta=1\.00000000\d+ outside \[0, 1\]"):
+        run_pipeline(prob, gm1_certificate())
 
 
 def test_direct_escape_from_z_enters_upper_bound():

@@ -47,8 +47,8 @@ def test_run_experiment_walk_sweep():
 def test_run_experiment_oracle_cross_check():
     cfg = parse_config({"model": "random_walk", "z": 0, "K_max": 20,
                         "a_values": [150], "r_spec": "half",
-                        "oracle": {"enabled": True, "n_cycles": 4000, "seed": 13}})
-    row = run_experiment(cfg, log=io.StringIO())[0]
+                        "oracle": {"n_cycles": 4000, "seed": 13}})
+    row = run_experiment(cfg, validate=True, log=io.StringIO())[0]
     assert tuple(row.keys()) == COLUMNS + ORACLE_COLUMNS
     assert row["oracle_pass"] is True
     assert row["oracle_ratio"] == pytest.approx(0.75, abs=0.05)
@@ -86,7 +86,8 @@ def test_emit_csv_round_trip(tmp_path):
             {"a": 2, "x": float("nan"), "ok": False}]
     out = tmp_path / "t.csv"
     emit(rows, format="csv", path=str(out))
-    got = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        got = list(csv.DictReader(fh))
     assert got[0]["x"] == "0.123456789012"
     assert got[0]["ok"] == "true" and got[1]["ok"] == "false"
     assert got[1]["x"] == "nan"
@@ -97,7 +98,7 @@ def test_emit_json_round_trip(tmp_path):
             {"a": 2, "x": float("nan"), "note": "broken"}]
     out = tmp_path / "t.json"
     emit(rows, format="json", path=str(out))
-    text = open(out).read()
+    text = out.read_text()
     assert "NaN" not in text  # strict JSON only
     got = json.loads(text)
     assert got[0]["x"] == 0.5 and got[1]["x"] is None
@@ -116,7 +117,8 @@ def test_main_success_csv(tmp_path, capsys):
     out = tmp_path / "res.csv"
     code = main(["run", TWO_STATE_YAML, "--out", str(out), "--format", "csv"])
     assert code == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["status"] == "ok"
     assert float(rows[0]["lower"]) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
@@ -125,7 +127,7 @@ def test_main_uses_config_output_format(tmp_path):
     # two_state.yaml declares json output
     out = tmp_path / "res.json"
     assert main(["run", TWO_STATE_YAML, "--out", str(out)]) == 0
-    assert json.load(open(out))[0]["status"] == "ok"
+    assert json.loads(out.read_text())[0]["status"] == "ok"
 
 
 def test_main_stdout_default(capsys):

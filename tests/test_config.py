@@ -26,7 +26,7 @@ def test_load_shipped_gm1_config():
     assert cfg.a_values == (1000, 5000, 10000)
     assert cfg.r_spec == "identity" and cfg.h_mode == "paper_literal"
     assert cfg.solver.tol == 1e-12
-    assert not cfg.oracle.enabled
+    assert (cfg.oracle.n_cycles, cfg.oracle.seed) == (20000, 7)
     assert cfg.output.format == "csv"
 
 
@@ -43,7 +43,7 @@ def test_parse_config_defaults():
     assert cfg.r_spec == "identity"
     assert cfg.h_mode == "exact"
     assert cfg.solver.tol == 1e-12
-    assert cfg.oracle.enabled is False
+    assert (cfg.oracle.n_cycles, cfg.oracle.seed) == (20000, 12345)
     assert cfg.output.format == "csv" and cfg.output.path is None
 
 
@@ -231,8 +231,6 @@ def test_numeric_strings_take_the_field_type(tmp_path, section, name, key, value
 
 
 @pytest.mark.parametrize("section,fragment", [
-    ('oracle: {n_cycles: 1e4, enabled: "yes"}', "'oracle' section: 'enabled' must be a bool"),
-    ("oracle: {enabled: 1}", "'oracle' section: 'enabled' must be a bool"),
     ("oracle: {n_cycles: 2.5e0}", "'oracle' section: 'n_cycles' must be an integer"),
     ("oracle: {n_cycles: 1e400}", "'oracle' section: 'n_cycles' must be an integer"),
     ("solver: {tol: small}", "'solver' section: 'tol' must be a number"),
@@ -250,6 +248,12 @@ def test_removed_solver_keys_are_config_errors(tmp_path, key):
     # tol is the only solver key
     with pytest.raises(ConfigError, match=rf"unknown keys in 'solver': \['{key}'\]"):
         load_yaml_config(tmp_path, f"solver: {{{key}: 1}}")
+
+
+def test_removed_oracle_enabled_key_is_a_config_error(tmp_path):
+    # --validate is the one switch for the Monte Carlo cross-check
+    with pytest.raises(ConfigError, match=r"unknown keys in 'oracle': \['enabled'\]"):
+        load_yaml_config(tmp_path, "oracle: {enabled: true}")
 
 
 def gm1_yaml_config(tmp_path, model_params: str):

@@ -17,7 +17,7 @@ from stattrunc import (
     validate_rows,
     verify_lyapunov_drift,
 )
-from stattrunc.chain import ROW_CHUNK, Reward
+from stattrunc.chain import ROW_CHUNK, Reward, reward_values
 
 from conftest import expected_g
 
@@ -169,29 +169,27 @@ BATCH_STATES = [0, 1, 2, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK 
 def test_builtin_certificate_batch_forms_equal_scalar_forms(make):
     cert = make()
     for xs in (np.array(BATCH_STATES), np.arange(3 * ROW_CHUNK + 5)):
-        g1, g2 = cert.g_fn(xs)
-        assert g1.dtype == g2.dtype == np.float64
-        assert g1.tobytes() == np.array([cert.g1(x) for x in xs.tolist()]).tobytes()
-        assert g2.tobytes() == np.array([cert.g2(x) for x in xs.tolist()]).tobytes()
-        scalar_only = LyapunovCertificate(g1=cert.g1, g2=cert.g2)
-        for a, b in zip(cert.values(xs), scalar_only.values(xs)):
-            assert a.tobytes() == b.tobytes()
+        for name in ("g1", "g2"):
+            g = getattr(cert, name)
+            batch = g.batch_fn(xs)
+            assert batch.dtype == np.float64
+            assert batch.tobytes() == np.array([g(x) for x in xs.tolist()]).tobytes()
+            assert (reward_values(g, xs, name).tobytes()
+                    == reward_values(g.fn, xs, name).tobytes())
 
 
 def test_certificate_values_reject_bad_shapes_and_values():
     xs = np.arange(5)
-    short = LyapunovCertificate(g1=float, g2=float, g_fn=lambda xs: (xs[:-1] * 1.0, xs * 1.0))
-    with pytest.raises(ValueError, match="g_fn must return two arrays of 5 values"):
-        short.values(xs)
+    short = Reward(float, lambda xs: xs[:-1] * 1.0)
+    with pytest.raises(ValueError, match="g1 batch_fn must return 5 values"):
+        reward_values(short, xs, "g1")
     for bad in (-1.0, np.nan, np.inf):
         g = lambda x, bad=bad: bad if x == 3 else 1.0
-        for cert in (LyapunovCertificate(g1=float, g2=g),
-                     LyapunovCertificate(g1=float, g2=g, g_fn=lambda xs, g=g: (
-                         xs * 1.0, np.array([g(x) for x in xs.tolist()])))):
+        for g2 in (g, Reward(g, lambda xs, g=g: np.array([g(x) for x in xs.tolist()]))):
             with pytest.raises(ValueError, match=rf"g2 must be finite and non-negative, "
                                                  rf"got g2\(3\)={bad}"):
-                cert.values(xs)
-    assert [v.size for v in short.values([])] == [0, 0]
+                reward_values(g2, xs, "g2")
+    assert reward_values(short, [], "g1").size == 0
 
 
 @pytest.mark.parametrize("model", ["gm1", "walk"])
@@ -202,7 +200,7 @@ def test_drift_audit_scalar_and_batch_forms_agree(model):
     else:
         chain, cert, K = random_walk_chain(), random_walk_certificate(), np.arange(301)
         reward = Reward(lambda x: x / 2.0, lambda xs: xs / 2.0)
-    scalar_cert = LyapunovCertificate(g1=cert.g1, g2=cert.g2)
+    scalar_cert = LyapunovCertificate(g1=cert.g1.fn, g2=cert.g2.fn)
     reports = []
     for c, r in ((cert, reward), (scalar_cert, reward.fn)):
         prob = TruncationProblem(chain=chain, A=np.arange(2600), z=0, K=K, r=r)

@@ -73,6 +73,14 @@ def test_regenerative_expectation_two_state(two_state):
         pytest.approx(3.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_regenerative_expectation_rejects_bad_f_values(two_state, bad):
+    f = lambda x: bad if x == 1 else 1.0
+    with pytest.raises(ValueError,
+                       match=rf"f must be finite and non-negative, got f\(1\)={bad}"):
+        regenerative_expectation_exact(two_state["chain"], 2, 0, f)
+
+
 def test_kac_identity_random_chain():
     chain, _, pi = dirichlet_chain(77, 15)
     for z in (0, 7, 14):

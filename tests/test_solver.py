@@ -355,7 +355,7 @@ def _outcome(problem, certificate):
 @given(st.integers(0, 2**31 - 1), st.integers(3, 40),
        st.sampled_from(["prefix", "range", "holes"]), st.booleans(), st.data())
 def test_batch_and_scalar_forms_assemble_bit_identically(seed, n, shape, tight, data):
-    """Batch ``Reward``/``g_fn`` against the same functions as plain scalar
+    """Batch ``Reward`` forms against the same functions as plain scalar
     lambdas: every assembled array (with its dtype) and the report agree."""
     rng = np.random.default_rng(seed)
     P = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.6)
@@ -379,8 +379,9 @@ def test_batch_and_scalar_forms_assemble_bit_identically(seed, n, shape, tight, 
         cert = tight_certificate(chain, n, K, reward)
     else:
         cert = LyapunovCertificate(
-            g1=lambda x: 1.0 + float(x) * float(x), g2=lambda x: 2.0 + float(x),
-            g_fn=lambda xs: (1.0 + xs.astype(np.float64) ** 2, 2.0 + xs.astype(np.float64)))
+            g1=Reward(lambda x: 1.0 + float(x) * float(x),
+                      lambda xs: 1.0 + xs.astype(np.float64) ** 2),
+            g2=Reward(lambda x: 2.0 + float(x), lambda xs: 2.0 + xs.astype(np.float64)))
     scalar = LyapunovCertificate(g1=lambda x: cert.g1(x), g2=lambda x: cert.g2(x))
     batch_arrays, batch_report = _outcome(
         TruncationProblem(chain=chain, A=np.array(A), z=z, K=K, r=reward), cert)
@@ -402,9 +403,9 @@ def test_assembly_rejects_batch_forms_of_the_wrong_shape():
                                  K=[0], r=r)
     with pytest.raises(ValueError, match="batch_fn must return 9 values"):
         assemble_truncated_system(problem(Reward(float, lambda xs: xs[1:] * 1.0)), WALK_CERT)
-    wide = LyapunovCertificate(g1=WALK_CERT.g1, g2=WALK_CERT.g2,
-                               g_fn=lambda xs: (np.zeros(xs.size), np.zeros(xs.size + 1)))
-    with pytest.raises(AssemblyError, match="g_fn must return two arrays of 1 values"):
+    wide = LyapunovCertificate(g1=Reward(WALK_CERT.g1, lambda xs: np.zeros(xs.size + 1)),
+                               g2=WALK_CERT.g2)
+    with pytest.raises(AssemblyError, match="g1 batch_fn must return 1 values"):
         assemble_truncated_system(problem(float), wide)
 
 
@@ -427,9 +428,9 @@ def test_non_finite_rewards_and_drift_values_fail_assembly(batch, where, value, 
     g2 = _nan_at(100, value) if where == "g2" else WALK_CERT.g2
     cert = LyapunovCertificate(g1=g1, g2=g2)
     if batch:
-        r = Reward(r, lambda xs: np.array([r(x) for x in xs.tolist()]))
-        cert = LyapunovCertificate(g1=g1, g2=g2, g_fn=lambda xs: (
-            np.array([g1(x) for x in xs.tolist()]), np.array([g2(x) for x in xs.tolist()])))
+        def batch_form(f):
+            return Reward(f, lambda xs: np.array([f(x) for x in xs.tolist()]))
+        r, cert = batch_form(r), LyapunovCertificate(batch_form(g1), batch_form(g2))
     prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(100), z=0, K=[0], r=r)
     with pytest.raises(PipelineError, match="stage 'assemble' failed: .*" + fragment):
         run_pipeline(prob, cert)
