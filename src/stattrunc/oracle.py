@@ -195,7 +195,9 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
     estimator.  excursion_survival[i-1] estimates P_z(tau(z) > Gamma_i),
     where Gamma_i is the first K-entry after the i-th exit from A: the
     chance the cycle is still running when the i-th outside excursion has
-    come back.  Identical seeds reproduce identical results.
+    come back.  A and K shape only excursion_survival: the ratio and its
+    half-width are the same for every A.  Identical seeds reproduce
+    identical results.
 
     Stream contract: one PCG64 stream, seeded with ``seed``, is read as
     consecutive blocks of ``UNIFORM_BLOCK`` uniforms.  Cycle c starts at

@@ -257,6 +257,17 @@ def _scale(b: np.ndarray, x: np.ndarray) -> float:
     return max(1.0, bmax, xmax)
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x itself, checked before any residual is formed from it.
+
+    An overflowed iterate would otherwise reach ``_residual`` and make
+    numpy warn (inf - inf) before the solve is rejected.
+    """
+    if not np.all(np.isfinite(x)):
+        raise SolverError("non-finite intermediate in linear solve")
+    return x
+
+
 def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (system.size,):
@@ -269,7 +280,7 @@ def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
         return SolveResult(x=np.zeros(0), residual_norm=0.0, iterations=0)
     lu = _lu(system)
     trans = "T" if transpose else "N"
-    x = lu.solve(b, trans=trans)
+    x = _finite(lu.solve(b, trans=trans))
     residual = _residual(system, x, b, transpose)
     iterations = 0
     # iterative refinement toward the roundoff floor, not just the requested
@@ -284,12 +295,10 @@ def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
         if res <= floor * _scale(b, x) or res >= 0.9 * best:
             break
         best = res
-        x = x + lu.solve(residual, trans=trans)
+        x = _finite(x + lu.solve(residual, trans=trans))
         residual = _residual(system, x, b, transpose)
         iterations += 1
 
-    if not np.all(np.isfinite(x)):
-        raise SolverError("non-finite intermediate in linear solve")
     lo = x.min()
     if lo < 0.0:
         scale = max(1.0, float(np.abs(x).max()))

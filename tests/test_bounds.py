@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_delta_beyond_one_is_a_pipeline_error():
     prob = TruncationProblem(chain=gm1_chain(), A=A, z=1030, K=[0, 1030], r=float)
     with pytest.raises(PipelineError, match=r"delta=1\.00000000\d+ outside \[0, 1\]"):
         run_pipeline(prob, gm1_certificate())
+
+
+def test_overflowing_solve_is_a_pipeline_error_without_numpy_warnings():
+    """The walk with a hole at z + 1: the expected visits to 0 before
+    hitting z are ~2^1030, so the transpose solve overflows.  That must end
+    in a ``PipelineError`` before any residual is formed from inf."""
+    A = np.setdiff1d(np.arange(3000), [1031])
+    prob = TruncationProblem(chain=random_walk_chain(), A=A, z=1030, K=[0, 1030],
+                             r=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PipelineError, match="non-finite intermediate"):
+            run_pipeline(prob, random_walk_certificate())
 
 
 def test_direct_escape_from_z_enters_upper_bound():

@@ -230,3 +230,65 @@ def test_validated_sweep_builds_one_certificate(tmp_path, monkeypatch):
     assert [r["status"] for r in rows] == ["ok"] * 4
     assert all(r["oracle_pass"] is True for r in rows)
     assert [[r[k] for k in keys] for r in rows] == [[r[k] for k in keys] for r in reference]
+
+
+def count_simulations(monkeypatch):
+    import stattrunc.cli as cli_module
+    calls = []
+    simulate = cli_module.simulate_cycles
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "simulate_cycles", counted)
+    return calls
+
+
+def drift_sweep(tmp_path, **overrides):
+    raw = {"model": f"file:{write_drift_chain(tmp_path)}", "z": 0, "K_max": 5,
+           "a_values": [20, 30, 45, 60], "r_spec": "identity",
+           "oracle": {"n_cycles": 500, "seed": 3}}
+    return parse_config(dict(raw, **overrides))
+
+
+def test_validated_sweep_simulates_once(tmp_path, monkeypatch):
+    calls = count_simulations(monkeypatch)
+    rows = run_experiment(drift_sweep(tmp_path), validate=True, log=io.StringIO())
+    assert len(calls) == 1
+    assert calls[0][-1] == 3  # the configured seed, whatever a is
+    assert all(r["oracle_pass"] is True for r in rows)
+    assert len({(r["oracle_ratio"], r["oracle_half_width"]) for r in rows}) == 1
+
+
+def test_sweep_without_a_validated_row_simulates_nothing(tmp_path, monkeypatch):
+    from stattrunc.cli import VALIDATE_MAX_A
+    calls = count_simulations(monkeypatch)
+    too_large = parse_config({"model": "random_walk", "z": 0, "K_max": 5,
+                              "a_values": [VALIDATE_MAX_A + 1, VALIDATE_MAX_A + 50],
+                              "r_spec": "half"})
+    rows = run_experiment(too_large, validate=True, log=io.StringIO())
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    degenerate = parse_config({"model": f"file:{write_cycle_chain(tmp_path)}", "z": 0,
+                               "K_max": 1, "a_values": [2]})
+    rows += run_experiment(degenerate, validate=True, log=io.StringIO())
+    assert rows[2]["status"] == "degenerate_delta"
+    assert calls == []
+    assert all(r["oracle_ratio"] != r["oracle_ratio"] for r in rows)  # NaN
+
+
+def test_each_row_checks_the_shared_estimate_against_its_own_interval(
+        tmp_path, monkeypatch):
+    import stattrunc.cli as cli_module
+    from stattrunc.oracle import CycleStats
+    cfg = drift_sweep(tmp_path, a_values=[20, 60])
+    wide, narrow = run_experiment(cfg, log=io.StringIO())
+    # an estimate inside the a = 20 interval but above the a = 60 one
+    ratio = 0.5 * (wide["upper"] + narrow["upper"])
+    assert narrow["upper"] < ratio < wide["upper"]
+    stats = CycleStats(n_cycles=500, mean_reward=ratio, mean_length=1.0, ratio=ratio,
+                       half_width=0.0, excursion_survival=(), seed=3)
+    monkeypatch.setattr(cli_module, "simulate_cycles", lambda *args: stats)
+    rows = run_experiment(cfg, validate=True, log=io.StringIO())
+    assert [r["oracle_pass"] for r in rows] == [True, False]
+    assert [r["oracle_ratio"] for r in rows] == [ratio, ratio]
