@@ -234,8 +234,7 @@ def verify_lyapunov_drift(problem: TruncationProblem,
     """
     chain, A, K = problem.chain, problem.A, problem.K
     if check_window is None:
-        fringe = np.fromiter(one_step_fringe(chain, A), dtype=np.int64)
-        states = np.union1d(A, fringe)
+        states = np.union1d(A, one_step_fringe(chain, A))
     else:
         states = as_state_array(check_window)
     report = DriftReport()

@@ -1,7 +1,7 @@
 """Sparse Markov chain abstraction over integer-encoded state spaces.
 
 States are non-negative integers; a chain is anything that can produce the
-sparse transition row of a given state on demand.  Rows must have finite
+sparse transition rows of given states on demand.  Rows must have finite
 support, which keeps exit masses and tail sums exactly computable.
 """
 
@@ -76,21 +76,26 @@ class SparseRow:
 RowBatch = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ChainModel:
     """A Markov chain given by on-demand sparse row access.
 
-    ``row_fn`` must be deterministic: repeated calls for the same state
-    return identical rows.  ``n_states`` is set for finite chains and left
-    ``None`` for countably infinite ones.  ``rows_fn``, when given, returns
-    the rows of a whole int64 state array at once in CSR form (see
-    :meth:`rows`) and must agree entry for entry with ``row_fn``.
+    ``rows_fn`` is the contract: it returns the rows of a whole int64
+    state array at once in CSR form (see :meth:`rows`).  A user chain
+    may give the per-state form ``row_fn(x) -> SparseRow`` instead, and
+    ``rows`` then stacks it.  Either must be deterministic: repeated
+    calls for the same state return identical rows.  ``n_states`` is set
+    for finite chains and left ``None`` for countably infinite ones.
     """
 
-    row_fn: Callable[[StateIndex], SparseRow]
+    row_fn: Callable[[StateIndex], SparseRow] | None = None
     description: str
     n_states: int | None = None
     rows_fn: Callable[[np.ndarray], RowBatch] | None = None
+
+    def __post_init__(self):
+        if self.rows_fn is None and self.row_fn is None:
+            raise ValueError(f"chain {self.description!r} needs rows_fn or row_fn")
 
     def _check_states(self, lo: int, hi: int) -> None:
         if lo < 0:
@@ -100,15 +105,16 @@ class ChainModel:
                 f"state {hi} out of range for finite chain with {self.n_states} states")
 
     def row(self, x: StateIndex) -> SparseRow:
-        self._check_states(x, x)
-        return self.row_fn(x)
+        """Row of the one state ``x``: a view of ``rows([x])``."""
+        _, targets, probs = self.rows([x])
+        return SparseRow(targets, probs)
 
     def rows(self, xs) -> RowBatch:
         """Rows of the states ``xs`` as ``(indptr, targets, probs)``.
 
         Row i of the batch is ``targets[indptr[i]:indptr[i+1]]`` with
-        ``probs`` alongside, exactly the entries of ``row(xs[i])``.  Uses
-        ``rows_fn`` when the chain has one, else stacks ``row_fn``.
+        ``probs`` alongside.  Uses ``rows_fn`` when the chain has one,
+        else stacks ``row_fn``.
         """
         xs = np.asarray(xs, dtype=np.int64).reshape(-1)
         if xs.size:
@@ -150,15 +156,9 @@ def csr_chain(indptr: np.ndarray, targets: np.ndarray, probs: np.ndarray,
               description: str) -> ChainModel:
     """Finite chain whose rows are stored once as CSR arrays.
 
-    ``row`` slices the arrays and ``rows`` gathers from them, so both give
-    the stored entries unchanged.
+    ``rows`` gathers from the arrays, so it gives the stored entries
+    unchanged.
     """
-    n = indptr.size - 1
-
-    def row_fn(x: StateIndex) -> SparseRow:
-        lo, hi = indptr[x], indptr[x + 1]
-        return SparseRow(targets[lo:hi], probs[lo:hi])
-
     def rows_fn(xs: np.ndarray) -> RowBatch:
         starts = indptr[xs]
         counts = indptr[xs + 1] - starts
@@ -167,8 +167,7 @@ def csr_chain(indptr: np.ndarray, targets: np.ndarray, probs: np.ndarray,
         src = np.repeat(starts - out[:-1], counts) + np.arange(out[-1])
         return out, targets[src], probs[src]
 
-    return ChainModel(row_fn=row_fn, description=description, n_states=n,
-                      rows_fn=rows_fn)
+    return ChainModel(description=description, n_states=indptr.size - 1, rows_fn=rows_fn)
 
 
 def matrix_chain(P: np.ndarray, description: str = "dense matrix chain") -> ChainModel:
@@ -224,41 +223,36 @@ def as_state_array(states: Iterable[StateIndex]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Reward:
-    """A function of states, r(x) or a drift function g_i(x), with an
-    optional batch form.
+    """A function of states, r(x) or a drift function g_i(x), in array form.
 
-    ``fn`` maps one state to its value.  ``batch_fn``, when given, maps an
-    int64 state array to the float64 values at all of them at once and
-    must agree bit for bit with ``fn`` (the way ``ChainModel.rows_fn``
-    extends ``row_fn``).  A ``Reward`` is called like ``fn``, so code that
-    evaluates one state at a time takes it unchanged; ``reward_values``
-    evaluates many.
+    ``batch_fn`` maps an int64 state array to the float64 values at all
+    of them at once.  Calling a ``Reward`` on one state evaluates a
+    one-state batch, so code that reads one state at a time takes it
+    unchanged; ``reward_values`` evaluates many, checked.
     """
 
-    fn: RewardFn
-    batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    batch_fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x: StateIndex) -> float:
-        return self.fn(x)
+        return float(self.batch_fn(np.array([x], dtype=np.int64))[0])
 
 
-def reward_values(r: RewardFn, xs, name: str = "r") -> np.ndarray:
+def reward_values(r: RewardFn | Reward, xs, name: str = "r") -> np.ndarray:
     """Values of the state function ``r`` at the states ``xs``, as float64.
 
-    Uses the batch form of a ``Reward`` that has one and otherwise calls
-    ``r`` once per state, so any callable works.  Every value must be
-    finite and non-negative; the first state whose value is not is named
-    in the ``ValueError``, as ``name(x)=value``.
+    A ``Reward`` is evaluated on the whole array; any other callable is
+    called once per state.  Every value must be finite and non-negative;
+    the first state whose value is not is named in the ``ValueError``, as
+    ``name(x)=value``.
     """
     xs = np.asarray(xs, dtype=np.int64).reshape(-1)
-    batch_fn = r.batch_fn if isinstance(r, Reward) else None
-    if batch_fn is None:
-        vals = np.array([float(r(x)) for x in xs.tolist()], dtype=np.float64)
-    else:
-        vals = np.asarray(batch_fn(xs), dtype=np.float64)
+    if isinstance(r, Reward):
+        vals = np.asarray(r.batch_fn(xs), dtype=np.float64)
         if vals.shape != xs.shape:
             raise ValueError(f"{name} batch_fn must return {xs.size} values, "
                              f"got shape {vals.shape}")
+    else:
+        vals = np.array([float(r(x)) for x in xs.tolist()], dtype=np.float64)
     bad = ~(np.isfinite(vals) & (vals >= 0.0))
     if bad.any():
         i = int(np.argmax(bad))
@@ -334,10 +328,13 @@ def validate_rows(chain: ChainModel, states: Iterable[StateIndex],
     return report
 
 
-def one_step_fringe(chain: ChainModel, A: Iterable[StateIndex]) -> set[int]:
-    """States outside A reachable from A in one step with positive probability."""
+def one_step_fringe(chain: ChainModel, A: Iterable[StateIndex]) -> np.ndarray:
+    """States outside A reachable from A in one step with positive probability.
+
+    Returned as a sorted int64 array.
+    """
     A_arr = as_state_array(A)
-    fringe: set[int] = set()
+    found = [np.zeros(0, dtype=np.int64)]
     for _, _, _, targets, _ in chain.row_chunks(A_arr):
-        fringe.update(np.unique(targets[~member_mask(targets, A_arr)]).tolist())
-    return fringe
+        found.append(np.unique(targets[~member_mask(targets, A_arr)]))
+    return np.unique(np.concatenate(found))

@@ -209,9 +209,9 @@ def load_config(path: str) -> ExperimentConfig:
 def load_reward_table(path: str) -> Reward:
     """Reward table file: one 'state value' pair per line, default 0.
 
-    '#' starts a comment.  Values must be finite and non-negative.  The
-    batch form looks states up in the sorted table (a range test and an
-    offset when the table's states are a range).
+    '#' starts a comment.  Values must be finite and non-negative.  States
+    are looked up in the sorted table (a range test and an offset when the
+    table's states are a range).
     """
     table: dict[int, float] = {}
     try:
@@ -245,7 +245,7 @@ def load_reward_table(path: str) -> Reward:
         out[hit] = values[np.searchsorted(states, xs[hit])]
         return out
 
-    return Reward(lambda x: table.get(int(x), 0.0), batch_fn)
+    return Reward(batch_fn)
 
 
 def build_chain(config: ExperimentConfig) -> ChainModel:
@@ -260,11 +260,11 @@ def build_chain(config: ExperimentConfig) -> ChainModel:
 
 
 def build_reward(config: ExperimentConfig) -> Reward:
-    """The config's reward, with a batch form equal to it bit for bit."""
+    """The config's reward."""
     if config.r_spec == "identity":
-        return Reward(lambda x: float(x), lambda xs: xs.astype(np.float64))
+        return Reward(lambda xs: xs.astype(np.float64))
     if config.r_spec == "half":
-        return Reward(lambda x: float(x) / 2.0, lambda xs: xs.astype(np.float64) / 2.0)
+        return Reward(lambda xs: xs.astype(np.float64) / 2.0)
     return load_reward_table(config.r_spec[5:])
 
 

@@ -31,8 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .chain import (ChainModel, Reward, RewardFn, RowBatch, SparseRow, StateIndex,
-                    csr_chain)
+from .chain import ChainModel, Reward, RewardFn, RowBatch, csr_chain
 
 #: row-sum tolerance applied when loading chain files
 FILE_ROW_SUM_TOL = 1e-9
@@ -64,10 +63,9 @@ class LyapunovCertificate:
 
     ``g1`` controls reward accumulated on excursions outside K, ``g2``
     excursion length.  Each is a function of states like the reward: a
-    plain callable or a ``Reward`` with a batch form, evaluated through
-    ``reward_values``.  The exit bounds h_i(x) = sum_{y not in A} P(x, y)
-    g_i(y) are computed exactly from the finite-support rows during
-    system assembly.
+    plain callable or a ``Reward``, evaluated through ``reward_values``.
+    The exit bounds h_i(x) = sum_{y not in A} P(x, y) g_i(y) are computed
+    exactly from the finite-support rows during system assembly.
     """
 
     g1: RewardFn | Reward
@@ -113,34 +111,13 @@ def gm1_beta_coeffs(params: Gm1Params) -> np.ndarray:
     return betas
 
 
-def gm1_row(x: StateIndex, params: Gm1Params = Gm1Params()) -> SparseRow:
-    """Transition row of the embedded G/M/1 chain at state x.
-
-    P(x, y) = beta_{x+1-y} for 1 <= y <= x+1; the balance P(x, 0) is the
-    coefficient tail sum_{i > x} beta_i, accumulated directly (never as
-    1 - partial sum) so it is non-negative by construction.
-    """
-    if x < 0:
-        raise ValueError("state must be non-negative")
-    betas, tail = _beta_table(params.c)
-    kmax = min(x, betas.size - 1)
-    # y runs from x+1-kmax up to x+1; coefficient index k = x+1-y
-    ys = np.arange(x + 1 - kmax, x + 2, dtype=np.int64)
-    ps = betas[x + 1 - ys]
-    p0 = tail[x + 1] if x + 1 < tail.size else 0.0
-    if p0 > 0.0:
-        ys = np.concatenate(([0], ys))
-        ps = np.concatenate(([p0], ps))
-    keep = ps > 0.0
-    return SparseRow(ys[keep], ps[keep])
-
-
 def gm1_rows(xs: np.ndarray, params: Gm1Params = Gm1Params()) -> RowBatch:
     """Rows of the embedded G/M/1 chain at the states ``xs``, in CSR form.
 
-    Each row is the one ``gm1_row`` builds: the tail ``tail[x+1]`` at
-    y = 0 first (when positive), then the Toeplitz band beta_{x+1-y} for
-    y = x+1-kmax, ..., x+1.
+    Row x holds the coefficient tail ``tail[x+1]`` = sum_{i > x} beta_i
+    at y = 0 first (when positive; accumulated directly, never as 1 -
+    partial sum, so it is non-negative by construction), then the
+    Toeplitz band beta_{x+1-y} for y = x+1-kmax, ..., x+1.
     """
     betas, tail = _beta_table(params.c)
     kmax = np.minimum(xs, betas.size - 1)
@@ -171,9 +148,7 @@ def gm1_rows(xs: np.ndarray, params: Gm1Params = Gm1Params()) -> RowBatch:
 def gm1_chain(params: Gm1Params = Gm1Params()) -> ChainModel:
     """The embedded G/M/1 chain on {0, 1, 2, ...}."""
     return ChainModel(
-        row_fn=lambda x: gm1_row(x, params),
         description=f"G/M/1 embedded chain, uniform interarrival on (0, {params.c})",
-        n_states=None,
         rows_fn=lambda xs: gm1_rows(xs, params),
     )
 
@@ -189,26 +164,17 @@ def gm1_certificate() -> LyapunovCertificate:
     g1(x) = 300 x^2 and g2(x) = 300 x.  On A = {0..a} only x = a escapes
     in one step (to a+1, mass beta_0), so the exact exit bounds are
     300 * beta_0 * (a+1)^(3-i) at x = a and zero elsewhere: the magnitudes
-    reported for the published sweep.  The batch form evaluates the same
-    float operations elementwise.
+    reported for the published sweep.
     """
-    return LyapunovCertificate(
-        g1=Reward(lambda x: 300.0 * (float(x) * float(x)),
-                  lambda xs: 300.0 * _squares(xs)),
-        g2=Reward(lambda x: 300.0 * float(x), lambda xs: 300.0 * xs.astype(np.float64)))
-
-
-def random_walk_row(x: StateIndex) -> SparseRow:
-    """Row of the reflected random walk: up 1/3, down 2/3, reflect at 0."""
-    if x < 0:
-        raise ValueError("state must be non-negative")
-    if x == 0:
-        return SparseRow(np.array([1]), np.array([1.0]))
-    return SparseRow(np.array([x - 1, x + 1]), np.array([2.0 / 3.0, 1.0 / 3.0]))
+    return LyapunovCertificate(g1=Reward(lambda xs: 300.0 * _squares(xs)),
+                               g2=Reward(lambda xs: 300.0 * xs.astype(np.float64)))
 
 
 def random_walk_rows(xs: np.ndarray) -> RowBatch:
-    """Rows of the reflected random walk at the states ``xs``, in CSR form."""
+    """Rows of the reflected random walk at the states ``xs``, in CSR form.
+
+    Up 1/3 and down 2/3; state 0 moves to 1 with probability one.
+    """
     at0 = xs == 0
     targets = np.stack([xs - 1, xs + 1], axis=1)
     probs = np.tile([2.0 / 3.0, 1.0 / 3.0], (xs.size, 1))
@@ -222,12 +188,8 @@ def random_walk_rows(xs: np.ndarray) -> RowBatch:
 
 def random_walk_chain() -> ChainModel:
     """Reflected random walk on {0, 1, 2, ...} with downward drift."""
-    return ChainModel(
-        row_fn=random_walk_row,
-        description="reflected random walk, up 1/3 / down 2/3",
-        n_states=None,
-        rows_fn=random_walk_rows,
-    )
+    return ChainModel(description="reflected random walk, up 1/3 / down 2/3",
+                      rows_fn=random_walk_rows)
 
 
 def random_walk_certificate() -> LyapunovCertificate:
@@ -235,10 +197,9 @@ def random_walk_certificate() -> LyapunovCertificate:
 
     On A = {0..a} only x = a escapes in one step (to a+1 with probability
     1/3), so the exact exit bounds are (a+1)^2 / 3 at x = a and zero
-    elsewhere.  The batch form evaluates the same float operations
-    elementwise.
+    elsewhere.
     """
-    g = Reward(lambda x: float(x) * float(x), _squares)
+    g = Reward(_squares)
     return LyapunovCertificate(g1=g, g2=g)
 
 

@@ -160,8 +160,7 @@ def tight_certificate(chain: ChainModel, n: int,
                               "unreachable from part of the chain")
         g1[idx] = np.maximum(u1, 0.0)
         g2[idx] = np.maximum(u2, 0.0)
-    return LyapunovCertificate(g1=Reward(lambda x: float(g1[x]), g1.__getitem__),
-                               g2=Reward(lambda x: float(g2[x]), g2.__getitem__))
+    return LyapunovCertificate(g1=Reward(g1.__getitem__), g2=Reward(g2.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,9 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
     chance the cycle is still running when the i-th outside excursion has
     come back.  A and K shape only excursion_survival: the ratio and its
     half-width are the same for every A.  Identical seeds reproduce
-    identical results.
+    identical results.  Each visited state's row and reward are read
+    once, as one-state batches; a reward that is not finite and
+    non-negative there raises the ``ValueError`` of ``reward_values``.
 
     Stream contract: one PCG64 stream, seeded with ``seed``, is read as
     consecutive blocks of ``UNIFORM_BLOCK`` uniforms.  Cycle c starts at
@@ -222,7 +223,7 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
     def visit(x: int) -> tuple[list, list, int, float]:
         row = chain.row(x)
         entry = (row.targets.tolist(), np.cumsum(row.probs).tolist(),
-                 row.targets.size - 1, float(r(x)))
+                 row.targets.size - 1, float(reward_values(r, [x])[0]))
         visited[x] = entry
         return entry
 

@@ -22,7 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain import TruncationProblem, is_contiguous, member_mask, reward_values
+from .chain import (TruncationProblem, as_state_array, is_contiguous, member_mask,
+                    reward_values)
 from .models import LyapunovCertificate
 
 DEFAULT_TOL = 1e-12
@@ -85,12 +86,10 @@ class TruncatedSystem:
 
     def positions(self, states: Iterable[int]) -> np.ndarray:
         """Positions in A' of the given states (which must all lie in A')."""
-        arr = np.asarray(sorted(set(int(s) for s in states)), dtype=np.int64)
-        if arr.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if not member_mask(arr, self.Aprime).all():
-            missing = arr[~member_mask(arr, self.Aprime)]
-            raise KeyError(f"states not in A': {missing.tolist()}")
+        arr = as_state_array(states)
+        missing = ~member_mask(arr, self.Aprime)
+        if missing.any():
+            raise KeyError(f"states not in A': {arr[missing].tolist()}")
         return np.searchsorted(self.Aprime, arr)
 
 

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from stattrunc import exact_stationary_finite, matrix_chain
+from stattrunc import SparseRow, exact_stationary_finite, matrix_chain
 from stattrunc.chain import reward_values
+from stattrunc.models import _beta_table
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -40,6 +41,49 @@ def expected_g(certificate, targets: np.ndarray, probs: np.ndarray) -> tuple[flo
         acc1 += pr * g1y
         acc2 += pr * g2y
     return acc1, acc2
+
+
+def gm1_row_reference(x: int, c: float = 2.01) -> SparseRow:
+    """Per-state reference for the G/M/1 rows: one row from the beta table.
+
+    P(x, y) = beta_{x+1-y} for 1 <= y <= x+1, and P(x, 0) is the tail
+    sum_{i > x} beta_i, listed first when positive.  Zero entries dropped.
+    """
+    betas, tail = _beta_table(c)
+    kmax = min(x, betas.size - 1)
+    ys = np.arange(x + 1 - kmax, x + 2, dtype=np.int64)
+    ps = betas[x + 1 - ys]
+    p0 = tail[x + 1] if x + 1 < tail.size else 0.0
+    if p0 > 0.0:
+        ys = np.concatenate(([0], ys))
+        ps = np.concatenate(([p0], ps))
+    keep = ps > 0.0
+    return SparseRow(ys[keep], ps[keep])
+
+
+def walk_row_reference(x: int) -> SparseRow:
+    """Per-state reference for the reflected walk: up 1/3, down 2/3, 0 -> 1."""
+    if x == 0:
+        return SparseRow(np.array([1]), np.array([1.0]))
+    return SparseRow(np.array([x - 1, x + 1]), np.array([2.0 / 3.0, 1.0 / 3.0]))
+
+
+def stacked_rows(row_of, xs):
+    """CSR form ``(indptr, targets, probs)`` of ``row_of(x)`` for each x in xs."""
+    rows = [row_of(int(x)) for x in xs]
+    indptr = np.concatenate(([0], np.cumsum([r.targets.size for r in rows], dtype=np.int64)))
+    return (indptr, np.concatenate([r.targets for r in rows] + [np.zeros(0, np.int64)]),
+            np.concatenate([r.probs for r in rows] + [np.zeros(0)]))
+
+
+#: per-state formulas of the built-in drift functions (g1, g2), by model
+CERT_REFERENCES = {
+    "gm1": (lambda x: 300.0 * (float(x) * float(x)), lambda x: 300.0 * float(x)),
+    "walk": (lambda x: float(x) * float(x), lambda x: float(x) * float(x)),
+}
+
+#: per-state formulas of the config rewards ``identity`` and ``half``
+REWARD_REFERENCES = {"identity": lambda x: float(x), "half": lambda x: float(x) / 2.0}
 
 
 def dirichlet_chain(seed: int, n: int, conc: float = 1.0):

@@ -25,10 +25,11 @@ from stattrunc import (
     random_walk_certificate,
     random_walk_chain,
     run_pipeline,
+    simulate_cycles,
     tight_certificate,
     verify_lyapunov_drift,
 )
-from conftest import dirichlet_chain
+from conftest import dirichlet_chain, gm1_row_reference, walk_row_reference
 
 ZERO_CERT = LyapunovCertificate(g1=lambda x: 0.0, g2=lambda x: 0.0)
 
@@ -256,23 +257,44 @@ def test_sandwich_on_random_chains(seed):
     assert rep.error_bound >= abs(pir - rep.pi_tilde_r) - 1e-12
 
 
+def _builtin(model):
+    return ((random_walk_chain(), random_walk_certificate()) if model == "walk"
+            else (gm1_chain(), gm1_certificate()))
+
+
+def _chain_outputs(chain, cert):
+    """Report, drift audit and fringe of one fixed problem on ``chain``."""
+    # z inside K and away from 0; its own row escapes A through the hole at z + 1
+    A = np.setdiff1d(np.arange(400), [26])
+    prob = TruncationProblem(chain=chain, A=A, z=25, K=np.arange(26), r=lambda x: x / 2.0)
+    return (run_pipeline(prob, cert), verify_lyapunov_drift(prob, cert),
+            one_step_fringe(chain, A).tolist())
+
+
 @pytest.mark.parametrize("model", ["walk", "gm1"])
 def test_pipeline_reads_rows_only_through_rows_fn(model):
     """A chain whose per-state ``row_fn`` raises gives the built-in chain's
     report, drift audit and fringe: every row is read through ``rows``."""
-    chain, cert = ((random_walk_chain(), random_walk_certificate()) if model == "walk"
-                   else (gm1_chain(), gm1_certificate()))
+    chain, cert = _builtin(model)
 
     def no_row(x):
         raise AssertionError(f"row({x}) read one state at a time")
 
     rows_only = ChainModel(row_fn=no_row, description="rows_fn only", rows_fn=chain.rows_fn)
-    # z inside K and away from 0; its own row escapes A through the hole at z + 1
-    A = np.setdiff1d(np.arange(400), [26])
-    results = []
-    for each in (chain, rows_only):
-        prob = TruncationProblem(chain=each, A=A, z=25, K=np.arange(26), r=lambda x: x / 2.0)
-        results.append((run_pipeline(prob, cert), verify_lyapunov_drift(prob, cert),
-                        one_step_fringe(each, A)))
+    results = [_chain_outputs(each, cert) for each in (chain, rows_only)]
     assert results[0] == results[1]
     assert results[0][0].Delta1 > 0 and 26 in results[0][2]
+
+
+@pytest.mark.parametrize("model", ["walk", "gm1"])
+def test_user_chain_with_only_row_fn_gives_identical_reports(model):
+    """A user chain given only the per-state ``row_fn`` (the built-in rows,
+    one state at a time) gives the built-in chain's report, drift audit,
+    fringe and simulation bit for bit."""
+    chain, cert = _builtin(model)
+    user = ChainModel(row_fn=walk_row_reference if model == "walk" else gm1_row_reference,
+                      description="per-state rows")
+    assert _chain_outputs(user, cert) == _chain_outputs(chain, cert)
+    sims = [simulate_cycles(each, 0, range(26), range(400), lambda x: x / 2.0, 300, seed=3)
+            for each in (chain, user)]
+    assert sims[0] == sims[1]

@@ -17,6 +17,8 @@ from stattrunc import (
 from stattrunc.chain import ROW_CHUNK, Reward, as_state_array, member_mask, reward_values
 from stattrunc.models import _beta_table
 
+from conftest import gm1_row_reference, stacked_rows, walk_row_reference
+
 
 def test_sparse_row_round_trip():
     row = SparseRow.from_pairs([(0, 0.25), (3, 0.75)])
@@ -142,17 +144,17 @@ def test_as_state_array_edge_inputs():
 
 def test_reward_values_batch_and_scalar_paths():
     xs = np.array([0, 3, 7])
-    half = Reward(lambda x: x / 2.0, lambda xs: xs / 2.0)
+    half = Reward(lambda xs: xs / 2.0)
     assert half(3) == 1.5
     assert reward_values(half, xs).tolist() == [0.0, 1.5, 3.5]
-    assert reward_values(half.fn, xs).tolist() == [0.0, 1.5, 3.5]
-    assert reward_values(Reward(lambda x: 1.0), xs).tolist() == [1.0, 1.0, 1.0]
+    assert reward_values(lambda x: x / 2.0, xs).tolist() == [0.0, 1.5, 3.5]
+    assert reward_values(lambda x: 1.0, xs).tolist() == [1.0, 1.0, 1.0]
     assert reward_values(half, []).shape == (0,)
 
 
 @pytest.mark.parametrize("batch_out", [np.zeros(2), np.zeros((3, 1)), np.float64(1.0)])
 def test_reward_batch_of_wrong_shape_is_rejected(batch_out):
-    r = Reward(lambda x: 1.0, lambda xs: batch_out)
+    r = Reward(lambda xs: batch_out)
     with pytest.raises(ValueError, match="batch_fn must return 3 values"):
         reward_values(r, np.array([0, 1, 2]))
 
@@ -162,7 +164,7 @@ def test_reward_batch_of_wrong_shape_is_rejected(batch_out):
 def test_reward_values_name_the_first_bad_state(bad, batch):
     def scalar(x):
         return bad if x in (5, 8) else 1.0
-    r = Reward(scalar, lambda xs: np.where((xs == 5) | (xs == 8), bad, 1.0)) if batch else scalar
+    r = Reward(lambda xs: np.where((xs == 5) | (xs == 8), bad, 1.0)) if batch else scalar
     with pytest.raises(ValueError, match=rf"finite and non-negative, got r\(5\)={bad}"):
         reward_values(r, np.arange(10))
     prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(10), z=0, K=[0], r=r)
@@ -203,11 +205,12 @@ def test_validate_rows_clean(two_state):
 
 def test_one_step_fringe_walk():
     walk = random_walk_chain()
-    assert one_step_fringe(walk, range(10)) == {10}
+    assert one_step_fringe(walk, range(10)).tolist() == [10]
 
 
 def test_one_step_fringe_full_chain_empty(uniform4):
-    assert one_step_fringe(uniform4["chain"], range(4)) == set()
+    fringe = one_step_fringe(uniform4["chain"], range(4))
+    assert fringe.dtype == np.int64 and fringe.size == 0
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 12))
@@ -218,19 +221,12 @@ def test_random_rows_validate(seed, n):
     assert report.passed
 
 
-def stacked_rows(chain, xs):
-    """Reference for ``chain.rows``: one ``chain.row`` call per state."""
-    rows = [chain.row(int(x)) for x in xs]
-    indptr = np.concatenate(([0], np.cumsum([r.targets.size for r in rows], dtype=np.int64)))
-    return (indptr, np.concatenate([r.targets for r in rows] + [np.zeros(0, np.int64)]),
-            np.concatenate([r.probs for r in rows] + [np.zeros(0)]))
-
-
-def assert_rows_match_row(chain, xs):
+def assert_rows_match_row(chain, row_of, xs):
+    """``chain.rows(xs)`` against the per-state reference ``row_of``, stacked."""
     got = chain.rows(np.asarray(xs, dtype=np.int64))
-    for g, want in zip(got, stacked_rows(chain, xs)):
+    for g, one, want in zip(got, stacked_rows(chain.row, xs), stacked_rows(row_of, xs)):
         assert g.dtype == want.dtype
-        assert np.array_equal(g, want)
+        assert np.array_equal(g, want) and np.array_equal(one, want)
 
 
 def gm1_cut(c):
@@ -246,12 +242,13 @@ def test_gm1_rows_match_row(c, data):
     assert chain.row(cut).targets[0] > 0 and chain.row(cut - 1).targets[0] == 0
     near = st.one_of(st.just(0), st.integers(0, 5), st.integers(cut - 3, cut + 3),
                      st.integers(0, 3 * cut))
-    assert_rows_match_row(chain, data.draw(st.lists(near, max_size=25)))
+    assert_rows_match_row(chain, lambda x: gm1_row_reference(x, c),
+                          data.draw(st.lists(near, max_size=25)))
 
 
 @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**6)), max_size=25))
 def test_random_walk_rows_match_row(xs):
-    assert_rows_match_row(random_walk_chain(), xs)
+    assert_rows_match_row(random_walk_chain(), walk_row_reference, xs)
 
 
 @pytest.fixture(scope="module")
@@ -260,17 +257,22 @@ def file_chain(tmp_path_factory):
     n = 40
     path = tmp_path_factory.mktemp("chains") / "chain.txt"
     lines = [f"states {n}"]
+    rows = {}
     for x in rng.permutation(n):  # rows listed out of order
         targets = rng.choice(n, size=rng.integers(1, 6), replace=False)
-        for t, p in zip(targets, rng.dirichlet(np.ones(targets.size))):
+        probs = rng.dirichlet(np.ones(targets.size))
+        for t, p in zip(targets, probs):
             lines.append(f"{x} {t} {float(p)!r}")
+        order = np.argsort(targets)
+        rows[int(x)] = SparseRow(targets[order], probs[order])
     path.write_text("\n".join(lines) + "\n")
-    return load_chain_from_file(str(path))
+    return load_chain_from_file(str(path)), rows
 
 
 @given(st.lists(st.integers(0, 39), max_size=60))
 def test_file_chain_rows_match_row(file_chain, xs):
-    assert_rows_match_row(file_chain, xs)
+    chain, rows = file_chain
+    assert_rows_match_row(chain, rows.__getitem__, xs)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.data())
@@ -278,13 +280,15 @@ def test_matrix_chain_rows_match_row(seed, n, data):
     rng = np.random.default_rng(seed)
     P = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < 0.5)
     P[np.arange(n), rng.integers(0, n, size=n)] += 0.5  # no empty row
-    chain = matrix_chain(P / P.sum(axis=1, keepdims=True))
-    assert_rows_match_row(chain, data.draw(st.lists(st.integers(0, n - 1), max_size=30)))
+    P /= P.sum(axis=1, keepdims=True)
+    chain = matrix_chain(P)
+    assert_rows_match_row(chain, lambda x: SparseRow(np.flatnonzero(P[x]), P[x][P[x] != 0]),
+                          data.draw(st.lists(st.integers(0, n - 1), max_size=30)))
 
 
 def test_rows_fallback_stacks_row_fn():
     walk = random_walk_chain()
-    plain = ChainModel(row_fn=walk.row_fn, description="walk without rows_fn")
+    plain = ChainModel(row_fn=walk_row_reference, description="walk without rows_fn")
     xs = [0, 5, 0, 9]
     for g, want in zip(plain.rows(xs), walk.rows(xs)):
         assert np.array_equal(g, want)
@@ -298,16 +302,18 @@ def test_rows_index_guards_and_shape_check():
         chain.rows([0, -1])
     with pytest.raises(ValueError, match="out of range"):
         chain.rows([1, 3])
-    short = ChainModel(row_fn=chain.row_fn, description="bad batch",
+    short = ChainModel(description="bad batch",
                        rows_fn=lambda xs: (np.array([0, 1]), np.array([0]), np.array([1.0])))
     with pytest.raises(ValueError, match="CSR"):
         short.rows([0, 1])
+    with pytest.raises(ValueError, match="needs rows_fn or row_fn"):
+        ChainModel(description="no rows")
 
 
 def test_one_step_fringe_spans_row_chunks():
     walk = random_walk_chain()
     A = [x for x in range(3 * ROW_CHUNK) if x % 500 != 7]
-    holes = {x for x in range(3 * ROW_CHUNK) if x % 500 == 7}
-    assert one_step_fringe(walk, A) == holes | {3 * ROW_CHUNK}
+    holes = [x for x in range(3 * ROW_CHUNK) if x % 500 == 7]
+    assert one_step_fringe(walk, A).tolist() == holes + [3 * ROW_CHUNK]
     gm1 = gm1_chain()
-    assert one_step_fringe(gm1, range(50)) == {50}
+    assert one_step_fringe(gm1, range(50)).tolist() == [50]

@@ -3,6 +3,7 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from stattrunc.cli import COLUMNS, ORACLE_COLUMNS, emit, main, run_experiment
@@ -71,7 +72,7 @@ def test_non_finite_reward_row_is_a_numerical_error(monkeypatch, value):
     import stattrunc.cli as cli_module
     from stattrunc import Reward
     monkeypatch.setattr(cli_module, "build_reward", lambda cfg: Reward(
-        lambda x: value if x == 5 else x / 2.0))
+        lambda xs: np.where(xs == 5, value, xs / 2.0)))
     cfg = parse_config({"model": "random_walk", "z": 0, "K_max": 0,
                         "a_values": [4, 100], "r_spec": "half"})
     log = io.StringIO()

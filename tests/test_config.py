@@ -13,6 +13,8 @@ from stattrunc.config import (
 )
 from stattrunc.chain import ROW_CHUNK
 
+from conftest import REWARD_REFERENCES
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 MINIMAL = {"model": "random_walk", "z": 0, "K_max": 2, "a_values": [10, 20]}
@@ -176,18 +178,25 @@ def test_build_reward_variants(tmp_path):
     ("file", "# nothing listed\n"),
 ])
 def test_config_reward_batch_forms_equal_scalar_forms(tmp_path, spec, table_body):
+    """Each config reward against its per-state formula, bit for bit."""
     r_spec = spec
     if spec == "file":
         table = tmp_path / "r.txt"
         table.write_text(table_body)
         r_spec = f"file:{table}"
+        values = {int(x): float(v) for x, v in
+                  (line.split() for line in table_body.splitlines() if line[:1] != "#")}
+        ref = lambda x: values.get(x, 0.0)
+    else:
+        ref = REWARD_REFERENCES[spec]
     reward = build_reward(parse_config({**MINIMAL, "r_spec": r_spec}))
     states = [0, 1, 2, 7, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 1499, 1500,
               2 * ROW_CHUNK, 10 ** 5, 3 * 10 ** 9 + 7]
     for xs in (np.array(states), np.arange(3 * ROW_CHUNK + 5)):
         batch = reward.batch_fn(xs)
         assert batch.dtype == np.float64
-        assert batch.tobytes() == np.array([reward(x) for x in xs.tolist()]).tobytes()
+        assert batch.tobytes() == np.array([ref(x) for x in xs.tolist()]).tobytes()
+    assert [reward(x) for x in states] == [ref(x) for x in states]
 
 
 def test_build_certificate_modes():

@@ -19,7 +19,7 @@ from stattrunc import (
 )
 from stattrunc.chain import ROW_CHUNK, Reward, reward_values
 
-from conftest import expected_g
+from conftest import CERT_REFERENCES, expected_g
 
 C = 2.01
 
@@ -167,25 +167,28 @@ BATCH_STATES = [0, 1, 2, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK 
 
 @pytest.mark.parametrize("make", [gm1_certificate, random_walk_certificate])
 def test_builtin_certificate_batch_forms_equal_scalar_forms(make):
+    """Each drift function against its per-state formula, bit for bit."""
     cert = make()
+    refs = CERT_REFERENCES["gm1" if make is gm1_certificate else "walk"]
     for xs in (np.array(BATCH_STATES), np.arange(3 * ROW_CHUNK + 5)):
-        for name in ("g1", "g2"):
+        for name, ref in zip(("g1", "g2"), refs):
             g = getattr(cert, name)
             batch = g.batch_fn(xs)
             assert batch.dtype == np.float64
-            assert batch.tobytes() == np.array([g(x) for x in xs.tolist()]).tobytes()
+            assert batch.tobytes() == np.array([ref(x) for x in xs.tolist()]).tobytes()
             assert (reward_values(g, xs, name).tobytes()
-                    == reward_values(g.fn, xs, name).tobytes())
+                    == reward_values(ref, xs, name).tobytes())
+            assert [g(x) for x in BATCH_STATES] == [ref(x) for x in BATCH_STATES]
 
 
 def test_certificate_values_reject_bad_shapes_and_values():
     xs = np.arange(5)
-    short = Reward(float, lambda xs: xs[:-1] * 1.0)
+    short = Reward(lambda xs: xs[:-1] * 1.0)
     with pytest.raises(ValueError, match="g1 batch_fn must return 5 values"):
         reward_values(short, xs, "g1")
     for bad in (-1.0, np.nan, np.inf):
         g = lambda x, bad=bad: bad if x == 3 else 1.0
-        for g2 in (g, Reward(g, lambda xs, g=g: np.array([g(x) for x in xs.tolist()]))):
+        for g2 in (g, Reward(lambda xs, g=g: np.array([g(x) for x in xs.tolist()]))):
             with pytest.raises(ValueError, match=rf"g2 must be finite and non-negative, "
                                                  rf"got g2\(3\)={bad}"):
                 reward_values(g2, xs, "g2")
@@ -196,13 +199,13 @@ def test_certificate_values_reject_bad_shapes_and_values():
 def test_drift_audit_scalar_and_batch_forms_agree(model):
     if model == "gm1":
         chain, cert, K = gm1_chain(), gm1_certificate(), np.arange(61)
-        reward = Reward(float, lambda xs: xs.astype(np.float64))
+        reward, scalar = Reward(lambda xs: xs.astype(np.float64)), float
     else:
         chain, cert, K = random_walk_chain(), random_walk_certificate(), np.arange(301)
-        reward = Reward(lambda x: x / 2.0, lambda xs: xs / 2.0)
-    scalar_cert = LyapunovCertificate(g1=cert.g1.fn, g2=cert.g2.fn)
+        reward, scalar = Reward(lambda xs: xs / 2.0), lambda x: x / 2.0
+    scalar_cert = LyapunovCertificate(*CERT_REFERENCES[model])
     reports = []
-    for c, r in ((cert, reward), (scalar_cert, reward.fn)):
+    for c, r in ((cert, reward), (scalar_cert, scalar)):
         prob = TruncationProblem(chain=chain, A=np.arange(2600), z=0, K=K, r=r)
         reports.append(verify_lyapunov_drift(prob, c))
     assert reports[0] == reports[1]

@@ -515,6 +515,18 @@ def test_simulation_cycle_cap():
                         100, seed=5, max_steps=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -5.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+def test_simulation_rejects_bad_reward_at_visited_state(bad, batch):
+    """A NaN or negative reward at a visited state is a ValueError naming it,
+    not a ratio of nan or a plausible-looking one."""
+    from stattrunc import Reward, random_walk_chain
+    r = (Reward(lambda xs: np.where(xs == 4, bad, xs / 2.0)) if batch
+         else lambda x: bad if x == 4 else x / 2.0)
+    with pytest.raises(ValueError, match=rf"finite and non-negative, got r\(4\)={bad}"):
+        simulate_cycles(random_walk_chain(), 0, [0], range(50), r, 2000, seed=5)
+
+
 def test_excursion_check_tight_bound_has_zero_slack():
     chain, _, _ = dirichlet_chain(55, 10)
     r = lambda x: float(x)

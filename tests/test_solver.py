@@ -29,7 +29,7 @@ from stattrunc import (
 from stattrunc.chain import ROW_CHUNK, member_mask
 from stattrunc.models import random_walk_rows
 
-from conftest import expected_g
+from conftest import expected_g, gm1_row_reference, walk_row_reference
 
 ZERO_CERT = LyapunovCertificate(g1=lambda x: 0.0, g2=lambda x: 0.0)
 
@@ -282,7 +282,7 @@ def test_assembly_matches_per_row_reference(monkeypatch, chunk, case):
 
 def test_assembly_through_row_fn_fallback_matches_batch_rows():
     gm1 = gm1_chain()
-    plain = ChainModel(row_fn=gm1.row_fn, description="G/M/1 without rows_fn")
+    plain = ChainModel(row_fn=gm1_row_reference, description="G/M/1 without rows_fn")
     K = np.arange(21)
     reports = []
     for chain in (gm1, plain):
@@ -312,17 +312,15 @@ def scaled_row(row, x, bad):
 
 
 def test_assembly_names_state_whose_batch_row_breaks_row_sum():
-    walk = random_walk_chain()
-
     def rows_fn(xs):
         indptr, targets, probs = random_walk_rows(xs)
         return indptr, targets, np.where(np.repeat(xs, np.diff(indptr)) == 1500,
                                          0.5 * probs, probs)
 
     messages = []
-    for chain in (ChainModel(walk.row_fn, "batch rows off at 1500", rows_fn=rows_fn),
-                  ChainModel(lambda x: scaled_row(walk.row(x), x, 1500),
-                             "per-row rows off at 1500")):
+    for chain in (ChainModel(description="batch rows off at 1500", rows_fn=rows_fn),
+                  ChainModel(row_fn=lambda x: scaled_row(walk_row_reference(x), x, 1500),
+                             description="per-row rows off at 1500")):
         prob = TruncationProblem(chain=chain, A=np.arange(3000), z=0, K=[0],
                                  r=lambda x: 1.0)
         with pytest.raises(AssemblyError, match="state 1500 ") as exc:
@@ -373,20 +371,20 @@ def test_batch_and_scalar_forms_assemble_bit_identically(seed, n, shape, tight, 
         A = data.draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
         z = data.draw(st.sampled_from(A))
     K = sorted({z} | set(data.draw(st.lists(st.sampled_from(A), max_size=3))))
-    reward = Reward(lambda x: float(x % 5) * 0.75 + 0.5,
-                    lambda xs: (xs % 5).astype(np.float64) * 0.75 + 0.5)
+    reward = Reward(lambda xs: (xs % 5).astype(np.float64) * 0.75 + 0.5)
     if tight:
         cert = tight_certificate(chain, n, K, reward)
+        scalar = LyapunovCertificate(g1=lambda x: cert.g1(x), g2=lambda x: cert.g2(x))
     else:
-        cert = LyapunovCertificate(
-            g1=Reward(lambda x: 1.0 + float(x) * float(x),
-                      lambda xs: 1.0 + xs.astype(np.float64) ** 2),
-            g2=Reward(lambda x: 2.0 + float(x), lambda xs: 2.0 + xs.astype(np.float64)))
-    scalar = LyapunovCertificate(g1=lambda x: cert.g1(x), g2=lambda x: cert.g2(x))
+        cert = LyapunovCertificate(g1=Reward(lambda xs: 1.0 + xs.astype(np.float64) ** 2),
+                                   g2=Reward(lambda xs: 2.0 + xs.astype(np.float64)))
+        scalar = LyapunovCertificate(g1=lambda x: 1.0 + float(x) * float(x),
+                                     g2=lambda x: 2.0 + float(x))
     batch_arrays, batch_report = _outcome(
         TruncationProblem(chain=chain, A=np.array(A), z=z, K=K, r=reward), cert)
     scalar_arrays, scalar_report = _outcome(
-        TruncationProblem(chain=chain, A=A, z=z, K=K, r=lambda x: reward.fn(x)), scalar)
+        TruncationProblem(chain=chain, A=A, z=z, K=K, r=lambda x: float(x % 5) * 0.75 + 0.5),
+        scalar)
     assert batch_report == scalar_report
     if isinstance(batch_arrays, str):
         assert batch_arrays == scalar_arrays
@@ -402,8 +400,8 @@ def test_assembly_rejects_batch_forms_of_the_wrong_shape():
         return TruncationProblem(chain=random_walk_chain(), A=np.arange(10), z=0,
                                  K=[0], r=r)
     with pytest.raises(ValueError, match="batch_fn must return 9 values"):
-        assemble_truncated_system(problem(Reward(float, lambda xs: xs[1:] * 1.0)), WALK_CERT)
-    wide = LyapunovCertificate(g1=Reward(WALK_CERT.g1, lambda xs: np.zeros(xs.size + 1)),
+        assemble_truncated_system(problem(Reward(lambda xs: xs[1:] * 1.0)), WALK_CERT)
+    wide = LyapunovCertificate(g1=Reward(lambda xs: np.zeros(xs.size + 1)),
                                g2=WALK_CERT.g2)
     with pytest.raises(AssemblyError, match="g1 batch_fn must return 1 values"):
         assemble_truncated_system(problem(float), wide)
@@ -429,7 +427,7 @@ def test_non_finite_rewards_and_drift_values_fail_assembly(batch, where, value, 
     cert = LyapunovCertificate(g1=g1, g2=g2)
     if batch:
         def batch_form(f):
-            return Reward(f, lambda xs: np.array([f(x) for x in xs.tolist()]))
+            return Reward(lambda xs: np.array([f(x) for x in xs.tolist()]))
         r, cert = batch_form(r), LyapunovCertificate(batch_form(g1), batch_form(g2))
     prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(100), z=0, K=[0], r=r)
     with pytest.raises(PipelineError, match="stage 'assemble' failed: .*" + fragment):
