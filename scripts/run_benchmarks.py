@@ -3,9 +3,10 @@
 
 Usage:  python3 scripts/run_benchmarks.py [--out-dir results]
 
-The queue config takes 1.3-2.1 s in all, 0.8-1.3 s of it at a = 10^4 (most
-of that in the sparse LU), and the walk config ~0.02 s, 0.012 s of it at
-a = 10^4 (2-core Xeon, Python 3.11, numpy 2.4, scipy 1.17).  Re-running
+The queue config takes ~0.45 s in all, ~0.25 s of it at a = 10^4 (assembly,
+the state-order LU and the refined row solve about equally), and the walk
+config ~0.02 s, 0.012 s of it at a = 10^4 (2-core Xeon, Python 3.11,
+numpy 2.4, scipy 1.17).  Re-running
 overwrites the CSVs in place.
 """
 

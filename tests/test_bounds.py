@@ -97,16 +97,17 @@ def test_delta_beyond_one_is_a_pipeline_error():
         run_pipeline(prob, gm1_certificate())
 
 
-def test_overflowing_solve_is_a_pipeline_error_without_numpy_warnings():
+def test_hole_chain_is_a_degenerate_delta_without_numpy_warnings():
     """The walk with a hole at z + 1: the expected visits to 0 before
-    hitting z are ~2^1030, so the transpose solve overflows.  That must end
-    in a ``PipelineError`` before any residual is formed from inf."""
+    hitting z are ~2^1030, past the double range, and delta underflows to
+    ~5e-295.  That must end in a ``DegenerateDeltaError``, with no numpy
+    warning on the way."""
     A = np.setdiff1d(np.arange(3000), [1031])
     prob = TruncationProblem(chain=random_walk_chain(), A=A, z=1030, K=[0, 1030],
                              r=float)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PipelineError, match="non-finite intermediate"):
+        with pytest.raises(DegenerateDeltaError, match="enlarge A or shrink K"):
             run_pipeline(prob, random_walk_certificate())
 
 

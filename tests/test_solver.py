@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import stattrunc.chain as chain_module
@@ -151,6 +154,76 @@ def test_rhs_validation():
         solve(sys_, np.full(sys_.size, np.nan))
     with pytest.raises(ValueError, match="tol"):
         solve(sys_, sys_.p, tol=0.0)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_overflowing_solve_raises_without_numpy_warnings(transpose):
+    """A right-hand side of 1e308 overflows the first LU solve.  The solve
+    must stop at that iterate, before a residual formed from inf can make
+    numpy warn."""
+    sys_ = walk_system(100)
+    b = np.full(sys_.size, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="non-finite intermediate"):
+            solve_transpose(sys_, b=b) if transpose else solve(sys_, b)
+
+
+def gm1_system(a: int):
+    prob = TruncationProblem(chain=gm1_chain(), A=np.arange(a + 1), z=0,
+                             K=np.arange(201), r=float)
+    return assemble_truncated_system(prob, gm1_certificate())
+
+
+def test_state_order_factor_is_unpivoted_with_band_fill():
+    """I - B is a nonsingular M-matrix, so its LU in state order takes
+    every diagonal pivot, and L + U fill exactly the band of I - B (L's unit
+    diagonal stored too): lower bandwidth 195 and upper 1 on gm1."""
+    sys_ = gm1_system(2000)
+    lu = solver_module._lu(sys_)
+    m = sys_.size
+    assert np.array_equal(lu.perm_r, np.arange(m))
+    assert np.array_equal(lu.perm_c, np.arange(m))
+    B = sys_.B.tocoo()
+    lower, upper = int((B.row - B.col).max()), int((B.col - B.row).max())
+    assert (lower, upper) == (195, 1)
+    band = sum(m - abs(k) for k in range(-upper, lower + 1))
+    assert lu.L.nnz + lu.U.nnz == band + m
+
+
+def test_gm1_center_is_refined_to_the_stored_chain_mean():
+    """At A = {0..9999} the center pi~(r) is within 1e-14 of the mean of the
+    double-precision gm1 chain, 133.16712406453872 (perfbench/README.md).
+    The unrefined row solve misses it by ~1.5e-12 relative."""
+    prob = TruncationProblem(chain=gm1_chain(), A=np.arange(10000), z=0,
+                             K=np.arange(201), r=float)
+    rep = run_pipeline(prob, gm1_certificate())
+    assert rep.pi_tilde_r == pytest.approx(133.16712406453872, rel=1e-14, abs=0)
+
+
+def test_row_solve_matches_refinement_against_a_colamd_factor():
+    """y = nu (I - B)^{-1} does not depend on the factorization it is refined
+    with: refined the same way against a COLAMD-ordered LU, it agrees to
+    4 ulp of max |y|, and to 16 ulp in every entry, the tail entries that
+    y . h and y . q read included.  The unrefined solves of the two factors
+    differ by ~80 ulp of max |y| and ~1400 ulp in some entry."""
+    sys_ = gm1_system(2000)
+    lu = spla.splu((sp.identity(sys_.size, format="csr") - sys_.B).tocsc())
+    B_ld = sys_.B.astype(np.longdouble)
+    eps = np.finfo(np.float64).eps
+    y, best = lu.solve(sys_.nu, trans="T"), np.inf
+    for _ in range(8):
+        y_ld = y.astype(np.longdouble)
+        residual = sys_.nu.astype(np.longdouble) - (y_ld - B_ld.T @ y_ld)
+        step = lu.solve(residual.astype(np.float64), trans="T")
+        y = y + step
+        size = np.abs(step).max()
+        if size <= eps * np.abs(y).max() or size >= 0.5 * best:
+            break
+        best = size
+    got = solve_transpose(sys_).x
+    assert np.abs(got - y).max() <= 4 * eps * y.max()
+    assert np.max(np.abs(got - y) / y) <= 16 * eps
 
 
 def test_empty_system():
