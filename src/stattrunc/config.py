@@ -42,8 +42,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class OracleSettings:
+    """The Monte Carlo cross-check of ``--validate``.
+
+    At least two cycles: the half-width of one is infinite, so every
+    interval would pass.  The seed seeds numpy's PCG64, which takes
+    non-negative integers only.
+    """
+
     n_cycles: int = 20000
     seed: int = 12345
+
+    def __post_init__(self):
+        if self.n_cycles < 2:
+            raise ValueError(f"n_cycles must be >= 2, got {self.n_cycles!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

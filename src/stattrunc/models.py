@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .chain import ChainModel, Reward, RewardFn, RowBatch, csr_chain
 
@@ -79,8 +78,11 @@ def _beta_table(c: float) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(betas, tail)`` where ``tail[k] = sum_{i >= k} betas[i]``;
     ``tail[x + 1]`` is the exact mass P(x, 0) of a row (the analytic tail
     beyond the underflow point is below the double-precision floor, so
-    dropping it leaves row sums within ~1e-14 of one).
+    dropping it leaves row sums within ~1e-14 of one).  ``scipy.special``
+    is imported here, so only a G/M/1 chain loads it.
     """
+    from scipy import special
+
     n = 64
     while True:
         i = np.arange(n)
@@ -118,9 +120,18 @@ def gm1_rows(xs: np.ndarray, params: Gm1Params = Gm1Params()) -> RowBatch:
     at y = 0 first (when positive; accumulated directly, never as 1 -
     partial sum, so it is non-negative by construction), then the
     Toeplitz band beta_{x+1-y} for y = x+1-kmax, ..., x+1.
+
+    From x = nb - 1 on (nb coefficients) the tail is 0 and every row is
+    the whole band, beta_{nb-1}, ..., beta_0 at y = x+2-nb, ..., x+1, so a
+    batch of such states is one broadcast.
     """
     betas, tail = _beta_table(params.c)
-    kmax = np.minimum(xs, betas.size - 1)
+    nb = betas.size
+    if xs.size and xs.min() >= nb - 1:
+        targets = (xs[:, None] + np.arange(2 - nb, 2)).ravel()
+        probs = np.tile(betas[::-1], xs.size)
+        return np.arange(0, (xs.size + 1) * nb, nb, dtype=np.int64), targets, probs
+    kmax = np.minimum(xs, nb - 1)
     p0 = tail[np.minimum(xs + 1, tail.size - 1)]   # tail[-1] == 0
     has0 = (p0 > 0.0).astype(np.int64)
     band = kmax + 1
@@ -146,7 +157,11 @@ def gm1_rows(xs: np.ndarray, params: Gm1Params = Gm1Params()) -> RowBatch:
 
 
 def gm1_chain(params: Gm1Params = Gm1Params()) -> ChainModel:
-    """The embedded G/M/1 chain on {0, 1, 2, ...}."""
+    """The embedded G/M/1 chain on {0, 1, 2, ...}.
+
+    Its beta table is computed here, so building the chain is its set-up.
+    """
+    _beta_table(params.c)
     return ChainModel(
         description=f"G/M/1 embedded chain, uniform interarrival on (0, {params.c})",
         rows_fn=lambda xs: gm1_rows(xs, params),

@@ -55,14 +55,15 @@ class SolverOptions:
     """The residual tolerance shared by all linear solves in one pipeline run.
 
     Also the ``solver`` section of an experiment config, so a bad value is
-    rejected when the config is read, not at the first solve.
+    rejected when the config is read, not at the first solve.  10 * tol is
+    the threshold delta must exceed, so it must lie below 1.
     """
 
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not (0 < self.tol and 10.0 * self.tol < 1.0):
+            raise ValueError(f"tol must be positive with 10*tol < 1, got {self.tol!r}")
 
 
 @dataclass
@@ -171,9 +172,19 @@ def assemble_truncated_system(problem: TruncationProblem,
     # range, a state's column is its offset from the first state
     index_dtype = np.int32 if m < np.iinfo(np.int32).max else np.int64
     first = int(Aprime[0]) if is_contiguous(Aprime) else None
+    A_range = (int(A[0]), int(A[-1])) if is_contiguous(A) else None
 
     def columns(targets):
         return targets - first if first is not None else np.searchsorted(Aprime, targets)
+
+    def all_in_B(xs, targets):
+        # every entry of the chunk is an entry of B: A is a range that holds
+        # every target, z lies outside the targets' range and z's row is
+        # in another chunk
+        if A_range is None or xs[0] <= z <= xs[-1]:
+            return False
+        lo, hi = int(targets.min()), int(targets.max())
+        return A_range[0] <= lo and hi <= A_range[1] and not lo <= z <= hi
 
     data = [np.zeros(0)]
     indices = [np.zeros(0, dtype=index_dtype)]
@@ -181,7 +192,6 @@ def assemble_truncated_system(problem: TruncationProblem,
     for start, xs, indptr, targets, probs in chain.row_chunks(A):
         n = xs.size
         counts = np.diff(indptr)
-        row = np.repeat(np.arange(n), counts)
         totals = np.zeros(n)
         nonempty = counts > 0
         totals[nonempty] = np.add.reduceat(probs, indptr[:-1][nonempty])
@@ -189,6 +199,14 @@ def assemble_truncated_system(problem: TruncationProblem,
         bad = np.nonzero(dev > ROW_IDENTITY_TOL)[0]
         if bad.size:
             raise AssemblyError(f"row of state {xs[bad[0]]} sums off by {dev[bad[0]]:.3e}")
+        s0 = start - int(iz < start)
+        if all_in_B(xs, targets):
+            # p, q and h stay 0 on these rows; the chunk is B's next rows
+            data.append(probs)
+            indices.append(columns(targets).astype(index_dtype))
+            B_indptr[s0 + 1:s0 + n + 1] = counts
+            continue
+        row = np.repeat(np.arange(n), counts)
         in_A = member_mask(targets, A)
         at_z = targets == z
         inside = in_A & ~at_z
@@ -215,7 +233,6 @@ def assemble_truncated_system(problem: TruncationProblem,
         # the chunk's other rows are consecutive rows of A', written in
         # place: splitting arrays over all of A after the scan fragments
         # the heap and raised the gm1 a = 10^4 peak RSS by ~30 MB
-        s0 = start - int(iz < start)
         out = slice(s0, s0 + int(keep.sum()))
         p[out], q[out], h1[out], h2[out] = p_c[keep], q_c[keep], h1_c[keep], h2_c[keep]
         data.append(probs[inside])
@@ -241,31 +258,71 @@ def assemble_truncated_system(problem: TruncationProblem,
 
 
 def _lu(system: TruncatedSystem):
+    """The state-order LU of I - B, computed once per system.
+
+    B in CSC form is B^T in CSR form, the copy of B that the row-solve
+    residual reads; it is cached as such.  When every diagonal entry of B
+    is stored, that copy is turned into I - B for the factorization (-b off
+    the diagonal, 1 - b_ii on it: the values of ``identity - B``) and back
+    into B^T after it, exactly, so the factorization costs no second copy
+    of B.
+    """
     if "lu" not in system._cache:
         m = system.size
-        I_minus_B = (sp.identity(m, format="csr") - system.B).tocsc()
-        # state order, diagonal pivots: I - B is a nonsingular M-matrix, so
-        # every pivot is positive and perm_r = perm_c = identity
-        system._cache["lu"] = spla.splu(I_minus_B, permc_spec="NATURAL",
-                                        diag_pivot_thresh=0.0, relax=1, panel_size=1)
+
+        def factor(I_minus_B):
+            # state order, diagonal pivots: I - B is a nonsingular M-matrix,
+            # so every pivot is positive and perm_r = perm_c = identity
+            return spla.splu(I_minus_B, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                             relax=1, panel_size=1)
+
+        diag = system.B.diagonal()
+        Bt = system.B.tocsc()
+        if np.all(diag > 0.0):
+            Bt.data *= -1.0
+            Bt.setdiag(1.0 - diag)
+            system._cache["lu"] = factor(Bt)
+            Bt.data *= -1.0
+            Bt.setdiag(diag)
+        else:
+            system._cache["lu"] = factor(sp.identity(m, format="csc") - Bt)
+        system._cache["Bt"] = sp.csr_matrix((Bt.data, Bt.indices, Bt.indptr),
+                                            shape=(m, m), copy=False)
     return system._cache["lu"]
+
+
+#: values of B^T held in long double at a time by the row-solve residual
+#: (4 MB); a block holds whole rows, so a longer row is a block of its own
+LD_BLOCK = 1 << 18
 
 
 def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
               transpose: bool) -> np.ndarray:
     """b - (I - B) x, or b - x (I - B) in long double when ``transpose``.
 
-    The long-double copy of B shares B's index arrays, so it costs one
-    array of values; a transposed copy of B would cost one more of indices.
+    x B is B^T x, read from the transposed copy of B that ``_lu`` keeps,
+    a block of rows at a time: each row's values go to long double and its
+    entry of B^T x is their sum with x, left to right from 0.  That is the
+    order of a product with a long-double copy of all of B, so the blocks
+    give the same bits without holding such a copy.
     """
     if not transpose:
         return b - (x - system.B @ x)
-    if "B_ld" not in system._cache:
-        B = system.B
-        system._cache["B_ld"] = sp.csr_matrix(
-            (B.data.astype(np.longdouble), B.indices, B.indptr), shape=B.shape, copy=False)
+    Bt = system._cache["Bt"]
+    m, indptr = system.size, Bt.indptr
     x_ld = x.astype(np.longdouble)
-    return b.astype(np.longdouble) - (x_ld - system._cache["B_ld"].T @ x_ld)
+    Btx = np.empty(m, dtype=np.longdouble)
+    vals = np.empty(min(Bt.nnz, max(LD_BLOCK, int(np.diff(indptr).max()))), dtype=np.longdouble)
+    i0 = 0
+    while i0 < m:
+        i1 = int(np.searchsorted(indptr, indptr[i0] + vals.size, side="right")) - 1
+        lo, hi = indptr[i0], indptr[i1]
+        np.copyto(vals[:hi - lo], Bt.data[lo:hi])
+        rows = sp.csr_matrix((vals[:hi - lo], Bt.indices[lo:hi], indptr[i0:i1 + 1] - lo),
+                             shape=(i1 - i0, m))
+        Btx[i0:i1] = rows @ x_ld
+        i0 = i1
+    return b.astype(np.longdouble) - (x_ld - Btx)
 
 
 def _scale(b: np.ndarray, x: np.ndarray) -> float:

@@ -246,6 +246,24 @@ def test_gm1_rows_match_row(c, data):
                           data.draw(st.lists(near, max_size=25)))
 
 
+@pytest.mark.parametrize("c", [0.5, 2.01, 7.0])
+@pytest.mark.parametrize("batch", ["past-cut", "straddle", "shuffled"])
+def test_gm1_rows_match_row_on_full_chunks(c, batch):
+    # a whole ROW_CHUNK of states: past the cut every row is the broadcast
+    # band; a batch with states below the cut takes the per-entry path
+    cut = gm1_cut(c)
+    if batch == "past-cut":
+        xs = np.arange(cut, cut + ROW_CHUNK)
+    elif batch == "straddle":
+        xs = np.arange(cut - 100, cut - 100 + ROW_CHUNK)
+    else:
+        rng = np.random.default_rng(7)
+        xs = rng.permutation(np.concatenate([np.arange(cut + 5, cut + 500)] * 2
+                                            + [rng.integers(0, 3 * cut, 34)]))
+    assert xs.size >= ROW_CHUNK and (xs.min() >= cut) == (batch == "past-cut")
+    assert_rows_match_row(gm1_chain(Gm1Params(c=c)), lambda x: gm1_row_reference(x, c), xs)
+
+
 @given(st.lists(st.one_of(st.just(0), st.integers(0, 10**6)), max_size=25))
 def test_random_walk_rows_match_row(xs):
     assert_rows_match_row(random_walk_chain(), walk_row_reference, xs)

@@ -178,6 +178,21 @@ def test_main_bad_solver_settings_are_config_errors(tmp_path, capsys, solver):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key", [
+    ("oracle: {n_cycles: 0}", "n_cycles"), ("oracle: {seed: -1}", "seed"),
+    ("solver: {tol: .inf}", "tol"),
+])
+def test_main_bad_oracle_and_solver_values_exit_2(tmp_path, capsys, section, key):
+    # rejected when the config is read, before any point is solved or simulated
+    cfg = tmp_path / "bad_value.yaml"
+    cfg.write_text(f"model: random_walk\nz: 0\nK_max: 2\na_values: [10]\n{section}\n")
+    assert main(["run", str(cfg), "--validate"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("stattrunc: config error: ") and f"{key} must be" in lines[0]
+
+
 def test_main_chain_without_certificate_is_a_config_error(tmp_path, capsys):
     # two closed classes, 0 <-> 1 and 2 <-> 3: K = {0} is unreachable from
     # 2 and 3, so no drift certificate exists

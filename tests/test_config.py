@@ -265,6 +265,29 @@ def test_removed_oracle_enabled_key_is_a_config_error(tmp_path):
         load_yaml_config(tmp_path, "oracle: {enabled: true}")
 
 
+def test_one_oracle_cycle_is_a_config_error(tmp_path):
+    # one cycle has an infinite half-width: the cross-check would pass any interval
+    for n in (0, 1):
+        fragment = rf"'oracle' section: n_cycles must be >= 2, got {n}"
+        with pytest.raises(ConfigError, match=fragment):
+            load_yaml_config(tmp_path, f"oracle: {{n_cycles: {n}}}")
+    assert load_yaml_config(tmp_path, "oracle: {n_cycles: 2}").oracle.n_cycles == 2
+
+
+def test_negative_oracle_seed_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match=r"'oracle' section: seed must be >= 0, got -1"):
+        load_yaml_config(tmp_path, "oracle: {seed: -1}")
+    assert load_yaml_config(tmp_path, "oracle: {seed: 0}").oracle.seed == 0
+
+
+@pytest.mark.parametrize("tol", [".inf", "0.1", "1.0"])
+def test_infinite_or_large_tol_is_a_config_error(tmp_path, tol):
+    # 10 * tol is the threshold delta must exceed, and delta <= 1
+    with pytest.raises(ConfigError, match=r"'solver' section: tol must be positive with 10\*tol"):
+        load_yaml_config(tmp_path, f"solver: {{tol: {tol}}}")
+    assert load_yaml_config(tmp_path, "solver: {tol: 0.0999}").solver.tol == 0.0999
+
+
 def gm1_yaml_config(tmp_path, model_params: str):
     path = tmp_path / "gm1.yaml"
     path.write_text("model: gm1\nz: 0\nK_max: 2\na_values: [10]\n"

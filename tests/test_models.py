@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+import stattrunc
 from stattrunc import (
     ChainFileError,
     Gm1Params,
@@ -22,6 +27,8 @@ from stattrunc.chain import ROW_CHUNK, Reward, reward_values
 from conftest import CERT_REFERENCES, expected_g
 
 C = 2.01
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_beta_coeffs_match_quadrature():
@@ -258,3 +265,28 @@ def test_load_chain_rejects_malformed(tmp_path, body, fragment):
     path.write_text(body)
     with pytest.raises(ChainFileError, match=fragment.replace("(", "\\(")):
         load_chain_from_file(path)
+
+
+LAZY_SPECIAL = """
+import io, sys
+from stattrunc import config, gm1_chain
+from stattrunc.cli import run_experiment
+walk = config.parse_config({"model": "random_walk", "z": 0, "K_max": 2, "a_values": [50]})
+for cfg in (walk, config.load_config(sys.argv[1])):
+    rows = run_experiment(cfg, validate=True, log=io.StringIO())
+    assert all(r["status"] == "ok" and r["oracle_pass"] for r in rows), rows
+print("scipy.special" in sys.modules)
+gm1_chain()
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_only_gm1_loads_scipy_special():
+    # walk and file-chain runs never import it; building a G/M/1 chain does
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stattrunc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", LAZY_SPECIAL,
+                          os.path.join(CONFIG_DIR, "two_state.yaml")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False", "True"]

@@ -191,6 +191,35 @@ def test_state_order_factor_is_unpivoted_with_band_fill():
     assert lu.L.nnz + lu.U.nnz == band + m
 
 
+@pytest.mark.parametrize("model", ["gm1", "walk"])
+def test_factor_is_that_of_identity_minus_B_and_B_transposed_is_kept(model):
+    # gm1 stores every diagonal entry of B, so its transposed copy of B is
+    # turned into I - B for the factorization and back; the walk's B has
+    # no diagonal entry, so I - B is a second array
+    sys_ = gm1_system(600) if model == "gm1" else walk_system(600)
+    assert np.all(sys_.B.diagonal() > 0) == (model == "gm1")
+    lu = solver_module._lu(sys_)
+    want = spla.splu((sp.identity(sys_.size, format="csr") - sys_.B).tocsc(),
+                     permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1)
+    Bt = sys_._cache["Bt"]
+    for got, ref in ((lu.L, want.L), (lu.U, want.U), (Bt, sys_.B.T.tocsr())):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("block", [1, 150, solver_module.LD_BLOCK])
+def test_transpose_residual_matches_a_long_double_copy_of_B(monkeypatch, block):
+    # blocks of whole rows of B^T, one row each once a row outgrows the
+    # block, give the bits of one product with a long-double copy of B
+    monkeypatch.setattr(solver_module, "LD_BLOCK", block)
+    for sys_ in (gm1_system(600), walk_system(600)):
+        x = solve_transpose(sys_).x
+        x_ld = x.astype(np.longdouble)
+        want = sys_.nu.astype(np.longdouble) - (x_ld - sys_.B.astype(np.longdouble).T @ x_ld)
+        got = solver_module._residual(sys_, x, sys_.nu, True)
+        assert got.dtype == np.longdouble and np.array_equal(got, want)
+
+
 def test_gm1_center_is_refined_to_the_stored_chain_mean():
     """At A = {0..9999} the center pi~(r) is within 1e-14 of the mean of the
     double-precision gm1 chain, 133.16712406453872 (perfbench/README.md).
@@ -351,6 +380,28 @@ def test_assembly_matches_per_row_reference(monkeypatch, chunk, case):
     sys_ = assert_matches_reference(prob, cert)
     assert np.count_nonzero(sys_.q) > (0 if shape == "prefix" else 1)
     assert (sys_.h1_z > 0 and sys_.h2_z > 0) == (shape == "zhole")
+
+
+@pytest.mark.parametrize("chunk", [5, 64, ROW_CHUNK])
+@pytest.mark.parametrize("model", ["walk", "gm1"])
+@pytest.mark.parametrize("shape", ["zmid", "offset"])
+def test_assembly_on_a_range_matches_per_row_reference(monkeypatch, chunk, model, shape):
+    # A is a range, so a chunk whose targets all lie in A' skips the mask
+    # passes; G/M/1 rows above a z in the middle of A still reach z, and on
+    # a range that starts above 0 the first rows escape below it
+    monkeypatch.setattr(chain_module, "ROW_CHUNK", chunk)
+    a = 3 * ROW_CHUNK + 17 if chunk == ROW_CHUNK else 400
+    if shape == "zmid":
+        A, z = np.arange(a), a // 2 + 3
+        K = [3, z]
+    else:
+        A, z = np.arange(a // 4, a), a // 4
+        K = [z]
+    chain, cert = ((random_walk_chain(), WALK_CERT) if model == "walk"
+                   else (gm1_chain(), gm1_certificate()))
+    prob = TruncationProblem(chain=chain, A=A, z=z, K=K, r=lambda x: x / 2.0)
+    sys_ = assert_matches_reference(prob, cert)
+    assert np.count_nonzero(sys_.p) > (1 if model == "gm1" else 0)
 
 
 def test_assembly_through_row_fn_fallback_matches_batch_rows():
