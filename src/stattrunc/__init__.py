@@ -25,10 +25,8 @@ from .chain import (
     Reward,
     SparseRow,
     TruncationProblem,
-    ValidationReport,
     matrix_chain,
     one_step_fringe,
-    validate_rows,
 )
 from .config import ExperimentConfig, ConfigError, load_config
 from .models import (

@@ -7,14 +7,15 @@ support, which keeps exit masses and tail sums exactly computable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# Default tolerance for |row sum - 1|.  Model coefficients are computed in
-# floating point, so exact unity is unattainable.
-ROW_SUM_TOL = 1e-12
+#: the one bound on |row sum - 1| a transition row must meet.  Model
+#: coefficients are computed in floating point, so exact unity is
+#: unattainable
+ROW_SUM_TOL = 1e-10
 
 #: states per ``ChainModel.rows`` call in ``ChainModel.row_chunks``; bounds
 #: the temporaries of a batch (a G/M/1 row has ~200 entries)
@@ -28,10 +29,9 @@ RewardFn = Callable[[StateIndex], float]
 class SparseRow:
     """One transition row P(x, .) with zero entries omitted.
 
-    A well-formed row has strictly increasing targets, strictly positive
-    probabilities and a total mass of 1 (within ``ROW_SUM_TOL``).  The
-    constructor does not enforce this so that malformed rows can be built
-    and then reported by :func:`validate_rows`.
+    The constructor checks only that targets and probs are 1-d arrays of
+    equal length.  ``ChainModel.rows`` checks the rest of the row
+    contract (see ``ChainModel``) on every row it returns.
     """
 
     targets: np.ndarray
@@ -43,33 +43,9 @@ class SparseRow:
         if self.targets.shape != self.probs.shape or self.targets.ndim != 1:
             raise ValueError("targets and probs must be 1-d arrays of equal length")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[StateIndex, float]]) -> "SparseRow":
-        pairs = list(pairs)
-        targets = [t for t, _ in pairs]
-        probs = [p for _, p in pairs]
-        return cls(np.array(targets, dtype=np.int64), np.array(probs, dtype=np.float64))
-
     @property
     def entries(self) -> list[tuple[int, float]]:
         return [(int(t), float(p)) for t, p in zip(self.targets, self.probs)]
-
-    def total(self) -> float:
-        return float(self.probs.sum())
-
-    def issues(self, tol: float = ROW_SUM_TOL) -> list[str]:
-        """Return human-readable descriptions of invariant violations."""
-        problems = []
-        if self.targets.size and np.any(self.targets < 0):
-            problems.append("negative target state")
-        if self.targets.size and np.any(np.diff(self.targets) <= 0):
-            problems.append("targets not strictly increasing (duplicate or unsorted)")
-        if self.probs.size and np.any(self.probs <= 0.0):
-            problems.append("non-positive probability entry")
-        dev = abs(self.total() - 1.0)
-        if dev > tol:
-            problems.append(f"row sum deviates from 1 by {dev:.3e}")
-        return problems
 
 
 #: rows(xs) result in CSR form: row i is targets/probs[indptr[i]:indptr[i+1]]
@@ -86,6 +62,12 @@ class ChainModel:
     ``rows`` then stacks it.  Either must be deterministic: repeated
     calls for the same state return identical rows.  ``n_states`` is set
     for finite chains and left ``None`` for countably infinite ones.
+
+    Every row must be a probability row: non-empty, targets non-negative
+    and strictly increasing, every probability > 0, and a sum within
+    ``ROW_SUM_TOL`` of 1.  ``rows`` checks this on every row it returns,
+    so the rows the bounds rely on (B non-negative and substochastic)
+    are checked exactly once, whichever form the chain gives.
     """
 
     row_fn: Callable[[StateIndex], SparseRow] | None = None
@@ -114,21 +96,24 @@ class ChainModel:
 
         Row i of the batch is ``targets[indptr[i]:indptr[i+1]]`` with
         ``probs`` alongside.  Uses ``rows_fn`` when the chain has one,
-        else stacks ``row_fn``.
+        else stacks ``row_fn``.  The first state, in batch order, whose
+        row breaks the row contract is named in a ``ValueError``.
         """
         xs = np.asarray(xs, dtype=np.int64).reshape(-1)
         if xs.size:
             self._check_states(int(xs.min()), int(xs.max()))
         if self.rows_fn is None:
-            return _stack_rows([self.row_fn(x) for x in xs.tolist()])
-        indptr, targets, probs = self.rows_fn(xs)
-        indptr = np.asarray(indptr, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        probs = np.asarray(probs, dtype=np.float64)
-        if (indptr.shape != (xs.size + 1,) or indptr[0] != 0
-                or not targets.shape == probs.shape == (indptr[-1],)):
-            raise ValueError("rows_fn must return CSR arrays (indptr, targets, probs) "
-                             f"for {xs.size} states")
+            indptr, targets, probs = _stack_rows([self.row_fn(x) for x in xs.tolist()])
+        else:
+            indptr, targets, probs = self.rows_fn(xs)
+            indptr = np.asarray(indptr, dtype=np.int64)
+            targets = np.asarray(targets, dtype=np.int64)
+            probs = np.asarray(probs, dtype=np.float64)
+            if (indptr.shape != (xs.size + 1,) or indptr[0] != 0
+                    or not targets.shape == probs.shape == (indptr[-1],)):
+                raise ValueError("rows_fn must return CSR arrays (indptr, targets, probs) "
+                                 f"for {xs.size} states")
+        _check_rows(xs, indptr, targets, probs)
         return indptr, targets, probs
 
     def row_chunks(self, xs: np.ndarray):
@@ -140,6 +125,39 @@ class ChainModel:
         for start in range(0, xs.size, ROW_CHUNK):
             chunk = xs[start:start + ROW_CHUNK]
             yield (start, chunk, *self.rows(chunk))
+
+
+def _check_rows(xs: np.ndarray, indptr: np.ndarray, targets: np.ndarray,
+                probs: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first of ``xs`` whose CSR row breaks
+    the row contract of ``ChainModel``."""
+    # an entry is good when its probability is > 0 (NaN is not) and its
+    # target exceeds the one before it, or, first in its row, is >= 0
+    good = probs > 0.0
+    good[1:] &= targets[1:] > targets[:-1]
+    nonempty = indptr[:-1] < indptr[1:]
+    heads = indptr[:-1][nonempty]
+    good[heads] = (probs[heads] > 0.0) & (targets[heads] >= 0)
+    dev = np.zeros(xs.size)
+    dev[nonempty] = np.abs(np.add.reduceat(probs, heads) - 1.0)
+    bad = ~nonempty | (dev > ROW_SUM_TOL)
+    if good.all() and not bad.any():
+        return
+    bad[np.searchsorted(indptr, np.flatnonzero(~good), side="right") - 1] = True
+    i = int(np.argmax(bad))
+    t, p = targets[indptr[i]:indptr[i + 1]], probs[indptr[i]:indptr[i + 1]]
+    if not t.size:
+        fault = "is empty"
+    elif not (t[1:] > t[:-1]).all():
+        fault = "has targets that are not strictly increasing"
+    elif t[0] < 0:
+        fault = f"has a negative target {t[0]}"
+    elif not (p > 0.0).all():
+        j = int(np.argmin(p > 0.0))
+        fault = f"has a non-positive or NaN probability {p[j]} at target {t[j]}"
+    else:
+        fault = f"sums off by {dev[i]:.3e}"
+    raise ValueError(f"row of state {xs[i]} {fault}")
 
 
 def _stack_rows(rows: Sequence[SparseRow]) -> RowBatch:
@@ -292,40 +310,6 @@ class TruncationProblem:
     def rewards(self, xs) -> np.ndarray:
         """Checked rewards of the states ``xs`` (see ``reward_values``)."""
         return reward_values(self.r, xs)
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of row validation over a finite set of states."""
-
-    checked: list[int] = field(default_factory=list)
-    deviations: dict[int, float] = field(default_factory=dict)
-    issues: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def max_abs_deviation(self) -> float:
-        return max(self.deviations.values(), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return not self.issues
-
-
-def validate_rows(chain: ChainModel, states: Iterable[StateIndex],
-                  tol: float = ROW_SUM_TOL) -> ValidationReport:
-    """Check SparseRow invariants for every state in a finite set.
-
-    Failures are reported, not raised, so that deliberately malformed
-    inputs can be inspected.
-    """
-    report = ValidationReport()
-    for x in sorted(set(int(s) for s in states)):
-        row = chain.row(x)
-        report.checked.append(x)
-        report.deviations[x] = abs(row.total() - 1.0)
-        for msg in row.issues(tol):
-            report.issues.append((x, msg))
-    return report
 
 
 def one_step_fringe(chain: ChainModel, A: Iterable[StateIndex]) -> np.ndarray:

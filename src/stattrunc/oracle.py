@@ -49,7 +49,7 @@ def _sparse_matrix(chain: ChainModel, n: int) -> sp.csr_matrix:
     if n < 1:
         raise ValueError("n must be >= 1")
     indptr, targets, probs = chain.rows(np.arange(n))
-    outside = np.flatnonzero((targets < 0) | (targets >= n))
+    outside = np.flatnonzero(targets >= n)
     if outside.size:
         x = int(np.searchsorted(indptr, outside[0], side="right")) - 1
         raise OracleError(
@@ -206,7 +206,8 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
     runs past the end of its block continues into the following block,
     and the unused tail of a cycle's last block is discarded.  A step
     from x with uniform u moves to the first target of x's row whose
-    cumulative probability exceeds u (the last target if none does).
+    cumulative probability exceeds u (the last target if none does: a
+    row's sum may fall short of 1 by up to ``chain.ROW_SUM_TOL``).
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from stattrunc import SparseRow, exact_stationary_finite, matrix_chain
+from stattrunc import ChainModel, SparseRow, exact_stationary_finite, matrix_chain
 from stattrunc.chain import reward_values
 from stattrunc.models import _beta_table
 
@@ -74,6 +74,32 @@ def stacked_rows(row_of, xs):
     indptr = np.concatenate(([0], np.cumsum([r.targets.size for r in rows], dtype=np.int64)))
     return (indptr, np.concatenate([r.targets for r in rows] + [np.zeros(0, np.int64)]),
             np.concatenate([r.probs for r in rows] + [np.zeros(0)]))
+
+
+#: one row of the reflected walk broken, by fault: (state, targets, probs)
+BROKEN_WALK_ROWS = {
+    "negative": (50, [49, 51, 52], [0.68, 0.33, -0.01]),
+    "repeated": (0, [1, 1], [0.5, 0.5]),
+    "nan": (50, [49, 51], [2.0 / 3.0, float("nan")]),
+}
+
+
+def broken_walk(fault: str, form: str) -> ChainModel:
+    """The reflected walk with the row ``BROKEN_WALK_ROWS[fault]`` in place.
+
+    ``form`` is ``"rows_fn"`` (a batch function) or ``"row_fn"`` (per state).
+    """
+    bad_x, targets, probs = BROKEN_WALK_ROWS[fault]
+
+    def row_of(x):
+        if x == bad_x:
+            return SparseRow(np.array(targets), np.array(probs))
+        return walk_row_reference(x)
+
+    description = f"walk with a {fault} row at {bad_x}"
+    if form == "row_fn":
+        return ChainModel(row_fn=row_of, description=description)
+    return ChainModel(rows_fn=lambda xs: stacked_rows(row_of, xs), description=description)
 
 
 #: per-state formulas of the built-in drift functions (g1, g2), by model

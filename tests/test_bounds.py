@@ -29,7 +29,8 @@ from stattrunc import (
     tight_certificate,
     verify_lyapunov_drift,
 )
-from conftest import dirichlet_chain, gm1_row_reference, walk_row_reference
+from conftest import (BROKEN_WALK_ROWS, broken_walk, dirichlet_chain, gm1_row_reference,
+                      walk_row_reference)
 
 ZERO_CERT = LyapunovCertificate(g1=lambda x: 0.0, g2=lambda x: 0.0)
 
@@ -95,6 +96,32 @@ def test_delta_beyond_one_is_a_pipeline_error():
     prob = TruncationProblem(chain=gm1_chain(), A=A, z=1030, K=[0, 1030], r=float)
     with pytest.raises(PipelineError, match=r"delta=1\.00000000\d+ outside \[0, 1\]"):
         run_pipeline(prob, gm1_certificate())
+
+
+@pytest.mark.parametrize("form", ["rows_fn", "row_fn"])
+@pytest.mark.parametrize("fault", sorted(BROKEN_WALK_ROWS))
+def test_broken_row_is_a_pipeline_error_naming_the_state(fault, form):
+    """A negative, repeated or NaN entry in one row of the walk ends in a
+    ``PipelineError`` naming the state, not in a printed interval."""
+    bad_x = BROKEN_WALK_ROWS[fault][0]
+    prob = TruncationProblem(chain=broken_walk(fault, form), A=np.arange(200), z=0,
+                             K=np.arange(4), r=lambda x: x / 2.0)
+    with pytest.raises(PipelineError, match=f"stage 'assemble' failed: row of state {bad_x} "):
+        run_pipeline(prob, random_walk_certificate())
+
+
+@pytest.mark.parametrize("form", ["rows_fn", "row_fn"])
+def test_every_row_reader_rejects_a_negative_entry(form):
+    chain = broken_walk("negative", form)
+    prob = TruncationProblem(chain=chain, A=np.arange(200), z=0, K=np.arange(4),
+                             r=lambda x: x / 2.0)
+    match = "^row of state 50 has a non-positive or NaN probability -0.01 at target 52$"
+    for read in (lambda: verify_lyapunov_drift(prob, random_walk_certificate()),
+                 lambda: one_step_fringe(chain, np.arange(200)),
+                 lambda: simulate_cycles(chain, 50, [50], [50], float, 10, seed=1),
+                 lambda: tight_certificate(chain, 100, [0], float)):
+        with pytest.raises(ValueError, match=match):
+            read()
 
 
 def test_hole_chain_is_a_degenerate_delta_without_numpy_warnings():

@@ -12,7 +12,6 @@ from stattrunc import (
     matrix_chain,
     one_step_fringe,
     random_walk_chain,
-    validate_rows,
 )
 from stattrunc.chain import ROW_CHUNK, Reward, as_state_array, member_mask, reward_values
 from stattrunc.models import _beta_table
@@ -21,10 +20,10 @@ from conftest import gm1_row_reference, stacked_rows, walk_row_reference
 
 
 def test_sparse_row_round_trip():
-    row = SparseRow.from_pairs([(0, 0.25), (3, 0.75)])
+    row = SparseRow(np.array([0, 3]), np.array([0.25, 0.75]))
     assert row.entries == [(0, 0.25), (3, 0.75)]
-    assert row.total() == 1.0
-    assert row.issues() == []
+    indptr, targets, probs = ChainModel(row_fn=lambda x: row, description="one row").rows([0])
+    assert indptr.tolist() == [0, 2] and targets.tolist() == [0, 3] and probs.sum() == 1.0
 
 
 def test_sparse_row_shape_mismatch():
@@ -37,11 +36,32 @@ def test_sparse_row_shape_mismatch():
     ([2, 1], [0.5, 0.5], "not strictly increasing"),
     ([1, 1], [0.5, 0.5], "not strictly increasing"),
     ([0, 1], [0.5, -0.5], "non-positive"),
-    ([0, 1], [0.5, 0.4], "deviates"),
+    ([0, 1], [0.5, 0.4], "sums off by"),
+    ([49, 51], [2.0 / 3.0, float("nan")], "NaN probability nan at target 51"),
+    ([], [], "is empty"),
 ])
 def test_sparse_row_issue_detection(targets, probs, expect):
-    issues = SparseRow(np.array(targets), np.array(probs)).issues()
-    assert any(expect in msg for msg in issues)
+    def row_of(x):
+        return SparseRow(np.array(targets), np.array(probs)) if x == 3 else SparseRow([0], [1.0])
+
+    for chain in (ChainModel(row_fn=row_of, description="per-state rows"),
+                  ChainModel(rows_fn=lambda xs: stacked_rows(row_of, xs),
+                             description="batch rows")):
+        with pytest.raises(ValueError, match=f"^row of state 3 .*{expect}"):
+            chain.rows([0, 1, 3, 2, 3])
+
+
+def test_rows_name_the_first_bad_state_in_batch_order():
+    def row_of(x):
+        return {2: SparseRow([0, 1], [0.5, 0.25]), 7: SparseRow([], [])}.get(
+            x, SparseRow([x + 1], [1.0]))
+
+    chain = ChainModel(row_fn=row_of, description="bad rows at 2 and 7")
+    with pytest.raises(ValueError, match="^row of state 7 is empty$"):
+        chain.rows([0, 7, 1, 2])
+    with pytest.raises(ValueError, match="^row of state 2 sums off by 2.500e-01$"):
+        chain.rows([0, 2, 1, 7])
+    chain.rows([0, 1, 3])
 
 
 def test_chain_row_index_guards():
@@ -191,16 +211,13 @@ def test_truncation_problem_membership_checks(two_state):
 
 def test_validate_rows_flags_bad_sum():
     P = np.array([[0.5, 0.5], [0.9, 0.0]])  # second row short by 0.1
-    report = validate_rows(matrix_chain(P), [0, 1])
-    assert not report.passed
-    assert report.checked == [0, 1]
-    assert report.max_abs_deviation == pytest.approx(0.1)
-    assert any(x == 1 for x, _ in report.issues)
+    with pytest.raises(ValueError, match=r"^row of state 1 sums off by 1\.000e-01$"):
+        matrix_chain(P).rows([0, 1])
 
 
 def test_validate_rows_clean(two_state):
-    report = validate_rows(two_state["chain"], [0, 1])
-    assert report.passed and report.max_abs_deviation <= 1e-15
+    indptr, _, probs = two_state["chain"].rows([0, 1])
+    assert np.abs(np.add.reduceat(probs, indptr[:-1]) - 1.0).max() <= 1e-15
 
 
 def test_one_step_fringe_walk():
@@ -217,8 +234,7 @@ def test_one_step_fringe_full_chain_empty(uniform4):
 def test_random_rows_validate(seed, n):
     rng = np.random.default_rng(seed)
     P = rng.dirichlet(np.ones(n), size=n)
-    report = validate_rows(matrix_chain(P), range(n))
-    assert report.passed
+    matrix_chain(P).rows(np.arange(n))  # every row passes the row check
 
 
 def assert_rows_match_row(chain, row_of, xs):

@@ -9,6 +9,8 @@ import pytest
 from stattrunc.cli import COLUMNS, ORACLE_COLUMNS, emit, main, run_experiment
 from stattrunc.config import parse_config
 
+from conftest import BROKEN_WALK_ROWS, broken_walk
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 TWO_STATE_YAML = os.path.join(CONFIG_DIR, "two_state.yaml")
 
@@ -80,6 +82,21 @@ def test_non_finite_reward_row_is_a_numerical_error(monkeypatch, value):
     assert [r["status"] for r in rows] == ["ok", "numerical_error"]
     assert rows[1]["upper"] != rows[1]["upper"]  # NaN, not a printed interval
     assert f"r(5)={value}" in log.getvalue()
+
+
+@pytest.mark.parametrize("form", ["rows_fn", "row_fn"])
+@pytest.mark.parametrize("fault", sorted(BROKEN_WALK_ROWS))
+def test_broken_chain_row_is_a_numerical_error(monkeypatch, fault, form):
+    import stattrunc.cli as cli_module
+    monkeypatch.setattr(cli_module, "build_chain", lambda cfg: broken_walk(fault, form))
+    bad_x = BROKEN_WALK_ROWS[fault][0]
+    cfg = parse_config({"model": "random_walk", "z": 0, "K_max": 3,
+                        "a_values": [100], "r_spec": "half"})
+    log = io.StringIO()
+    rows = run_experiment(cfg, log=log)
+    assert [r["status"] for r in rows] == ["numerical_error"]
+    assert rows[0]["lower"] != rows[0]["lower"]  # NaN, not a printed interval
+    assert f"row of state {bad_x} " in log.getvalue()
 
 
 def test_emit_csv_round_trip(tmp_path):

@@ -433,11 +433,13 @@ def test_simulation_matches_reference_on_long_cycles():
 
 
 def test_simulation_matches_reference_when_row_mass_falls_short():
-    # rows summing to 0.6: uniforms above the cumulative sum take the last target
+    # rows summing to 0.6 break the row contract: the simulator and its
+    # reference both stop at the first row they read
     P = np.array([[0.2, 0.4], [0.3, 0.3]])
     chain = matrix_chain(P)
-    stats = assert_matches_reference(chain, 0, [0], [0, 1], float, 500, 8)
-    assert stats.mean_length > 1.0
+    for simulate in (reference_simulate_cycles, simulate_cycles):
+        with pytest.raises(ValueError, match=r"^row of state 0 sums off by 4\.000e-01$"):
+            simulate(chain, 0, [0], [0, 1], float, 500, 8)
 
 
 def test_simulation_cycle_cap_message_matches_reference():

@@ -269,8 +269,9 @@ def test_assembly_rejects_bad_rows():
     P = np.array([[0.5, 0.4], [1.0, 0.0]])  # first row short
     prob = TruncationProblem(chain=matrix_chain(P), A=[0, 1], z=0, K=[0],
                              r=lambda x: 1.0)
-    with pytest.raises(AssemblyError, match="sums"):
+    with pytest.raises(ValueError, match="row of state 0 sums") as exc:
         assemble_truncated_system(prob, ZERO_CERT)
+    assert type(exc.value) is ValueError  # the chain's own error, not the assembly's
 
 
 def test_assembly_rejects_negative_lyapunov_values():
@@ -447,8 +448,9 @@ def test_assembly_names_state_whose_batch_row_breaks_row_sum():
                              description="per-row rows off at 1500")):
         prob = TruncationProblem(chain=chain, A=np.arange(3000), z=0, K=[0],
                                  r=lambda x: 1.0)
-        with pytest.raises(AssemblyError, match="state 1500 ") as exc:
+        with pytest.raises(ValueError, match="state 1500 ") as exc:
             assemble_truncated_system(prob, WALK_CERT)
+        assert type(exc.value) is ValueError
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
