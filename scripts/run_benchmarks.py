@@ -24,7 +24,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default=os.path.join(REPO, "results"))
     ap.add_argument("--validate", action="store_true",
-                    help="add Monte Carlo cross-checks at desk-scale a")
+                    help="add a Monte Carlo cross-check to every ok row")
     args = ap.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
     for name in CONFIGS:

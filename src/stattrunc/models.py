@@ -213,10 +213,10 @@ def load_chain_from_file(path) -> ChainModel:
     Format: optional comment lines starting with '#', one header line
     ``states N``, then one ``src dst prob`` triple per line (whitespace
     separated).  A malformed line, an index outside the declared
-    dimension, a non-positive probability and a repeated (src, dst) pair
-    raise ``ChainFileError``, and so does a row that breaks the row
-    contract of ``ChainModel`` (``ChainModel.rows`` checks every row once,
-    on load): an empty row, or one whose sum is off by more than
+    dimension and a non-positive probability raise ``ChainFileError``,
+    and so does a row that breaks the row contract of ``ChainModel``
+    (``ChainModel.rows`` checks every row once, on load): an empty row, a
+    repeated (src, dst) pair, or a row whose sum is off by more than
     ``chain.ROW_SUM_TOL``.
     """
     n = None
@@ -256,9 +256,6 @@ def load_chain_from_file(path) -> ChainModel:
                       for k, dtype in enumerate((np.int64, np.int64, np.float64)))
     order = np.lexsort((dst, src))
     src, dst, prob = src[order], dst[order], prob[order]
-    dup = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
-    if dup.size:
-        raise ChainFileError(f"{path}: duplicate entry for ({src[dup[0]]}, {dst[dup[0]]})")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     chain = csr_chain(indptr, dst, prob, description=f"file chain ({path})")

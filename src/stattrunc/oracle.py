@@ -1,13 +1,14 @@
 """Independent ground truth for desk-scale verification.
 
 Exact stationary solves and first-step regenerative expectations on finite
-chains, a seeded Monte Carlo cycle simulator with excursion statistics,
-and helpers for building provably tight drift certificates on finite
-chains.  Nothing here shares code with the bound pipeline: these are the
-cross-checks, so they build the whole finite transition matrix from the
-chain's rows instead of using the truncated-system machinery.  First-step
-systems are solved by one sparse LU of I - P restricted to the states
-outside the stopping set; only ``exact_stationary_finite`` goes dense.
+chains, a seeded Monte Carlo cycle simulator with excursion statistics
+(one uniform per step, read in order from one PCG64 stream), and helpers
+for building provably tight drift certificates on finite chains.  Nothing
+here shares code with the bound pipeline: these are the cross-checks, so
+they build the whole finite transition matrix from the chain's rows
+instead of using the truncated-system machinery.  First-step systems are
+solved by one sparse LU of I - P restricted to the states outside the
+stopping set; only ``exact_stationary_finite`` goes dense.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ RNG_ALGORITHM = "numpy.random.default_rng (PCG64)"
 
 DEFAULT_CYCLE_CAP = 10**7
 
-#: uniforms per cycle block of the simulator's stream (see simulate_cycles)
-UNIFORM_BLOCK = 256
-#: leading uniforms of each block turned into Python floats up front; the
-#: rest only for a cycle that gets that far (most cycles are short)
-UNIFORM_HEAD = 16
-#: blocks drawn from the generator per call
-UNIFORM_BATCH = 64
+# uniforms drawn from the generator per refill; not part of the stream
+# contract, since successive rng.random(n) calls continue one stream
+_STREAM_BATCH = 4096
 #: excursion rounds per cycle counted in ``CycleStats.excursion_survival``
 MAX_TRACKED = 64
 #: max-norm residual allowed of an exact stationary solve
@@ -200,14 +197,11 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
     once, as one-state batches; a reward that is not finite and
     non-negative there raises the ``ValueError`` of ``reward_values``.
 
-    Stream contract: one PCG64 stream, seeded with ``seed``, is read as
-    consecutive blocks of ``UNIFORM_BLOCK`` uniforms.  Cycle c starts at
-    the next unused block and spends one uniform per step; a cycle that
-    runs past the end of its block continues into the following block,
-    and the unused tail of a cycle's last block is discarded.  A step
-    from x with uniform u moves to the first target of x's row whose
-    cumulative probability exceeds u (the last target if none does: a
-    row's sum may fall short of 1 by up to ``chain.ROW_SUM_TOL``).
+    Stream contract: step k of the whole run, counted across cycles,
+    uses uniform k of ``numpy.random.default_rng(seed)``.  A step from x
+    with uniform u moves to the first target of x's row whose cumulative
+    probability exceeds u (the last target if none does: a row's sum may
+    fall short of 1 by up to ``chain.ROW_SUM_TOL``).
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -228,45 +222,23 @@ def simulate_cycles(chain: ChainModel, z: StateIndex,
         visited[x] = entry
         return entry
 
-    batch = heads = None
-    next_block = UNIFORM_BATCH
-
-    def take_block() -> int:
-        # index into ``batch`` of the next unused block; ``heads`` holds the
-        # first UNIFORM_HEAD values of each block as Python floats
-        nonlocal batch, heads, next_block
-        if next_block == UNIFORM_BATCH:
-            batch = rng.random((UNIFORM_BATCH, UNIFORM_BLOCK))
-            heads = batch[:, :UNIFORM_HEAD].tolist()
-            next_block = 0
-        next_block += 1
-        return next_block - 1
-
+    uniforms: list[float] = []
+    pos = 0
     rewards = []
     lengths = []
     survival_counts = np.zeros(MAX_TRACKED, dtype=np.int64)
     z_entry = visit(z)
 
     for c in range(n_cycles):
-        b = take_block()
-        uniforms = heads[b]
-        end = UNIFORM_HEAD
-        pos = 0
         entry = z_entry
         crew = z_entry[3]
         clen = 1
         rounds = 0
         escaped = False
         while True:
-            if pos == end:
-                if end == UNIFORM_HEAD:
-                    uniforms = batch[b].tolist()
-                    end = UNIFORM_BLOCK
-                else:
-                    b = take_block()
-                    uniforms = heads[b]
-                    end = UNIFORM_HEAD
-                    pos = 0
+            if pos == len(uniforms):
+                uniforms = rng.random(_STREAM_BATCH).tolist()
+                pos = 0
             targets, cum, last, _ = entry
             j = bisect_right(cum, uniforms[pos])
             pos += 1

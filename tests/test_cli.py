@@ -294,18 +294,22 @@ def test_validated_sweep_simulates_once(tmp_path, monkeypatch):
     assert len({(r["oracle_ratio"], r["oracle_half_width"]) for r in rows}) == 1
 
 
-def test_sweep_without_a_validated_row_simulates_nothing(tmp_path, monkeypatch):
-    from stattrunc.cli import VALIDATE_MAX_A
+def test_validated_sweep_cross_checks_every_ok_row_whatever_a(monkeypatch):
     calls = count_simulations(monkeypatch)
-    too_large = parse_config({"model": "random_walk", "z": 0, "K_max": 5,
-                              "a_values": [VALIDATE_MAX_A + 1, VALIDATE_MAX_A + 50],
-                              "r_spec": "half"})
-    rows = run_experiment(too_large, validate=True, log=io.StringIO())
+    large = parse_config({"model": "random_walk", "z": 0, "K_max": 5,
+                          "a_values": [2001, 2050], "r_spec": "half"})
+    rows = run_experiment(large, validate=True, log=io.StringIO())
     assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert len(calls) == 1
+    assert all(r["oracle_pass"] is True for r in rows)
+
+
+def test_sweep_without_a_validated_row_simulates_nothing(tmp_path, monkeypatch):
+    calls = count_simulations(monkeypatch)
     degenerate = parse_config({"model": f"file:{write_cycle_chain(tmp_path)}", "z": 0,
                                "K_max": 1, "a_values": [2]})
-    rows += run_experiment(degenerate, validate=True, log=io.StringIO())
-    assert rows[2]["status"] == "degenerate_delta"
+    rows = run_experiment(degenerate, validate=True, log=io.StringIO())
+    assert rows[0]["status"] == "degenerate_delta"
     assert calls == []
     assert all(r["oracle_ratio"] != r["oracle_ratio"] for r in rows)  # NaN
 

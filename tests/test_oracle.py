@@ -16,9 +16,9 @@ from stattrunc import (
 )
 from stattrunc.oracle import (
     DEFAULT_CYCLE_CAP,
-    UNIFORM_BATCH,
     Z_99,
     CycleStats,
+    _STREAM_BATCH,
     _sparse_matrix,
 )
 from conftest import dirichlet_chain, reflecting_walk_matrix
@@ -290,14 +290,11 @@ def test_dense_matrix_names_first_state_leaving_the_block():
 
 
 def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
-                              max_steps=DEFAULT_CYCLE_CAP, max_tracked=64,
-                              blocks=None):
+                              max_steps=DEFAULT_CYCLE_CAP, max_tracked=64):
     """The per-step numpy simulator that defines the stream contract.
 
-    One ``rng.random(256)`` call at the start of each cycle and one more
-    each time a cycle uses up its block; ``np.searchsorted`` on the row's
-    cumulative probabilities, clamped to the last target.  When given, the
-    list ``blocks`` receives the number of blocks each cycle drew.
+    One ``rng.random()`` call per step; ``np.searchsorted`` on the row's
+    cumulative probabilities, clamped to the last target.
     """
     rng = np.random.default_rng(seed)
     z = int(z)
@@ -320,14 +317,8 @@ def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
     survival_counts = np.zeros(max_tracked, dtype=np.int64)
     for c in range(n_cycles):
         x, crew, clen, rounds, escaped = z, float(r(z)), 1, 0, False
-        uniforms = rng.random(256)
-        pos, drawn = 0, 1
         while True:
-            if pos == uniforms.size:
-                uniforms = rng.random(uniforms.size)
-                pos, drawn = 0, drawn + 1
-            x = sample_next(x, float(uniforms[pos]))
-            pos += 1
+            x = sample_next(x, rng.random())
             if x == z:
                 break
             if clen >= max_steps:
@@ -346,8 +337,6 @@ def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
         lengths[c] = clen
         if rounds:
             survival_counts[:min(rounds, max_tracked)] += 1
-        if blocks is not None:
-            blocks.append(drawn)
 
     mean_reward = float(rewards.mean())
     mean_length = float(lengths.mean())
@@ -365,8 +354,8 @@ def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
                       excursion_survival=survival, seed=int(seed))
 
 
-def assert_matches_reference(*args, blocks=None, **kwargs):
-    expected = reference_simulate_cycles(*args, blocks=blocks, **kwargs)
+def assert_matches_reference(*args, **kwargs):
+    expected = reference_simulate_cycles(*args, **kwargs)
     assert simulate_cycles(*args, **kwargs) == expected
     return expected
 
@@ -392,12 +381,15 @@ def test_simulation_matches_reference_on_random_chains(chain_seed, n, n_cycles,
     assert_matches_reference(chain, z, K, A, lambda x: rvals[x], n_cycles, seed)
 
 
-@pytest.mark.parametrize("n_cycles", [1, UNIFORM_BATCH, UNIFORM_BATCH + 1])
+@pytest.mark.parametrize("n_cycles", [1, 1000, 5000])
 def test_simulation_matches_reference_at_batch_boundary(excursion_chain, n_cycles):
+    # cycles average ~4.9 steps: one cycle stays in the first batch, 1000
+    # and 5000 cycles run through one and several refills
     stats = assert_matches_reference(
         excursion_chain["chain"], 0, excursion_chain["K"], excursion_chain["A"],
         lambda x: 0.1 * x, n_cycles, 17)
     assert stats.n_cycles == n_cycles
+    assert n_cycles == 1 or stats.mean_length * n_cycles > _STREAM_BATCH
 
 
 def forward_path_chain(n):
@@ -412,24 +404,29 @@ def forward_path_chain(n):
 
 
 def test_simulation_matches_reference_on_long_cycles():
-    # cycles of ~256 steps use one or two blocks, so the block queue both
-    # overruns and moves to a new batch in the middle of a cycle
+    # cycles of ~256 steps on the path and a near-critical walk: each run
+    # spans more than two batches, so cycles straddle refills
     chain = forward_path_chain(383)
-    blocks = []
     stats = assert_matches_reference(chain, 0, range(10), range(100),
-                                     lambda x: 0.01 * x, 3 * UNIFORM_BATCH, 6,
-                                     blocks=blocks)
-    assert stats.mean_length > 200 and max(blocks) == 2
-    starts = np.cumsum([0] + blocks[:-1])
-    crossing = [c for c, (s, b) in enumerate(zip(starts, blocks))
-                if s // UNIFORM_BATCH != (s + b - 1) // UNIFORM_BATCH]
-    assert crossing
-    # a near-critical walk: cycles of several blocks
+                                     lambda x: 0.01 * x, 192, 6)
+    assert stats.mean_length > 200
+    assert stats.mean_length * stats.n_cycles > 2 * _STREAM_BATCH
     walk = matrix_chain(reflecting_walk_matrix(400, 0.49))
-    blocks = []
-    assert_matches_reference(walk, 0, range(5), range(50), float, 300, 3,
-                             blocks=blocks)
-    assert max(blocks) > 2
+    stats = assert_matches_reference(walk, 0, range(5), range(50), float, 300, 3)
+    assert stats.mean_length * stats.n_cycles > 2 * _STREAM_BATCH
+
+
+def test_simulation_does_not_depend_on_the_refill_size(excursion_chain, monkeypatch):
+    import stattrunc.oracle as oracle_module
+    runs = ((forward_path_chain(383), range(10), range(100), 40, 6),
+            (excursion_chain["chain"], excursion_chain["K"], excursion_chain["A"],
+             2000, 17))
+    for chain, K, A, n_cycles, seed in runs:
+        args = (chain, 0, K, A, lambda x: 0.1 * x, n_cycles, seed)
+        expected = reference_simulate_cycles(*args)
+        for size in (1, 7, _STREAM_BATCH):
+            monkeypatch.setattr(oracle_module, "_STREAM_BATCH", size)
+            assert simulate_cycles(*args) == expected
 
 
 def test_simulation_matches_reference_when_row_mass_falls_short():
