@@ -18,6 +18,7 @@ from .bounds import (
     compute_pi_tilde,
     compute_tv_bound,
     run_pipeline,
+    run_sweep,
     verify_lyapunov_drift,
 )
 from .chain import (
@@ -57,6 +58,7 @@ from .solver import (
     SolverOptions,
     TruncatedSystem,
     assemble_truncated_system,
+    prefix_system,
     solve,
     solve_transpose,
 )

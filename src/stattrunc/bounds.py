@@ -26,6 +26,7 @@ as 1 by convention.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -45,6 +46,7 @@ from .solver import (
     TruncatedSystem,
     assemble_truncated_system,
     expected_g_rows,
+    prefix_system,
     solve,
     solve_transpose,
 )
@@ -143,10 +145,24 @@ def compute_tv_bound(error_bound: float) -> float:
     return 2.0 * error_bound
 
 
+def _stage(name, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise PipelineError(f"stage '{name}' failed: {exc}") from exc
+
+
 def run_pipeline(problem: TruncationProblem,
                  certificate: LyapunovCertificate,
                  options: SolverOptions | None = None) -> BoundReport:
-    """Assemble and run the full bound computation for one problem.
+    """Assemble and run the full bound computation for one problem."""
+    system = _stage("assemble", assemble_truncated_system, problem, certificate)
+    return system_bounds(system, problem.K, options)
+
+
+def system_bounds(system: TruncatedSystem, K: np.ndarray,
+                  options: SolverOptions | None = None) -> BoundReport:
+    """The bound computation on an assembled system, with K its problem's K.
 
     Exactly four linear solves are performed against one shared
     factorization: the transpose solve for y plus columns for p,
@@ -154,35 +170,27 @@ def run_pipeline(problem: TruncationProblem,
     against y.
     """
     opts = options or SolverOptions()
-
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:
-            raise PipelineError(f"stage '{name}' failed: {exc}") from exc
-
-    system = stage("assemble", assemble_truncated_system, problem, certificate)
-    y = stage("transpose_solve", solve_transpose, system, opts.tol).x
+    y = _stage("transpose_solve", solve_transpose, system, opts.tol).x
     kappa_lower_r = system.r_z + float(y @ system.r_vec)
     kappa_lower_e = 1.0 + float(y.sum())
     pi_tilde_r = kappa_lower_r / kappa_lower_e
 
     # K' = K - {z}; TruncationProblem has already checked z in K and K in A
-    kp = system.positions(problem.K[problem.K != problem.z])
+    kp = system.positions(K[K != system.z])
     beta = _clamp_unit(system.P_zz + float(y @ system.p), "beta", opts.tol)
     corr1 = corr2 = 0.0
     if kp.size == 0:
         delta = 1.0
     else:
-        u_p = stage("delta_solve", solve, system, system.p, opts.tol).x
+        u_p = _stage("delta_solve", solve, system, system.p, opts.tol).x
         delta = float(u_p[kp].min())
         if delta <= 10.0 * opts.tol:
             raise DegenerateDeltaError(
                 f"delta={delta:.3e} <= 10*tol={10 * opts.tol:.1e}; enlarge A or shrink K")
         delta = _clamp_unit(delta, "delta", opts.tol)
-        u1 = stage("upper_solves", solve, system, system.r_vec + system.h1, opts.tol).x
-        u2 = stage("upper_solves", solve, system, np.ones(system.size) + system.h2,
-                   opts.tol).x
+        u1 = _stage("upper_solves", solve, system, system.r_vec + system.h1, opts.tol).x
+        u2 = _stage("upper_solves", solve, system, np.ones(system.size) + system.h2,
+                    opts.tol).x
         amp = max(0.0, 1.0 - beta) / delta
         corr1 = amp * float(u1[kp].max())
         corr2 = amp * float(u2[kp].max())
@@ -207,6 +215,53 @@ def run_pipeline(problem: TruncationProblem,
         error_bound=error_bound,
         tv_bound=compute_tv_bound(error_bound),
     )
+
+
+def run_sweep(problems: list[TruncationProblem], certificate: LyapunovCertificate,
+              options: SolverOptions | None = None
+              ) -> list[tuple[BoundReport | PipelineError | DegenerateDeltaError, float]]:
+    """``run_pipeline`` on nested problems, with one assembly and factorization.
+
+    The problems must differ only in A, each A a leading part of the
+    largest (a prefix sweep).  The largest is assembled and solved first;
+    every other problem's system is its ``prefix_system``, which solves
+    with the leading block of the largest's factorization.  Each report
+    equals ``run_pipeline``'s.  If the largest assembly fails, every
+    problem is assembled on its own, so a fault stays with the points
+    whose A contains it.
+
+    Returns, in the order given, each problem's report or the
+    ``DegenerateDeltaError`` or ``PipelineError`` it failed with, and its
+    wall time; the largest's includes the assembly and the factorization.
+    """
+    big = max(range(len(problems)), key=lambda i: problems[i].A.size)
+    largest = problems[big]
+    for p in problems:
+        if (p.chain is not largest.chain or p.r is not largest.r or p.z != largest.z
+                or not np.array_equal(p.K, largest.K)
+                or not np.array_equal(p.A, largest.A[:p.A.size])):
+            raise ValueError("sweep problems may differ only in A, each a prefix of the largest")
+
+    def timed(fn, *args):
+        start = time.perf_counter()
+        try:
+            outcome = fn(*args)
+        except (DegenerateDeltaError, PipelineError) as exc:
+            outcome = exc
+        return outcome, time.perf_counter() - start
+
+    system, seconds = timed(_stage, "assemble", assemble_truncated_system, largest, certificate)
+    if isinstance(system, PipelineError):
+        return [(system, seconds) if i == big else timed(run_pipeline, p, certificate, options)
+                for i, p in enumerate(problems)]
+
+    def prefix_bounds(problem):
+        prefix = _stage("assemble", prefix_system, system, problem, certificate)
+        return system_bounds(prefix, problem.K, options)
+
+    report, solve_seconds = timed(system_bounds, system, largest.K, options)
+    return [(report, seconds + solve_seconds) if i == big else timed(prefix_bounds, p)
+            for i, p in enumerate(problems)]
 
 
 def verify_lyapunov_drift(problem: TruncationProblem,

@@ -17,12 +17,11 @@ import csv
 import json
 import math
 import sys
-import time
 from typing import Iterable
 
 import numpy as np
 
-from .bounds import DegenerateDeltaError, PipelineError, run_pipeline
+from .bounds import DegenerateDeltaError, PipelineError, run_sweep
 from .chain import TruncationProblem
 from .config import (
     ConfigError,
@@ -61,8 +60,15 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
     Neither the drift certificate nor the Monte Carlo estimate depends on
     a, so each is computed once per sweep: the certificate before the
     first point, the simulation (seed = configured seed) at the first row
-    that is cross-checked, and none if no row is.  ``wall_time_seconds``
-    times the bound computation of its point and excludes both.
+    that is cross-checked, and none if no row is.
+
+    The truncation sets are nested prefixes, so the sweep is one
+    ``bounds.run_sweep``: one assembly and one factorization, at the
+    largest a, and every smaller a solves with their leading blocks (each
+    row equals a ``run_pipeline`` call at its a).  ``wall_time_seconds``
+    times the bound computation of its point: at the largest a it includes
+    the assembly and the factorization, at the others it is the prefix's
+    arrays and its solves.  It excludes the certificate and the simulation.
     """
     if log is None:
         log = sys.stderr  # resolved per call so redirection works
@@ -76,24 +82,21 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
     K = np.arange(config.K_max + 1)
     cert = build_certificate(config, chain, max(config.a_values), K, reward)
 
+    problems = [TruncationProblem(chain=chain, A=np.arange(a + 1 if literal else a),
+                                  z=config.z, K=K, r=reward) for a in config.a_values]
     stats = None
     rows = []
-    for a in config.a_values:
+    for a, problem, (rep, seconds) in zip(config.a_values, problems,
+                                          run_sweep(problems, cert, config.solver)):
         row = {c: math.nan for c in COLUMNS}
         row["a"] = int(a)
         row["status"] = "ok"
-        A_states = np.arange(a + 1 if literal else a)
-        start = time.perf_counter()
-        try:
-            problem = TruncationProblem(chain=chain, A=A_states, z=config.z,
-                                        K=K, r=reward)
-            rep = run_pipeline(problem, cert, config.solver)
-        except DegenerateDeltaError as exc:
+        if isinstance(rep, DegenerateDeltaError):
             row["status"] = "degenerate_delta"
-            print(f"stattrunc: a={a}: {exc}", file=log)
-        except PipelineError as exc:
+            print(f"stattrunc: a={a}: {rep}", file=log)
+        elif isinstance(rep, PipelineError):
             row["status"] = "numerical_error"
-            print(f"stattrunc: a={a}: {exc}", file=log)
+            print(f"stattrunc: a={a}: {rep}", file=log)
         else:
             row.update(
                 kappa_lower_r=rep.kappa_lower_r, kappa_lower_e=rep.kappa_lower_e,
@@ -104,7 +107,7 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
                 pi_tilde_r=rep.pi_tilde_r,
                 error_bound=rep.error_bound, tv_bound=rep.tv_bound,
             )
-        row["wall_time_seconds"] = time.perf_counter() - start
+        row["wall_time_seconds"] = seconds
 
         if validate:
             for c in ORACLE_COLUMNS:
@@ -112,7 +115,7 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
             if row["status"] == "ok":
                 if stats is None:
                     # A only shapes excursion_survival, which no row reads
-                    stats = simulate_cycles(chain, config.z, K, A_states, reward,
+                    stats = simulate_cycles(chain, config.z, K, problem.A, reward,
                                             config.oracle.n_cycles,
                                             config.oracle.seed)
                 band = 3.0 * stats.half_width

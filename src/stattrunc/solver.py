@@ -7,21 +7,25 @@ Neumann series sum_j B^j.  Everything downstream reduces to one transpose
 solve against the entry row nu(x) = P(z, x) plus a handful of column
 solves, all sharing a single factorization.
 
-I - B is factored in state order with diagonal pivots and no row
-exchanges.  It is a nonsingular M-matrix, so every pivot is positive, and
-the fill of L + U stays inside the envelope of I - B: on the built-in
-chains, whose rows reach one state up and a bounded number of states
-down, that is a band, and the factorization costs a fraction of what a
-fill-reducing column ordering costs to compute.
+That factorization is LAPACK's band LU (dgbtrf) of M = (I - B)^T, whose
+column j is row j of I - B, in state order.  Its bandwidths are how far a
+row of B reaches up and down in A'.  Rows of B are substochastic, so M is
+column diagonally dominant and partial pivoting takes every diagonal
+pivot: the factors hold no fill outside the band.  The row solve is a
+solve with M, the column solves with M^T.  With the pivots on the
+diagonal, the first m' columns of the factors are the factors of M's
+leading m' x m' block, so the system of a prefix of A (``prefix_system``)
+solves with the factorization of a larger one.  A chain whose band would
+hold more than ``BAND_FILL`` times the entries of I - B (say, every row
+jumps to one hub state) is factored by SuperLU in state order instead.
 
-Every solve is a direct sparse LU solve against that one factorization,
-refined iteratively, clamped to be non-negative and returned only with a
-checked max-norm residual certificate.  The row solve y = nu (I - B)^{-1}
-is refined for forward accuracy, against residuals formed in long double
-(mixed-precision iterative refinement, Higham, "Accuracy and Stability of
-Numerical Algorithms", ch. 12): every inner product of the bounds is taken
-with y.  The column solves are refined for backward error, in double,
-until the residual reaches the roundoff floor.
+Every solve is refined iteratively, clamped to be non-negative and
+returned only with a checked max-norm residual certificate.  The row solve
+y = nu (I - B)^{-1} is refined for forward accuracy, against residuals
+formed in long double (mixed-precision iterative refinement, Higham,
+"Accuracy and Stability of Numerical Algorithms", ch. 12): every inner
+product of the bounds is taken with y.  The column solves are refined for
+backward error, in double, until the residual reaches the roundoff floor.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .chain import (TruncationProblem, as_state_array, is_contiguous, member_mask,
                     reward_values)
@@ -70,7 +75,8 @@ class TruncatedSystem:
 
     For each x in A', B(x,.) + p(x) + q(x) is the mass of x's row, which
     ``ChainModel.rows`` checked to lie within ``chain.ROW_SUM_TOL`` of 1;
-    every entry of B, nu, p, q and h is non-negative.  The scalars
+    every entry of B, nu, p, q and h is non-negative, and B's column
+    indices are sorted within each row, as a row's targets are.  The scalars
     attached to z (its self-loop mass, reward and exit bounds) are carried
     alongside because the cycle-based formulas need them.
     """
@@ -260,72 +266,201 @@ def assemble_truncated_system(problem: TruncationProblem,
     )
 
 
+def prefix_system(system: TruncatedSystem, problem: TruncationProblem,
+                  certificate: LyapunovCertificate) -> TruncatedSystem:
+    """The truncated system of ``problem``, read off the larger ``system``.
+
+    ``problem.A`` must be a leading part of ``system.A_full`` that holds
+    its z, and ``system`` must have been assembled from ``problem``'s
+    chain and reward and from ``certificate``.  B, nu, p and r are then
+    leading blocks of ``system``'s, B without its entries past the prefix
+    (views when those are B's last entries, as on chains that reach one
+    state up).  q and h differ only on the rows that reach past the
+    prefix: those rows and z's are read again through ``chain.rows`` and
+    summed by ``expected_g_rows``.  Every array equals that of
+    ``assemble_truncated_system(problem, certificate)``.
+
+    When ``system`` has a ``BandLU`` of the prefix's own band whose first
+    m' pivots are on the diagonal, the prefix solves with its leading m'
+    columns: the factors its own factorization would compute.
+    """
+    A, z = problem.A, problem.z
+    n = A.size
+    if z != system.z or not np.array_equal(A, system.A_full[:n]):
+        raise ValueError(f"A must be a leading part of the system's A and hold its z={system.z}")
+    m = n - 1
+    B = system.B
+    hi = int(B.indptr[m])
+    past = np.flatnonzero(B.indices[:hi] >= m)
+    reach = np.searchsorted(B.indptr, past, side="right") - 1
+    indptr = B.indptr[:m + 1] - np.concatenate(([0], np.cumsum(np.bincount(reach, minlength=m))))
+    keep = hi - past.size
+    if np.array_equal(past, np.arange(keep, hi)):
+        data, indices = B.data[:keep], B.indices[:keep]
+    else:
+        data, indices = np.delete(B.data[:hi], past), np.delete(B.indices[:hi], past)
+
+    fix = np.unique(reach)
+    xs = np.append(system.Aprime[fix], z)
+    row_ptr, targets, probs = problem.chain.rows(xs)
+    outside = ~member_mask(targets, A)
+    n_out = np.bincount(np.repeat(np.arange(xs.size), np.diff(row_ptr))[outside],
+                        minlength=xs.size)
+    esc = np.flatnonzero(n_out)
+    q_x, h1_x, h2_x = np.zeros(xs.size), np.zeros(xs.size), np.zeros(xs.size)
+    q_x[esc], h1_x[esc], h2_x[esc] = expected_g_rows(
+        certificate, n_out[esc], targets[outside], probs[outside])
+    q, h1, h2 = system.q[:m].copy(), system.h1[:m].copy(), system.h2[:m].copy()
+    q[fix], h1[fix], h2[fix] = q_x[:-1], h1_x[:-1], h2_x[:-1]
+
+    # set, not passed to the constructor, which copies a view of less than
+    # half of its base
+    B_m = sp.csr_matrix((m, m))
+    B_m.data, B_m.indices, B_m.indptr = data, indices, indptr.astype(B.indptr.dtype)
+    prefix = TruncatedSystem(
+        Aprime=system.Aprime[:m], B=B_m,
+        nu=system.nu[:m], p=system.p[:m], q=q, r_vec=system.r_vec[:m], h1=h1, h2=h2,
+        A_full=A, z=system.z, P_zz=system.P_zz, r_z=system.r_z,
+        h1_z=float(h1_x[-1]), h2_z=float(h2_x[-1]),
+    )
+    lu = system._cache.get("lu")
+    if isinstance(lu, BandLU) and _band(prefix.B) == (lu.kl, lu.ku):
+        leading = lu.leading(m)
+        if leading is not None:
+            prefix._cache["lu"] = leading
+    return prefix
+
+
+#: the band LU is used while its storage, (2 kl + ku + 1) m entries, is at
+#: most this many times the entries of I - B (nnz(B) + m); past that, SuperLU
+BAND_FILL = 4
+
+#: values of B converted to long double, or of M written into band storage,
+#: at a time (4 MB of long double); a block holds whole rows of B, so a
+#: longer row is a block of its own
+LD_BLOCK = 1 << 18
+
+
+def _row_blocks(B: sp.csr_matrix):
+    """Consecutive row ranges (i0, i1) of B, each holding at most
+    ``LD_BLOCK`` entries or one row."""
+    m, indptr = B.shape[0], B.indptr
+    size = max(LD_BLOCK, int(np.diff(indptr).max(initial=0)))
+    i0 = 0
+    while i0 < m:
+        i1 = int(np.searchsorted(indptr, indptr[i0] + size, side="right")) - 1
+        yield i0, i1
+        i0 = i1
+
+
+def _band(B: sp.csr_matrix) -> tuple[int, int] | None:
+    """(kl, ku) of M = (I - B)^T, or None when its band is too wide.
+
+    kl and ku are how far a row of B reaches up and down; a row's first
+    and last columns are its lowest and highest, as B's column indices
+    are sorted within each row.  The band is too wide when it would hold
+    more than ``BAND_FILL`` times the entries of I - B.
+    """
+    m = B.shape[0]
+    rows = np.flatnonzero(np.diff(B.indptr))
+    kl = ku = 0
+    if rows.size:
+        kl = max(0, int((B.indices[B.indptr[rows + 1] - 1] - rows).max()))
+        ku = max(0, int((rows - B.indices[B.indptr[rows]]).max()))
+    return (kl, ku) if (2 * kl + ku + 1) * m <= BAND_FILL * (B.nnz + m) else None
+
+
+class BandLU:
+    """The LU factors of M = (I - B)^T in LAPACK band storage.
+
+    ``solve(b, trans)`` has SuperLU's meaning on I - B: ``"N"`` solves
+    (I - B) x = b, a solve with M^T, and ``"T"`` solves x (I - B) = b, a
+    solve with M.
+    """
+
+    def __init__(self, ab: np.ndarray, kl: int, ku: int, piv: np.ndarray):
+        self.ab, self.kl, self.ku, self.piv = ab, kl, ku, piv
+
+    @classmethod
+    def factor(cls, B: sp.csr_matrix, kl: int, ku: int) -> "BandLU":
+        m, indptr = B.shape[0], B.indptr
+        # M[i, j] is ab[kl + ku + i - j, j], and column j of M is row j of
+        # I - B: ab^T, in C order, is B with each row's columns shifted by
+        # kl + ku minus its position, negated, plus 1 at column kl + ku
+        abT = np.zeros((m, 2 * kl + ku + 1))
+        for i0, i1 in _row_blocks(B):
+            lo, hi = indptr[i0], indptr[i1]
+            ptr = indptr[i0:i1 + 1] - lo
+            cols = B.indices[lo:hi] - np.repeat(np.arange(i0, i1, dtype=B.indices.dtype),
+                                                np.diff(ptr))
+            cols += kl + ku
+            sp.csr_matrix((np.negative(B.data[lo:hi]), cols, ptr),
+                          shape=(i1 - i0, abT.shape[1])).toarray(out=abT[i0:i1])
+        ab = abT.T
+        ab[kl + ku] += 1.0
+        ab, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise SolverError(f"I - B is singular: zero pivot at position {info - 1}")
+        return cls(ab, kl, ku, piv)
+
+    def leading(self, m: int) -> "BandLU | None":
+        """The factors of M's leading m x m block: our first m columns,
+        unless a row exchange among the first m pivots makes them differ
+        (then None)."""
+        if not np.array_equal(self.piv[:m], np.arange(m)):
+            return None
+        return BandLU(self.ab[:, :m], self.kl, self.ku, self.piv[:m])
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        x, _ = dgbtrs(self.ab, self.kl, self.ku, b, self.piv, trans=int(trans == "N"))
+        return x
+
+
 def _lu(system: TruncatedSystem):
     """The state-order LU of I - B, computed once per system.
 
-    B in CSC form is B^T in CSR form, the copy of B that the row-solve
-    residual reads; it is cached as such.  When every diagonal entry of B
-    is stored, that copy is turned into I - B for the factorization (-b off
-    the diagonal, 1 - b_ii on it: the values of ``identity - B``) and back
-    into B^T after it, exactly, so the factorization costs no second copy
-    of B.
+    A ``BandLU`` of (I - B)^T unless ``_band`` finds the band too wide,
+    else SuperLU's LU of I - B in state order with diagonal pivots.  Both
+    hold no fill outside the envelope of I - B.
     """
     if "lu" not in system._cache:
-        m = system.size
-
-        def factor(I_minus_B):
-            # state order, diagonal pivots: I - B is a nonsingular M-matrix,
-            # so every pivot is positive and perm_r = perm_c = identity
-            return spla.splu(I_minus_B, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                             relax=1, panel_size=1)
-
-        diag = system.B.diagonal()
-        Bt = system.B.tocsc()
-        if np.all(diag > 0.0):
-            Bt.data *= -1.0
-            Bt.setdiag(1.0 - diag)
-            system._cache["lu"] = factor(Bt)
-            Bt.data *= -1.0
-            Bt.setdiag(diag)
+        B, m = system.B, system.size
+        band = _band(B)
+        if band is not None:
+            lu = BandLU.factor(B, *band)
         else:
-            system._cache["lu"] = factor(sp.identity(m, format="csc") - Bt)
-        system._cache["Bt"] = sp.csr_matrix((Bt.data, Bt.indices, Bt.indptr),
-                                            shape=(m, m), copy=False)
+            # I - B is a nonsingular M-matrix, so every pivot is positive
+            # and perm_r = perm_c = identity
+            lu = spla.splu((sp.identity(m, format="csr") - B).tocsc(), permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0, relax=1, panel_size=1)
+        system._cache["lu"] = lu
     return system._cache["lu"]
-
-
-#: values of B^T held in long double at a time by the row-solve residual
-#: (4 MB); a block holds whole rows, so a longer row is a block of its own
-LD_BLOCK = 1 << 18
 
 
 def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
               transpose: bool) -> np.ndarray:
     """b - (I - B) x, or b - x (I - B) in long double when ``transpose``.
 
-    x B is B^T x, read from the transposed copy of B that ``_lu`` keeps,
-    a block of rows at a time: each row's values go to long double and its
-    entry of B^T x is their sum with x, left to right from 0.  That is the
-    order of a product with a long-double copy of all of B, so the blocks
-    give the same bits without holding such a copy.
+    x B is summed a block of B's rows at a time: each block's values go to
+    long double and its product with x is added to the sum, so no
+    long-double copy of all of B is held.
     """
     if not transpose:
         return b - (x - system.B @ x)
-    Bt = system._cache["Bt"]
-    m, indptr = system.size, Bt.indptr
+    B = system.B
+    indptr = B.indptr
+    blocks = list(_row_blocks(B))
+    vals = np.empty(max((int(indptr[i1] - indptr[i0]) for i0, i1 in blocks), default=0),
+                    dtype=np.longdouble)
     x_ld = x.astype(np.longdouble)
-    Btx = np.empty(m, dtype=np.longdouble)
-    vals = np.empty(min(Bt.nnz, max(LD_BLOCK, int(np.diff(indptr).max()))), dtype=np.longdouble)
-    i0 = 0
-    while i0 < m:
-        i1 = int(np.searchsorted(indptr, indptr[i0] + vals.size, side="right")) - 1
+    xB = np.zeros(system.size, dtype=np.longdouble)
+    for i0, i1 in blocks:
         lo, hi = indptr[i0], indptr[i1]
-        np.copyto(vals[:hi - lo], Bt.data[lo:hi])
-        rows = sp.csr_matrix((vals[:hi - lo], Bt.indices[lo:hi], indptr[i0:i1 + 1] - lo),
-                             shape=(i1 - i0, m))
-        Btx[i0:i1] = rows @ x_ld
-        i0 = i1
-    return b.astype(np.longdouble) - (x_ld - Btx)
+        np.copyto(vals[:hi - lo], B.data[lo:hi])
+        rows = sp.csr_matrix((vals[:hi - lo], B.indices[lo:hi], indptr[i0:i1 + 1] - lo),
+                             shape=(i1 - i0, system.size))
+        xB += rows.T @ x_ld[i0:i1]
+    return b.astype(np.longdouble) - (x_ld - xB)
 
 
 def _scale(b: np.ndarray, x: np.ndarray) -> float:
@@ -408,7 +543,7 @@ def solve(system: TruncatedSystem, b: np.ndarray,
           tol: float = DEFAULT_TOL) -> SolveResult:
     """Solve (I - B) x = b with a certified max-norm residual.
 
-    The system's sparse LU factorization (computed once and cached) gives
+    The system's LU factorization (computed once and cached) gives
     x, which is refined, clamped at zero and checked.  The certificate is
     |b - (I - B) x|_inf <= tol * max(1, |b|_inf, |x|_inf): an absolute
     bound for O(1) systems, relative for large ones (absolute 1e-12 is

@@ -173,3 +173,52 @@ def walk200():
     P = reflecting_walk_matrix(200, 0.48)
     chain = matrix_chain(P, description="200-state reflecting walk")
     return {"P": P, "chain": chain, "pi": exact_stationary_finite(chain, 200)}
+
+
+def jump_chain_rows(n: int, seed: int) -> list[tuple[list[int], list[float]]]:
+    """Rows of a chain on {0..n-1} with jumps of +-1..3 and downward drift.
+
+    Each state draws how many jump sizes it uses (1, 2 or 3), their
+    weights and a down probability in [0.52, 0.62]; down jumps below 0
+    land on 0 and up jumps past n-1 are dropped before normalising.
+    Returns a list of (targets, probs) with strictly increasing targets.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for x in range(n):
+        k = int(rng.integers(1, 4))
+        weights = rng.dirichlet(np.ones(k))
+        p_down = float(rng.uniform(0.52, 0.62))
+        mass: dict[int, float] = {}
+        for d, w in zip(range(1, k + 1), weights.tolist()):
+            mass[max(x - d, 0)] = mass.get(max(x - d, 0), 0.0) + p_down * w
+            if x + d < n:
+                mass[x + d] = mass.get(x + d, 0.0) + (1.0 - p_down) * w
+        targets = sorted(mass)
+        probs = np.array([mass[t] for t in targets])
+        rows.append((targets, (probs / probs.sum()).tolist()))
+    return rows
+
+
+def write_jump_chain(path, n: int = 400, seed: int = 1):
+    """``jump_chain_rows`` as a chain file (``states N``, then ``src dst prob``)."""
+    lines = [f"states {n}"]
+    for x, (targets, probs) in enumerate(jump_chain_rows(n, seed)):
+        lines += [f"{x} {t} {p!r}" for t, p in zip(targets, probs)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+#: the state every row of ``hub_chain`` also jumps to
+HUB = 5
+
+
+def hub_chain(n: int) -> ChainModel:
+    """Walk on {0..n-1}, down 0.42 and up 0.48 (reflected at both ends), whose
+    every row also jumps to state ``HUB`` with probability 0.1."""
+    P = np.zeros((n, n))
+    x = np.arange(n)
+    np.add.at(P, (x, np.maximum(x - 1, 0)), 0.42)
+    np.add.at(P, (x, np.minimum(x + 1, n - 1)), 0.48)
+    P[:, HUB] += 0.1
+    return matrix_chain(P, description=f"{n}-state walk with a hub at {HUB}")

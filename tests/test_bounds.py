@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stattrunc.bounds as bounds_mod
+import stattrunc.solver as solver_mod
 from stattrunc import (
     ChainModel,
     DegenerateDeltaError,
@@ -20,17 +21,21 @@ from stattrunc import (
     exact_stationary_finite,
     gm1_certificate,
     gm1_chain,
+    load_chain_from_file,
     matrix_chain,
     one_step_fringe,
     random_walk_certificate,
     random_walk_chain,
+    Reward,
+    prefix_system,
     run_pipeline,
+    run_sweep,
     simulate_cycles,
     tight_certificate,
     verify_lyapunov_drift,
 )
 from conftest import (BROKEN_WALK_ROWS, broken_walk, dirichlet_chain, gm1_row_reference,
-                      walk_row_reference)
+                      hub_chain, walk_row_reference, write_jump_chain)
 
 ZERO_CERT = LyapunovCertificate(g1=lambda x: 0.0, g2=lambda x: 0.0)
 
@@ -326,3 +331,87 @@ def test_user_chain_with_only_row_fn_gives_identical_reports(model):
     sims = [simulate_cycles(each, 0, range(26), range(400), lambda x: x / 2.0, 300, seed=3)
             for each in (chain, user)]
     assert sims[0] == sims[1]
+
+
+def _sweep_case(case, tmp_path):
+    """(chain, certificate, K, reward, sizes of A) of one prefix sweep."""
+    if case == "gm1":
+        return gm1_chain(), gm1_certificate(), np.arange(201), float, [300, 600, 1000]
+    if case == "walk":
+        return (random_walk_chain(), random_walk_certificate(), np.arange(6),
+                Reward(lambda xs: xs / 2.0), [50, 400, 3000])
+    if case == "jump":
+        n, sizes, K = 400, [40, 150, 400], np.arange(4)
+        chain = load_chain_from_file(write_jump_chain(tmp_path / "jump.txt", n))
+    else:
+        n, sizes, K = 1200, [60, 150, 1000], np.arange(3)
+        chain = hub_chain(n)
+    return chain, tight_certificate(chain, n, K, float), K, float, sizes
+
+
+SYSTEM_FIELDS = ("Aprime", "nu", "p", "q", "r_vec", "h1", "h2", "A_full", "z", "P_zz",
+                 "r_z", "h1_z", "h2_z")
+
+
+@pytest.mark.parametrize("case", ["gm1", "walk", "jump", "hub"])
+def test_each_sweep_point_equals_its_own_pipeline(monkeypatch, tmp_path, case):
+    """One assembly and one band factorization serve the sweep: each point's
+    report equals ``run_pipeline``'s at its A bit for bit, and its system's
+    arrays those of its own assembly.  Rows of the ±3-jump file chain reach
+    3 states up, so a prefix drops entries inside B; the hub chain's band is
+    too wide, so each point factors its own I - B with SuperLU."""
+    chain, cert, K, r, sizes = _sweep_case(case, tmp_path)
+    problems = [TruncationProblem(chain=chain, A=np.arange(a), z=0, K=K, r=r) for a in sizes]
+    calls = []
+    for module, name in ((bounds_mod, "assemble_truncated_system"), (solver_mod, "dgbtrf")):
+        def counted(*args, fn=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    swept = run_sweep(problems, cert)
+    assert calls == ["assemble_truncated_system"] + (["dgbtrf"] if case != "hub" else [])
+    monkeypatch.undo()
+
+    full = assemble_truncated_system(problems[-1], cert)
+    lu = solver_mod._lu(full)
+    assert isinstance(lu, solver_mod.BandLU) == (case != "hub")
+    for problem, (report, seconds) in zip(problems, swept):
+        assert repr(report) == repr(run_pipeline(problem, cert))
+        assert seconds > 0
+        fresh = assemble_truncated_system(problem, cert)
+        prefix = prefix_system(full, problem, cert)
+        for key in SYSTEM_FIELDS:
+            assert np.asarray(getattr(prefix, key)).dtype == np.asarray(getattr(fresh, key)).dtype
+            assert np.array_equal(getattr(prefix, key), getattr(fresh, key)), key
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(prefix.B, key), getattr(fresh.B, key)), key
+        if problem is problems[-1]:
+            continue
+        # rows that reach one state up leave B's dropped entries at its end
+        assert np.shares_memory(prefix.B.data, full.B.data) == (case != "jump")
+        if case != "hub":
+            assert np.shares_memory(solver_mod._lu(prefix).ab, lu.ab)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**31 - 1), st.integers(4, 40), st.data())
+def test_sweep_equals_its_pipelines_on_random_chains(seed, n, data):
+    """Random sparse or dense chains, z anywhere in the smallest A: each
+    sweep point, report or failure, is ``run_pipeline``'s at its A."""
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(n), size=n) * (rng.random((n, n)) < rng.uniform(0.05, 0.7))
+    P[np.arange(n), (np.arange(n) + 1) % n] += 0.2
+    P[np.arange(n), (np.arange(n) - 1) % n] += 0.2
+    chain = matrix_chain(P / P.sum(axis=1, keepdims=True))
+    sizes = sorted(data.draw(st.sets(st.integers(2, n), min_size=1, max_size=3)))
+    z = data.draw(st.integers(0, sizes[0] - 1))
+    K = sorted({z} | data.draw(st.sets(st.integers(0, sizes[0] - 1), max_size=2)))
+    r = Reward(lambda xs: (xs % 5) * 0.75 + 0.5)
+    cert = tight_certificate(chain, n, K, r)
+    problems = [TruncationProblem(chain=chain, A=np.arange(a), z=z, K=K, r=r) for a in sizes]
+    for problem, (outcome, _) in zip(problems, run_sweep(problems, cert)):
+        try:
+            want = run_pipeline(problem, cert)
+        except (DegenerateDeltaError, PipelineError) as exc:
+            want = exc
+        assert repr(outcome) == repr(want)

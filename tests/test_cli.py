@@ -225,6 +225,59 @@ def test_main_chain_without_certificate_is_a_config_error(tmp_path, capsys):
     assert "no drift certificate" in lines[0] and "two_classes.txt" in lines[0]
 
 
+@pytest.mark.parametrize("form", ["rows_fn", "row_fn"])
+@pytest.mark.parametrize("fault", ["negative", "nan"])
+def test_broken_row_fails_only_the_points_whose_A_holds_it(monkeypatch, fault, form):
+    """The sweep's one assembly, at a = 100, reads the broken row at 50 and
+    fails; each point is then assembled on its own, so a = 20 is still ok."""
+    import stattrunc.cli as cli_module
+    monkeypatch.setattr(cli_module, "build_chain", lambda cfg: broken_walk(fault, form))
+    cfg = parse_config({"model": "random_walk", "z": 0, "K_max": 3,
+                        "a_values": [20, 100], "r_spec": "half"})
+    log = io.StringIO()
+    rows = run_experiment(cfg, log=log)
+    assert [r["status"] for r in rows] == ["ok", "numerical_error"]
+    assert log.getvalue().startswith("stattrunc: a=100: ")
+    assert "row of state 50 " in log.getvalue()
+    alone = io.StringIO()
+    run_experiment(parse_config({"model": "random_walk", "z": 0, "K_max": 3,
+                                 "a_values": [100], "r_spec": "half"}), log=alone)
+    assert log.getvalue() == alone.getvalue()
+
+
+@pytest.mark.parametrize("where", ["r", "g1"])
+def test_non_finite_value_fails_only_the_points_that_read_it(monkeypatch, where):
+    """A NaN reward at 60 is read by the a = 100 assembly only.  A NaN g1 at
+    20 is read only by a = 20, whose exit bound needs g1 past its A: the
+    sweep's prefix of the a = 100 system reads it, and fails as that
+    point's own assembly would."""
+    import stattrunc.cli as cli_module
+    from stattrunc import LyapunovCertificate, Reward
+    bad = Reward(lambda xs: np.where(xs == (60 if where == "r" else 20), np.nan, xs / 2.0))
+    if where == "r":
+        monkeypatch.setattr(cli_module, "build_reward", lambda cfg: bad)
+    else:
+        build = cli_module.build_certificate
+        monkeypatch.setattr(cli_module, "build_certificate", lambda *args: LyapunovCertificate(
+            g1=bad, g2=build(*args).g2))
+    cfg = parse_config({"model": "random_walk", "z": 0, "K_max": 3,
+                        "a_values": [20, 100], "r_spec": "half"})
+    log = io.StringIO()
+    rows = run_experiment(cfg, log=log)
+    bad_a = 100 if where == "r" else 20
+    assert [r["status"] for r in rows] == [
+        "numerical_error" if a == bad_a else "ok" for a in (20, 100)]
+    fragment = "r(60)=nan" if where == "r" else "g1(20)=nan"
+    assert log.getvalue().startswith(f"stattrunc: a={bad_a}: stage 'assemble' failed: ")
+    assert fragment in log.getvalue()
+    # the log of one point at a time
+    alone = io.StringIO()
+    for a in (20, 100):
+        run_experiment(parse_config({"model": "random_walk", "z": 0, "K_max": 3,
+                                     "a_values": [a], "r_spec": "half"}), log=alone)
+    assert log.getvalue() == alone.getvalue()
+
+
 def write_drift_chain(tmp_path, n=60):
     """Birth-death chain on {0..n-1} with jumps of 1 or 2 and downward drift."""
     lines = [f"states {n}"]

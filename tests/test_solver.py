@@ -1,10 +1,13 @@
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgbtrf
 
 import stattrunc.chain as chain_module
 import stattrunc.solver as solver_module
@@ -32,7 +35,7 @@ from stattrunc import (
 from stattrunc.chain import ROW_CHUNK, member_mask
 from stattrunc.models import random_walk_rows
 
-from conftest import expected_g, gm1_row_reference, walk_row_reference
+from conftest import expected_g, gm1_row_reference, hub_chain, walk_row_reference
 
 ZERO_CERT = LyapunovCertificate(g1=lambda x: 0.0, g2=lambda x: 0.0)
 
@@ -176,48 +179,117 @@ def gm1_system(a: int):
 
 
 def test_state_order_factor_is_unpivoted_with_band_fill():
-    """I - B is a nonsingular M-matrix, so its LU in state order takes
-    every diagonal pivot, and L + U fill exactly the band of I - B (L's unit
-    diagonal stored too): lower bandwidth 195 and upper 1 on gm1."""
-    sys_ = gm1_system(2000)
-    lu = solver_module._lu(sys_)
-    m = sys_.size
-    assert np.array_equal(lu.perm_r, np.arange(m))
-    assert np.array_equal(lu.perm_c, np.arange(m))
-    B = sys_.B.tocoo()
-    lower, upper = int((B.row - B.col).max()), int((B.col - B.row).max())
-    assert (lower, upper) == (195, 1)
-    band = sum(m - abs(k) for k in range(-upper, lower + 1))
-    assert lu.L.nnz + lu.U.nnz == band + m
+    """(I - B)^T is column diagonally dominant, so its band LU in state
+    order keeps every pivot on the diagonal and the factors fill only the
+    band: rows of B reach 1 state up on both chains, and 195 down on gm1."""
+    for sys_, band in ((gm1_system(2000), (1, 195)), (walk_system(2000), (1, 1))):
+        B = sys_.B.tocoo()
+        assert (int((B.col - B.row).max()), int((B.row - B.col).max())) == band
+        lu = solver_module._lu(sys_)
+        m, kl = sys_.size, band[0]
+        assert isinstance(lu, solver_module.BandLU)
+        assert (lu.kl, lu.ku) == band
+        assert np.array_equal(lu.piv, np.arange(m))
+        assert lu.ab.shape == (2 * kl + band[1] + 1, m)
+        # the kl diagonals LAPACK sets aside for fill from row exchanges
+        # stay empty
+        assert not lu.ab[:kl].any()
 
 
 @pytest.mark.parametrize("model", ["gm1", "walk"])
 def test_factor_is_that_of_identity_minus_B_and_B_transposed_is_kept(model):
-    # gm1 stores every diagonal entry of B, so its transposed copy of B is
-    # turned into I - B for the factorization and back; the walk's B has
-    # no diagonal entry, so I - B is a second array
+    """The band factor is, bit for bit, LAPACK's of (I - B)^T written from a
+    dense I - B; that transpose, factored, is the only other form of B the
+    system keeps, and B is left as it was.  Its two solves are those of
+    I - B and of its transpose."""
     sys_ = gm1_system(600) if model == "gm1" else walk_system(600)
-    assert np.all(sys_.B.diagonal() > 0) == (model == "gm1")
+    B0 = sys_.B.copy()
     lu = solver_module._lu(sys_)
-    want = spla.splu((sp.identity(sys_.size, format="csr") - sys_.B).tocsc(),
-                     permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1)
-    Bt = sys_._cache["Bt"]
-    for got, ref in ((lu.L, want.L), (lu.U, want.U), (Bt, sys_.B.T.tocsr())):
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    m, kl, ku = sys_.size, lu.kl, lu.ku
+    I_minus_B = (sp.identity(m, format="csr") - sys_.B).toarray()
+    M = I_minus_B.T
+    i, j = np.nonzero(M)
+    ab = np.zeros((2 * kl + ku + 1, m))
+    ab[kl + ku + i - j, j] = M[i, j]
+    want, piv, info = dgbtrf(ab, kl, ku)
+    assert info == 0
+    assert np.array_equal(lu.piv, piv) and np.array_equal(lu.ab, want)
+    assert list(sys_._cache) == ["lu"]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(sys_.B, name), getattr(B0, name)), name
+    rng = np.random.default_rng(3)
+    b = rng.uniform(size=m)
+    x = lu.solve(b, trans="N")
+    assert np.abs(I_minus_B @ x - b).max() <= 1e-12 * np.abs(x).max()
+    y = lu.solve(b, trans="T")
+    assert np.abs(y @ I_minus_B - b).max() <= 1e-12 * np.abs(y).max()
+
+
+def _exact_row_residual(sys_, x) -> list:
+    """nu - x (I - B) in exact rational arithmetic, and the sum of the
+    magnitudes of its terms, per entry."""
+    B = sys_.B.tocsc()
+    xs = [Fraction(v) for v in x.tolist()]
+    exact, scale = [], []
+    for c in range(sys_.size):
+        lo, hi = B.indptr[c], B.indptr[c + 1]
+        terms = [xs[i] * Fraction(v) for i, v in zip(B.indices[lo:hi].tolist(),
+                                                      B.data[lo:hi].tolist())]
+        exact.append(Fraction(float(sys_.nu[c])) - xs[c] + sum(terms))
+        scale.append(float(sys_.nu[c]) + float(x[c]) + float(sum(terms)))
+    return exact, np.array(scale)
 
 
 @pytest.mark.parametrize("block", [1, 150, solver_module.LD_BLOCK])
-def test_transpose_residual_matches_a_long_double_copy_of_B(monkeypatch, block):
-    # blocks of whole rows of B^T, one row each once a row outgrows the
-    # block, give the bits of one product with a long-double copy of B
+def test_transpose_residual_is_a_long_double_residual(monkeypatch, block):
+    """Whatever the rows of B per block, the long-double residual of the row
+    solve is within a few long-double ulps (of the sum of its terms'
+    magnitudes) of the exact one; a residual formed in double is ~500 to
+    ~3500 such ulps off on these systems."""
     monkeypatch.setattr(solver_module, "LD_BLOCK", block)
-    for sys_ in (gm1_system(600), walk_system(600)):
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    for sys_ in (gm1_system(250), walk_system(600)):
         x = solve_transpose(sys_).x
-        x_ld = x.astype(np.longdouble)
-        want = sys_.nu.astype(np.longdouble) - (x_ld - sys_.B.astype(np.longdouble).T @ x_ld)
         got = solver_module._residual(sys_, x, sys_.nu, True)
-        assert got.dtype == np.longdouble and np.array_equal(got, want)
+        assert got.dtype == np.longdouble
+        exact, scale = _exact_row_residual(sys_, x)
+        err = np.array([float(Fraction(*g.as_integer_ratio()) - e) for g, e in zip(got, exact)])
+        # a residual that is not exactly 0 everywhere, or the check is vacuous
+        assert any(e != 0 for e in exact)
+        assert np.all(np.abs(err) <= 4 * eps_ld * scale)
+
+
+#: ``run_pipeline``'s report on ``hub_chain(1200)`` at A = {0..999},
+#: K = {0, 1, 2}, r(x) = x, as SuperLU's state-order LU of I - B gave it
+#: before the band LU was added
+HUB_REPORT = (
+    "BoundReport(pi_tilde_r=5.694560988940328, kappa_lower_r=252.92836318200656, "
+    "kappa_lower_e=44.415779139644044, kappa_upper_r=252.9283631820072, "
+    "kappa_upper_e=44.41577913964415, delta=0.9999999999999989, beta=0.9999999999999989, "
+    "Delta1=6.294654741450331e-13, Delta2=1.084394667236661e-13, "
+    "interval=(5.694560988940314, 5.694560988940342), error_bound=2.8075171823296918e-14, "
+    "tv_bound=5.6150343646593836e-14)")
+
+
+def test_hub_chain_is_factored_by_superlu_without_a_dense_array():
+    """Every row of the hub chain jumps to state 5, so (I - B)^T would need
+    a band as wide as A: I - B goes to SuperLU, the run allocates nothing
+    near m^2, and the report is the one SuperLU gave before."""
+    chain, K = hub_chain(1200), np.arange(3)
+    cert = tight_certificate(chain, 1200, K, float)
+    prob = TruncationProblem(chain=chain, A=np.arange(1000), z=0, K=K, r=float)
+    sys_ = assemble_truncated_system(prob, cert)
+    assert solver_module._band(sys_.B) is None
+    assert isinstance(solver_module._lu(sys_), spla.SuperLU)
+    tracemalloc.start()
+    try:
+        report = run_pipeline(prob, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = sys_.size
+    assert peak < m * m      # bytes; an m x m array of doubles is 8 m^2
+    assert repr(report) == HUB_REPORT
 
 
 def test_gm1_center_is_refined_to_the_stored_chain_mean():
