@@ -3,10 +3,10 @@
 
 Usage:  python3 scripts/run_benchmarks.py [--out-dir results]
 
-The queue config takes ~0.45 s in all, ~0.27 s of it at a = 10^4 (the
-state-order LU and the refined row solve ~0.1 s each, assembly with its
-rows ~0.04 s), and the walk config ~0.02 s, 0.01 s of it at a = 10^4
-(2-core Xeon, Python 3.11, numpy 2.4, scipy 1.17).  Re-running overwrites the
+The queue config takes ~0.2 s in all, ~0.17 s of it at a = 10^4 (the
+assembly with its rows and the band LU ~0.05 s each, the refined row
+solve ~0.04 s), and the walk config ~0.015 s, 0.01 s of it at a = 10^4 (2-core
+Xeon, Python 3.11, numpy 2.4, scipy 1.17).  Re-running overwrites the
 CSVs in place.
 """
 

@@ -21,11 +21,13 @@ jumps to one hub state) is factored by SuperLU in state order instead.
 
 Every solve is refined iteratively, clamped to be non-negative and
 returned only with a checked max-norm residual certificate.  The row solve
-y = nu (I - B)^{-1} is refined for forward accuracy, against residuals
-formed in long double (mixed-precision iterative refinement, Higham,
-"Accuracy and Stability of Numerical Algorithms", ch. 12): every inner
-product of the bounds is taken with y.  The column solves are refined for
-backward error, in double, until the residual reaches the roundoff floor.
+y = nu (I - B)^{-1} is refined for forward accuracy (mixed-precision
+iterative refinement, Higham, "Accuracy and Stability of Numerical
+Algorithms", ch. 12): every inner product of the bounds is taken with y.
+It forms one long-double residual, then updates it in double: each step
+changes y by so little that the update's rounding lies far below that of
+the long-double residual.  The column solves are refined for backward
+error, in double, until the residual reaches the roundoff floor.
 """
 
 from __future__ import annotations
@@ -463,6 +465,36 @@ def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
     return b.astype(np.longdouble) - (x_ld - xB)
 
 
+def _move(system: TruncatedSystem, x: np.ndarray, x_new: np.ndarray, b: np.ndarray,
+          residual: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+    """x_new and its residual, given x and its residual.
+
+    A column solve forms the residual of x_new afresh.  The row solve
+    updates x's long-double residual r to r - (d - d B), d = x_new - x,
+    with d B in double: d is exact where x_new is within a factor 2 of x
+    (Sterbenz), and a refinement step or the clamp is so small that d B's
+    rounding lies far below the long-double rounding of r itself.
+    """
+    if not transpose:
+        return x_new, _residual(system, x_new, b, False)
+    d = x_new - x
+    if d.any():     # a last step often rounds away in every entry of y
+        residual -= d - _times(d, system.B)
+    return x_new, residual
+
+
+def _times(d: np.ndarray, B: sp.csr_matrix) -> np.ndarray:
+    """d B, read from B's own arrays.
+
+    ``B.T @ d`` would build B^T through scipy's constructor, which copies
+    arrays that are views of less than half of their base, as a prefix
+    system's are: ~12 MB for each row solve at gm1 a = 5000.
+    """
+    BT = sp.csc_matrix(B.shape[::-1], dtype=B.dtype)
+    BT.data, BT.indices, BT.indptr = B.data, B.indices, B.indptr
+    return BT @ d
+
+
 def _scale(b: np.ndarray, x: np.ndarray) -> float:
     """Residual scale: tolerances are relative to the system's magnitude.
 
@@ -505,8 +537,9 @@ def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
     # Iterative refinement (see the module docstring).  The row solve stops
     # after a correction at y's last bit or one that did not halve, a column
     # solve once its residual reaches the roundoff floor or stops shrinking.
-    # ``residual`` always belongs to the current x, so each residual is
-    # evaluated once
+    # ``residual`` always belongs to the current x: the row solve forms its
+    # long-double residual once and updates it in double, a column solve
+    # forms each of its own once
     eps = np.finfo(np.float64).eps
     best = np.inf
     for _ in range(8):
@@ -516,8 +549,7 @@ def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
                 break
             best = size
         step = lu.solve(residual.astype(np.float64, copy=False), trans=trans)
-        x = _finite(x + step)
-        residual = _residual(system, x, b, transpose)
+        x, residual = _move(system, x, _finite(x + step), b, residual, transpose)
         iterations += 1
         if transpose:
             size = float(np.abs(step).max())
@@ -530,8 +562,7 @@ def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
         scale = max(1.0, float(np.abs(x).max()))
         if lo < -1e-8 * scale:
             raise SolverError(f"solution significantly negative (min {lo:.3e})")
-        x = np.maximum(x, 0.0)
-        residual = _residual(system, x, b, transpose)
+        x, residual = _move(system, x, np.maximum(x, 0.0), b, residual, transpose)
     res = float(np.abs(residual).max())
     cap = opts.tol * _scale(b, x)
     if res > cap:
@@ -556,10 +587,10 @@ def solve_transpose(system: TruncatedSystem, tol: float = DEFAULT_TOL, *,
                     b: np.ndarray | None = None) -> SolveResult:
     """Solve y (I - B) = nu (or a supplied row vector b) with certificate.
 
-    The same factorization and certificate as ``solve``, with the residual
-    formed in long double, so that refinement makes y accurate to its last
-    bit.  One transpose solve serves every expression of the form
-    nu (I - B)^{-1} v afterwards via inner products y . v.
+    The same factorization and certificate as ``solve``, with one residual
+    formed in long double, then updated in double, so that refinement makes
+    y accurate to its last bit.  One transpose solve serves every expression
+    of the form nu (I - B)^{-1} v afterwards via inner products y . v.
     """
     b = system.nu if b is None else b
     return _solve(system, b, True, SolverOptions(tol))

@@ -120,15 +120,21 @@ def test_residual_certificate_is_scale_relative():
     assert res.residual_norm <= 1e-12 * scale
 
 
-def test_each_residual_is_evaluated_once(monkeypatch):
-    # one residual per iterate: the first LU solve and each refinement step;
-    # a dense random chain, on which these solves do refine
+def dense_random_system():
+    """A dense random chain, on which the solves do refine."""
     rng = np.random.default_rng(5)
     P = rng.uniform(size=(150, 150)) ** 4
     P /= P.sum(axis=1, keepdims=True)
     prob = TruncationProblem(chain=matrix_chain(P), A=np.arange(150), z=0, K=[0],
                              r=lambda x: 1.0)
-    sys_ = assemble_truncated_system(prob, ZERO_CERT)
+    return assemble_truncated_system(prob, ZERO_CERT)
+
+
+def test_each_residual_is_evaluated_once(monkeypatch):
+    # the row solve forms one long-double residual, whatever its refinement
+    # steps, and updates it in double; a column solve forms one residual per
+    # iterate: the first LU solve and each refinement step
+    sys_ = dense_random_system()
     calls = []
     orig = solver_module._residual
 
@@ -142,7 +148,7 @@ def test_each_residual_is_evaluated_once(monkeypatch):
         for b in (sys_.p, np.ones(sys_.size)):
             calls.clear()
             res = solve_transpose(sys_, b=b) if transpose else solve(sys_, b)
-            assert calls == [transpose] * (res.iterations + 1)
+            assert calls == ([True] if transpose else [False] * (res.iterations + 1))
             steps.append(res.iterations)
     assert max(steps) >= 1
 
@@ -257,6 +263,20 @@ def test_transpose_residual_is_a_long_double_residual(monkeypatch, block):
         # a residual that is not exactly 0 everywhere, or the check is vacuous
         assert any(e != 0 for e in exact)
         assert np.all(np.abs(err) <= 4 * eps_ld * scale)
+
+
+def test_certified_row_residual_is_that_of_the_returned_y():
+    """The residual the row solve certifies, formed once and then updated
+    in double at each refinement step, is the residual of the y it returns
+    to a few long-double ulps of the largest term magnitude."""
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    for sys_ in (gm1_system(250), walk_system(600), dense_random_system()):
+        res = solve_transpose(sys_)
+        assert res.iterations >= 1
+        exact, scale = _exact_row_residual(sys_, res.x)
+        exact_max = float(max(abs(e) for e in exact))
+        assert exact_max > 0.0
+        assert abs(res.residual_norm - exact_max) <= 4 * eps_ld * scale.max()
 
 
 #: ``run_pipeline``'s report on ``hub_chain(1200)`` at A = {0..999},
