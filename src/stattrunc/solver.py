@@ -10,14 +10,18 @@ solves, all sharing a single factorization.
 That factorization is LAPACK's band LU (dgbtrf) of M = (I - B)^T, whose
 column j is row j of I - B, in state order.  Its bandwidths are how far a
 row of B reaches up and down in A'.  Rows of B are substochastic, so M is
-column diagonally dominant and partial pivoting takes every diagonal
-pivot: the factors hold no fill outside the band.  The row solve is a
-solve with M, the column solves with M^T.  With the pivots on the
-diagonal, the first m' columns of the factors are the factors of M's
-leading m' x m' block, so the system of a prefix of A (``prefix_system``)
-solves with the factorization of a larger one.  A chain whose band would
+column diagonally dominant, and partial pivoting takes the diagonal pivot
+unless rounding tips a nearly singular block of I - B the other way (as
+on gm1 with a hole at z + 1, where every state below z leaves A through
+z).  The band LU is kept only when every pivot is on the diagonal: then
+M = L U with no fill outside the band, the row solve (with M) is two BLAS
+triangular band solves (dtbsv), with L then U, and the column solves
+(with M^T) are two, with U^T then L^T.  The first m' columns of the
+factors are then the factors of M's leading m' x m' block, so the system
+of a prefix of A (``prefix_system``) solves with the factorization of a
+larger one.  A system whose band LU exchanges a row, or whose band would
 hold more than ``BAND_FILL`` times the entries of I - B (say, every row
-jumps to one hub state) is factored by SuperLU in state order instead.
+jumps to one hub state), is factored by SuperLU in state order instead.
 
 Every solve is refined iteratively, clamped to be non-negative and
 returned only with a checked max-norm residual certificate.  The row solve
@@ -38,7 +42,8 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf
 
 from .chain import (TruncationProblem, as_state_array, is_contiguous, member_mask,
                     reward_values)
@@ -282,9 +287,9 @@ def prefix_system(system: TruncatedSystem, problem: TruncationProblem,
     summed by ``expected_g_rows``.  Every array equals that of
     ``assemble_truncated_system(problem, certificate)``.
 
-    When ``system`` has a ``BandLU`` of the prefix's own band whose first
-    m' pivots are on the diagonal, the prefix solves with its leading m'
-    columns: the factors its own factorization would compute.
+    When ``system`` has a ``BandLU`` of the prefix's own band, the prefix
+    solves with its leading m' columns: the factors its own factorization
+    would compute, as no row was exchanged.
     """
     A, z = problem.A, problem.z
     n = A.size
@@ -327,9 +332,7 @@ def prefix_system(system: TruncatedSystem, problem: TruncationProblem,
     )
     lu = system._cache.get("lu")
     if isinstance(lu, BandLU) and _band(prefix.B) == (lu.kl, lu.ku):
-        leading = lu.leading(m)
-        if leading is not None:
-            prefix._cache["lu"] = leading
+        prefix._cache["lu"] = lu.leading(m)
     return prefix
 
 
@@ -373,23 +376,37 @@ def _band(B: sp.csr_matrix) -> tuple[int, int] | None:
 
 
 class BandLU:
-    """The LU factors of M = (I - B)^T in LAPACK band storage.
+    """The LU factors of M = (I - B)^T, with every pivot on the diagonal,
+    in LAPACK band storage.
 
-    ``solve(b, trans)`` has SuperLU's meaning on I - B: ``"N"`` solves
-    (I - B) x = b, a solve with M^T, and ``"T"`` solves x (I - B) = b, a
-    solve with M.
+    M = L U, with L unit lower of bandwidth kl and U upper of bandwidth
+    kl + ku.  ``ab`` is dgbtrf's band: its rows 0 .. kl + ku hold U in
+    upper band storage, its rows below the multipliers of L.  ``L`` is a
+    view of ``ab``'s buffer from row kl + ku, with ``ab``'s leading
+    dimension, so it is L in lower band storage (U's diagonal at its row 0
+    is never read, as L's diagonal is a unit one).  ``solve(b, trans)`` has
+    SuperLU's meaning on I - B: ``"N"`` solves (I - B) x = b, a solve with
+    M^T, and ``"T"`` solves x (I - B) = b, a solve with M.  Each is two
+    BLAS triangular band solves (dtbsv).
     """
 
-    def __init__(self, ab: np.ndarray, kl: int, ku: int, piv: np.ndarray):
-        self.ab, self.kl, self.ku, self.piv = ab, kl, ku, piv
+    def __init__(self, ab: np.ndarray, L: np.ndarray, kl: int, ku: int):
+        self.ab, self.L, self.kl, self.ku = ab, L, kl, ku
 
     @classmethod
-    def factor(cls, B: sp.csr_matrix, kl: int, ku: int) -> "BandLU":
+    def factor(cls, B: sp.csr_matrix, kl: int, ku: int) -> "BandLU | None":
+        """The band LU of (I - B)^T, or None when partial pivoting exchanges
+        a row, as rounding can make it do where a block of I - B is nearly
+        singular."""
         m, indptr = B.shape[0], B.indptr
+        width = 2 * kl + ku + 1
         # M[i, j] is ab[kl + ku + i - j, j], and column j of M is row j of
         # I - B: ab^T, in C order, is B with each row's columns shifted by
-        # kl + ku minus its position, negated, plus 1 at column kl + ku
-        abT = np.zeros((m, 2 * kl + ku + 1))
+        # kl + ku minus its position, negated, plus 1 at column kl + ku.
+        # One spare row of the buffer lets the view L of width rows, which
+        # starts kl + ku entries in, end inside it
+        buf = np.zeros((m + 1, width))
+        abT = buf[:m]
         for i0, i1 in _row_blocks(B):
             lo, hi = indptr[i0], indptr[i1]
             ptr = indptr[i0:i1 + 1] - lo
@@ -397,46 +414,65 @@ class BandLU:
                                                 np.diff(ptr))
             cols += kl + ku
             sp.csr_matrix((np.negative(B.data[lo:hi]), cols, ptr),
-                          shape=(i1 - i0, abT.shape[1])).toarray(out=abT[i0:i1])
+                          shape=(i1 - i0, width)).toarray(out=abT[i0:i1])
         ab = abT.T
         ab[kl + ku] += 1.0
         ab, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
         if info > 0:
             raise SolverError(f"I - B is singular: zero pivot at position {info - 1}")
-        return cls(ab, kl, ku, piv)
-
-    def leading(self, m: int) -> "BandLU | None":
-        """The factors of M's leading m x m block: our first m columns,
-        unless a row exchange among the first m pivots makes them differ
-        (then None)."""
-        if not np.array_equal(self.piv[:m], np.arange(m)):
+        if not np.array_equal(piv, np.arange(m)):
             return None
-        return BandLU(self.ab[:, :m], self.kl, self.ku, self.piv[:m])
+        L = buf.reshape(-1)[kl + ku:kl + ku + width * m].reshape(m, width).T
+        return cls(ab, L, kl, ku)
+
+    def leading(self, m: int) -> "BandLU":
+        """The factors of M's leading m x m block: our first m columns, as
+        no row was exchanged."""
+        return BandLU(self.ab[:, :m], self.L[:, :m], self.kl, self.ku)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        x, _ = dgbtrs(self.ab, self.kl, self.ku, b, self.piv, trans=int(trans == "N"))
-        return x
+        k = self.kl + self.ku
+        if trans == "N":
+            x = dtbsv(k, self.ab, b, trans=1)
+            return dtbsv(self.kl, self.L, x, lower=1, trans=1, diag=1, overwrite_x=1)
+        x = dtbsv(self.kl, self.L, b, lower=1, diag=1)
+        return dtbsv(k, self.ab, x, overwrite_x=1)
 
 
 def _lu(system: TruncatedSystem):
     """The state-order LU of I - B, computed once per system.
 
-    A ``BandLU`` of (I - B)^T unless ``_band`` finds the band too wide,
-    else SuperLU's LU of I - B in state order with diagonal pivots.  Both
-    hold no fill outside the envelope of I - B.
+    A ``BandLU`` of (I - B)^T when ``_band`` finds the band narrow enough
+    and partial pivoting takes every pivot on the diagonal, else SuperLU's
+    LU of I - B in state order with diagonal pivots.  Both hold no fill
+    outside the envelope of I - B.
     """
     if "lu" not in system._cache:
         B, m = system.B, system.size
         band = _band(B)
-        if band is not None:
-            lu = BandLU.factor(B, *band)
-        else:
+        lu = BandLU.factor(B, *band) if band is not None else None
+        if lu is None:
             # I - B is a nonsingular M-matrix, so every pivot is positive
             # and perm_r = perm_c = identity
             lu = spla.splu((sp.identity(m, format="csr") - B).tocsc(), permc_spec="NATURAL",
                            diag_pivot_thresh=0.0, relax=1, panel_size=1)
         system._cache["lu"] = lu
     return system._cache["lu"]
+
+
+def _transposed(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                n: int) -> sp.csc_matrix:
+    """The transpose of the CSR rows (data, indices, indptr) over n columns,
+    on those very arrays.
+
+    Set, not passed to the constructor, which copies arrays that are views
+    of less than half of their base, as a prefix system's B and each row
+    block of B are: ~12 MB for each row solve at gm1 a = 5000, and ~8 MB of
+    column indices for each long-double residual at gm1 a = 10^4.
+    """
+    T = sp.csc_matrix((n, indptr.size - 1), dtype=data.dtype)
+    T.data, T.indices, T.indptr = data, indices, indptr
+    return T
 
 
 def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
@@ -459,9 +495,8 @@ def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
     for i0, i1 in blocks:
         lo, hi = indptr[i0], indptr[i1]
         np.copyto(vals[:hi - lo], B.data[lo:hi])
-        rows = sp.csr_matrix((vals[:hi - lo], B.indices[lo:hi], indptr[i0:i1 + 1] - lo),
-                             shape=(i1 - i0, system.size))
-        xB += rows.T @ x_ld[i0:i1]
+        xB += _transposed(vals[:hi - lo], B.indices[lo:hi], indptr[i0:i1 + 1] - lo,
+                          system.size) @ x_ld[i0:i1]
     return b.astype(np.longdouble) - (x_ld - xB)
 
 
@@ -479,20 +514,9 @@ def _move(system: TruncatedSystem, x: np.ndarray, x_new: np.ndarray, b: np.ndarr
         return x_new, _residual(system, x_new, b, False)
     d = x_new - x
     if d.any():     # a last step often rounds away in every entry of y
-        residual -= d - _times(d, system.B)
+        B = system.B
+        residual -= d - _transposed(B.data, B.indices, B.indptr, system.size) @ d
     return x_new, residual
-
-
-def _times(d: np.ndarray, B: sp.csr_matrix) -> np.ndarray:
-    """d B, read from B's own arrays.
-
-    ``B.T @ d`` would build B^T through scipy's constructor, which copies
-    arrays that are views of less than half of their base, as a prefix
-    system's are: ~12 MB for each row solve at gm1 a = 5000.
-    """
-    BT = sp.csc_matrix(B.shape[::-1], dtype=B.dtype)
-    BT.data, BT.indices, BT.indptr = B.data, B.indices, B.indptr
-    return BT @ d
 
 
 def _scale(b: np.ndarray, x: np.ndarray) -> float:

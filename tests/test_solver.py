@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
-from scipy.linalg.lapack import dgbtrf
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import stattrunc.chain as chain_module
 import stattrunc.solver as solver_module
@@ -25,6 +25,7 @@ from stattrunc import (
     Gm1Params,
     gm1_certificate,
     gm1_chain,
+    load_chain_from_file,
     matrix_chain,
     random_walk_chain,
     run_pipeline,
@@ -35,7 +36,8 @@ from stattrunc import (
 from stattrunc.chain import ROW_CHUNK, member_mask
 from stattrunc.models import random_walk_rows
 
-from conftest import expected_g, gm1_row_reference, hub_chain, walk_row_reference
+from conftest import (expected_g, gm1_row_reference, hub_chain, walk_row_reference,
+                      write_jump_chain)
 
 ZERO_CERT = LyapunovCertificate(g1=lambda x: 0.0, g2=lambda x: 0.0)
 
@@ -184,51 +186,150 @@ def gm1_system(a: int):
     return assemble_truncated_system(prob, gm1_certificate())
 
 
+def _dgbtrf_of(B: sp.csr_matrix, kl: int, ku: int):
+    """LAPACK's (ab, piv) of (I - B)^T, its band written from a dense I - B."""
+    m = B.shape[0]
+    M = (sp.identity(m, format="csr") - B).toarray().T
+    i, j = np.nonzero(M)
+    ab = np.zeros((2 * kl + ku + 1, m))
+    ab[kl + ku + i - j, j] = M[i, j]
+    ab, piv, info = dgbtrf(ab, kl, ku)
+    assert info == 0
+    return ab, piv
+
+
 def test_state_order_factor_is_unpivoted_with_band_fill():
     """(I - B)^T is column diagonally dominant, so its band LU in state
     order keeps every pivot on the diagonal and the factors fill only the
-    band: rows of B reach 1 state up on both chains, and 195 down on gm1."""
+    band: rows of B reach 1 state up on both chains, and 195 down on gm1.
+    L is read from the band itself, not from a copy."""
     for sys_, band in ((gm1_system(2000), (1, 195)), (walk_system(2000), (1, 1))):
         B = sys_.B.tocoo()
         assert (int((B.col - B.row).max()), int((B.row - B.col).max())) == band
         lu = solver_module._lu(sys_)
         m, kl = sys_.size, band[0]
+        # a BandLU is kept only with every pivot on the diagonal
         assert isinstance(lu, solver_module.BandLU)
         assert (lu.kl, lu.ku) == band
-        assert np.array_equal(lu.piv, np.arange(m))
         assert lu.ab.shape == (2 * kl + band[1] + 1, m)
         # the kl diagonals LAPACK sets aside for fill from row exchanges
         # stay empty
         assert not lu.ab[:kl].any()
+        # L's column j is ab's column j from its diagonal down
+        assert lu.L.shape == lu.ab.shape and np.shares_memory(lu.L, lu.ab)
+        assert np.array_equal(lu.L[1:kl + 1, :-1], lu.ab[kl + band[1] + 1:, :-1])
 
 
 @pytest.mark.parametrize("model", ["gm1", "walk"])
 def test_factor_is_that_of_identity_minus_B_and_B_transposed_is_kept(model):
     """The band factor is, bit for bit, LAPACK's of (I - B)^T written from a
-    dense I - B; that transpose, factored, is the only other form of B the
-    system keeps, and B is left as it was.  Its two solves are those of
-    I - B and of its transpose."""
+    dense I - B, which takes every pivot on the diagonal; that transpose,
+    factored, is the only other form of B the system keeps, and B is left
+    as it was.  Its two solves are those of I - B and of its transpose."""
     sys_ = gm1_system(600) if model == "gm1" else walk_system(600)
     B0 = sys_.B.copy()
     lu = solver_module._lu(sys_)
-    m, kl, ku = sys_.size, lu.kl, lu.ku
-    I_minus_B = (sp.identity(m, format="csr") - sys_.B).toarray()
-    M = I_minus_B.T
-    i, j = np.nonzero(M)
-    ab = np.zeros((2 * kl + ku + 1, m))
-    ab[kl + ku + i - j, j] = M[i, j]
-    want, piv, info = dgbtrf(ab, kl, ku)
-    assert info == 0
-    assert np.array_equal(lu.piv, piv) and np.array_equal(lu.ab, want)
+    m = sys_.size
+    want, piv = _dgbtrf_of(sys_.B, lu.kl, lu.ku)
+    assert np.array_equal(piv, np.arange(m)) and np.array_equal(lu.ab, want)
     assert list(sys_._cache) == ["lu"]
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(sys_.B, name), getattr(B0, name)), name
+    I_minus_B = (sp.identity(m, format="csr") - sys_.B).toarray()
     rng = np.random.default_rng(3)
     b = rng.uniform(size=m)
     x = lu.solve(b, trans="N")
     assert np.abs(I_minus_B @ x - b).max() <= 1e-12 * np.abs(x).max()
     y = lu.solve(b, trans="T")
     assert np.abs(y @ I_minus_B - b).max() <= 1e-12 * np.abs(y).max()
+
+
+def _banded_B(m: int, kl: int, ku: int, seed: int) -> sp.csr_matrix:
+    """A random substochastic B whose rows reach kl states up and ku down."""
+    rng = np.random.default_rng(seed)
+    offsets = list(range(-ku, kl + 1))
+    diags = [rng.uniform(0.1, 1.0, size=m - abs(k)) for k in offsets]
+    B = sp.diags(diags, offsets, format="csr")
+    B = sp.csr_matrix(sp.diags(rng.uniform(0.5, 0.999, size=m) / B.sum(axis=1).A1) @ B)
+    B.sort_indices()
+    return B
+
+
+def _band_cases(tmp_path):
+    """(name, B, (kl, ku)) of the systems the band solves are tested on."""
+    jump = load_chain_from_file(write_jump_chain(tmp_path / "jump.txt"))
+    jump_sys = assemble_truncated_system(
+        TruncationProblem(chain=jump, A=np.arange(400), z=0, K=[0], r=float), ZERO_CERT)
+    yield "gm1", gm1_system(600).B, (1, 195)
+    yield "walk", walk_system(600).B, (1, 1)
+    yield "jump", jump_sys.B, (3, 3)
+    for band in ((0, 1), (1, 0), (0, 0)):
+        yield f"{band}", _banded_B(300, *band, seed=sum(band)), band
+
+
+def test_band_solves_are_lapacks_row_solve_and_backward_stable_column_solve(tmp_path):
+    """The two triangular band solves: the row solve equals LAPACK's dgbtrs
+    on dgbtrf's factors bit for bit, and the column solve's residual is
+    within 8 eps of |I - B| |x| + |b| in every entry."""
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(7)
+    for name, B, band in _band_cases(tmp_path):
+        assert solver_module._band(B) == band, name
+        lu = solver_module.BandLU.factor(B, *band)
+        m = B.shape[0]
+        b = rng.uniform(0.5, 1.5, size=m)
+        ab, piv = _dgbtrf_of(B, *band)
+        want, info = dgbtrs(ab, *band, b, piv, trans=0)
+        assert info == 0 and np.array_equal(lu.solve(b, "T"), want), name
+        x = lu.solve(b, "N")
+        I_minus_B = np.eye(m, dtype=np.longdouble) - B.toarray().astype(np.longdouble)
+        residual = b - I_minus_B @ x.astype(np.longdouble)
+        scale = np.abs(I_minus_B) @ np.abs(x).astype(np.longdouble) + b
+        assert np.all(np.abs(residual) <= 8 * eps * scale), name
+
+
+def test_leading_factors_share_the_full_band():
+    """The factors of a leading block are views of the full band, L too,
+    and solve as the block's own factorization does."""
+    sys_ = gm1_system(1500)
+    lu = solver_module._lu(sys_)
+    m = 700
+    lead = lu.leading(m)
+    assert np.shares_memory(lead.ab, lu.ab) and np.shares_memory(lead.L, lu.ab)
+    own = solver_module.BandLU.factor(sys_.B[:m, :m].tocsr(), lu.kl, lu.ku)
+    # all but the multipliers of rows past the block, which no solve reads
+    k = lu.kl + lu.ku
+    assert np.array_equal(lead.ab[:k + 1], own.ab[:k + 1])
+    assert np.array_equal(lead.ab[:, :m - lu.kl], own.ab[:, :m - lu.kl])
+    b = np.random.default_rng(2).uniform(size=m)
+    for trans in "NT":
+        assert np.array_equal(lead.solve(b, trans), own.solve(b, trans)), trans
+
+
+def test_row_exchanges_send_the_system_to_superlu():
+    """Where a block of I - B is nearly singular, rounding makes partial
+    pivoting exchange rows: on gm1 with a hole at z + 1 (every state below
+    z leaves A through z) 24 of the 398 band pivots leave the diagonal.
+    The band LU is dropped and SuperLU factors I - B in state order; the
+    pipeline still gives its report.  So it does on the larger such system
+    whose ``PipelineError`` ``test_delta_beyond_one_is_a_pipeline_error``
+    checks."""
+    A = np.setdiff1d(np.arange(400), [26])
+    prob = TruncationProblem(chain=gm1_chain(), A=A, z=25, K=np.arange(26), r=lambda x: x / 2.0)
+    sys_ = assemble_truncated_system(prob, gm1_certificate())
+    band = solver_module._band(sys_.B)
+    assert band == (1, 195)
+    piv = _dgbtrf_of(sys_.B, *band)[1]
+    assert int((piv != np.arange(sys_.size)).sum()) == 24
+    assert solver_module.BandLU.factor(sys_.B, *band) is None
+    assert isinstance(solver_module._lu(sys_), spla.SuperLU)
+    report = run_pipeline(prob, gm1_certificate())
+    assert report.Delta1 > 0 and report.interval[0] <= report.pi_tilde_r <= report.interval[1]
+
+    A = np.setdiff1d(np.arange(3000), [1031])
+    prob = TruncationProblem(chain=gm1_chain(), A=A, z=1030, K=[0, 1030], r=float)
+    sys_ = assemble_truncated_system(prob, gm1_certificate())
+    assert isinstance(solver_module._lu(sys_), spla.SuperLU)
 
 
 def _exact_row_residual(sys_, x) -> list:
