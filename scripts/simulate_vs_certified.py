@@ -32,7 +32,7 @@ def main() -> int:
     A, K = range(args.a), range(args.k_max + 1)
     rep = run_pipeline(TruncationProblem(chain=chain, A=A, z=0, K=K, r=r),
                        random_walk_certificate())
-    stats = simulate_cycles(chain, 0, K, A, r, args.cycles, args.seed)
+    stats = simulate_cycles(chain, 0, r, args.cycles, args.seed)
 
     print(f"certified : [{rep.interval[0]:.10f}, {rep.interval[1]:.10f}]")
     print(f"simulated : {stats.ratio:.10f} +/- {stats.half_width:.1e}   "

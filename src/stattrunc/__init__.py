@@ -5,8 +5,9 @@ The pipeline: describe a countable-state chain row by row (`chain`,
 center set K with a Lyapunov drift certificate, assemble and solve the
 truncated linear systems (`solver`), and turn the solutions into a
 certified interval around the stationary expectation (`bounds`).  The
-`oracle` module supplies independent ground truth at desk scale and a
-seeded cycle simulator; `cli` runs config-driven sweeps.
+`oracle` module supplies an exact finite stationary solver, tight drift
+certificates of finite chains and the seeded cycle simulator behind
+``--validate``; `cli` runs config-driven sweeps.
 """
 
 from .bounds import (
@@ -44,10 +45,7 @@ from .models import (
 from .oracle import (
     CycleStats,
     OracleError,
-    ExcursionReport,
     exact_stationary_finite,
-    excursion_bound_check,
-    regenerative_expectation_exact,
     simulate_cycles,
     tight_certificate,
 )

@@ -86,8 +86,7 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
                                   z=config.z, K=K, r=reward) for a in config.a_values]
     stats = None
     rows = []
-    for a, problem, (rep, seconds) in zip(config.a_values, problems,
-                                          run_sweep(problems, cert, config.solver)):
+    for a, (rep, seconds) in zip(config.a_values, run_sweep(problems, cert, config.solver)):
         row = {c: math.nan for c in COLUMNS}
         row["a"] = int(a)
         row["status"] = "ok"
@@ -114,10 +113,8 @@ def run_experiment(config: ExperimentConfig, *, validate: bool = False,
                 row[c] = math.nan
             if row["status"] == "ok":
                 if stats is None:
-                    # A only shapes excursion_survival, which no row reads
-                    stats = simulate_cycles(chain, config.z, K, problem.A, reward,
-                                            config.oracle.n_cycles,
-                                            config.oracle.seed)
+                    stats = simulate_cycles(chain, config.z, reward,
+                                            config.oracle.n_cycles, config.oracle.seed)
                 band = 3.0 * stats.half_width
                 row["oracle_ratio"] = stats.ratio
                 row["oracle_half_width"] = stats.half_width

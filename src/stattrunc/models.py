@@ -24,7 +24,6 @@ via ``load_chain_from_file``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -212,16 +211,20 @@ def load_chain_from_file(path) -> ChainModel:
 
     Format: optional comment lines starting with '#', one header line
     ``states N``, then one ``src dst prob`` triple per line (whitespace
-    separated).  A malformed line, an index outside the declared
-    dimension and a non-positive probability raise ``ChainFileError``,
-    and so does a row that breaks the row contract of ``ChainModel``
-    (``ChainModel.rows`` checks every row once, on load): an empty row, a
-    repeated (src, dst) pair, or a row whose sum is off by more than
-    ``chain.ROW_SUM_TOL``.
+    separated).  A missing or unreadable file, a malformed line, an index
+    outside the declared dimension and a probability outside (0, 1] raise
+    ``ChainFileError``, and so does a row that breaks the row contract of
+    ``ChainModel`` (``ChainModel.rows`` checks every row once, on load): an
+    empty row, a repeated (src, dst) pair, or a row whose sum is off by
+    more than ``chain.ROW_SUM_TOL``.
     """
     n = None
     triples: list[tuple[int, int, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ChainFileError(f"cannot read chain file {path}: {exc}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -246,7 +249,7 @@ def load_chain_from_file(path) -> ChainModel:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ChainFileError(
                     f"{path}:{lineno}: state outside declared dimension {n}: {line!r}")
-            if not math.isfinite(prob) or prob <= 0.0:
+            if not 0.0 < prob <= 1.0:
                 raise ChainFileError(f"{path}:{lineno}: probability must be in (0, 1]: {line!r}")
             triples.append((src, dst, prob))
     if n is None:

@@ -26,15 +26,14 @@ from stattrunc import (
     matrix_chain,
     random_walk_certificate,
     random_walk_chain,
-    regenerative_expectation_exact,
     run_pipeline,
-    simulate_cycles,
     solve,
     tight_certificate,
 )
 from stattrunc.cli import _fmt, run_experiment
 from stattrunc.config import parse_config
 from conftest import EXCURSION_P, dirichlet_chain, reflecting_walk_matrix
+from test_oracle import reference_simulate_cycles, regenerative_expectation_exact
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "results")
@@ -326,14 +325,25 @@ def test_criterion_09_tv_bound_validity(announce):
     assert ok
 
 
+def survival_within_bound(survival, n_sim, beta, delta):
+    """Every round's estimate within (1-beta)(1-delta)^(i-1) + 3 se."""
+    return all(p_hat <= (1.0 - beta) * (1.0 - delta) ** (i - 1)
+               + 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n_sim)
+               for i, p_hat in enumerate(survival, start=1))
+
+
 def test_criterion_10_excursion_tail_statistics(announce):
     """Empirical excursion survival obeys the geometric (1-beta) delta^i bound.
 
-    With A = {0..99} and K = {0..20} the per-cycle escape probability is
-    about 8e-31 (ruin through 2^100), so the 1e5-cycle estimates are
-    identically zero and the bound holds with its full analytic slack.
-    The excursion-chain oracle tests exercise the same inequality with
-    beta = delta = 4/7 where every term is non-trivial.
+    Two cases, each simulated by the test-side reference simulator, which
+    counts excursion rounds.  On the walk with A = {0..99} and K = {0..20}
+    the per-cycle escape probability is about 8e-31 (ruin through 2^100),
+    so the 1e5-cycle estimates are identically zero and the bound holds
+    with its full analytic slack.  On the excursion chain (A = {0,1,2},
+    K = {0,1}) the pipeline's beta and delta are both 4/7, every round
+    escapes with probability 3/7 and the bound is an equality: the
+    round-1 estimate must be positive and every round within 3 standard
+    errors of its bound.
     """
     prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(100),
                              z=0, K=np.arange(21), r=lambda x: x / 2.0)
@@ -343,18 +353,23 @@ def test_criterion_10_excursion_tail_statistics(announce):
     escape_from_20 = float((2 ** 20 - 1) / (2 ** 100 - 1))  # 1 - delta
     ok = rep.beta >= 1.0 - 1e-12 and rep.delta >= 1.0 - 1e-12
     n_sim = 100_000
-    stats = simulate_cycles(random_walk_chain(), 0, range(21), range(100),
-                            lambda x: x / 2.0, n_sim, seed=2026)
-    surv = list(stats.excursion_survival) + [0.0] * 5
-    for i in range(1, 6):
-        p_hat = surv[i - 1]
-        se = math.sqrt(p_hat * (1.0 - p_hat) / n_sim)
-        bound = escape_from_1 * escape_from_20 ** (i - 1)
-        ok = ok and p_hat <= bound + 3.0 * se
-    escapes = int(round(sum(stats.excursion_survival) * n_sim))
-    announce(10, ok, f"survival bound holds for rounds 1..5 ({escapes} escapes "
-                     f"in {n_sim} cycles; per-cycle escape chance "
-                     f"{escape_from_1:.1e})")
+    _, surv = reference_simulate_cycles(random_walk_chain(), 0, range(21), range(100),
+                                        lambda x: x / 2.0, n_sim, seed=2026)
+    ok = ok and survival_within_bound(surv, n_sim, 1.0 - escape_from_1,
+                                      1.0 - escape_from_20)
+    escapes = int(round(sum(surv) * n_sim))
+
+    chain, A, K = matrix_chain(EXCURSION_P), [0, 1, 2], [0, 1]
+    r = lambda x: 1.0
+    rep = run_pipeline(TruncationProblem(chain=chain, A=A, z=0, K=K, r=r),
+                       tight_certificate(chain, 5, K, r))
+    _, surv = reference_simulate_cycles(chain, 0, K, A, r, n_sim, seed=2026)
+    ok = (ok and len(surv) > 0 and surv[0] > 0.0
+          and survival_within_bound(surv, n_sim, rep.beta, rep.delta))
+    announce(10, ok, f"walk: bound holds ({escapes} escapes in {n_sim} cycles; "
+                     f"per-cycle escape chance {escape_from_1:.1e}); excursion "
+                     f"chain: {len(surv)} rounds within (1-beta)(1-delta)^(i-1) "
+                     f"+ 3 se, beta = {rep.beta:.6f}, delta = {rep.delta:.6f}")
     assert ok
 
 

@@ -123,7 +123,7 @@ def test_every_row_reader_rejects_a_negative_entry(form):
     match = "^row of state 50 has a non-positive or NaN probability -0.01 at target 52$"
     for read in (lambda: verify_lyapunov_drift(prob, random_walk_certificate()),
                  lambda: one_step_fringe(chain, np.arange(200)),
-                 lambda: simulate_cycles(chain, 50, [50], [50], float, 10, seed=1),
+                 lambda: simulate_cycles(chain, 50, float, 10, seed=1),
                  lambda: tight_certificate(chain, 100, [0], float)):
         with pytest.raises(ValueError, match=match):
             read()
@@ -328,8 +328,7 @@ def test_user_chain_with_only_row_fn_gives_identical_reports(model):
     user = ChainModel(row_fn=walk_row_reference if model == "walk" else gm1_row_reference,
                       description="per-state rows")
     assert _chain_outputs(user, cert) == _chain_outputs(chain, cert)
-    sims = [simulate_cycles(each, 0, range(26), range(400), lambda x: x / 2.0, 300, seed=3)
-            for each in (chain, user)]
+    sims = [simulate_cycles(each, 0, lambda x: x / 2.0, 300, seed=3) for each in (chain, user)]
     assert sims[0] == sims[1]
 
 

@@ -168,6 +168,16 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
 
 
+def test_main_missing_chain_file_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "miss.yaml"
+    cfg.write_text("model: file:nope.txt\nz: 0\nK_max: 0\na_values: [2]\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "config error: cannot read chain file" in err[0]
+    assert str(tmp_path / "nope.txt") in err[0]
+
+
 def test_main_all_rows_failed_exit_code(tmp_path, capsys):
     chain = write_cycle_chain(tmp_path)
     cfg = tmp_path / "degenerate.yaml"
@@ -377,7 +387,7 @@ def test_each_row_checks_the_shared_estimate_against_its_own_interval(
     ratio = 0.5 * (wide["upper"] + narrow["upper"])
     assert narrow["upper"] < ratio < wide["upper"]
     stats = CycleStats(n_cycles=500, mean_reward=ratio, mean_length=1.0, ratio=ratio,
-                       half_width=0.0, excursion_survival=(), seed=3)
+                       half_width=0.0, seed=3)
     monkeypatch.setattr(cli_module, "simulate_cycles", lambda *args: stats)
     rows = run_experiment(cfg, validate=True, log=io.StringIO())
     assert [r["oracle_pass"] for r in rows] == [True, False]

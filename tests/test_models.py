@@ -253,6 +253,8 @@ def test_load_chain_round_trip(tmp_path):
     ("states 2\n0 1 1.0\n1 0\n", "expected 'src dst prob'"),
     ("states 2\n0 5 1.0\n1 0 1.0\n", "outside declared dimension"),
     ("states 2\n0 1 0.0\n1 0 1.0\n", "probability must be"),
+    ("states 2\n0 1 1.5\n1 0 1.0\n", "bad.txt:2: probability must be in (0, 1]"),
+    ("states 2\n0 1 nan\n1 0 1.0\n", "bad.txt:2: probability must be in (0, 1]"),
     ("states 2\n0 1 0.5\n0 1 0.5\n1 0 1.0\n",
      "row of state 0 has targets that are not strictly increasing"),
     ("states 2\n0 1 0.9\n1 0 1.0\n", "row of state 0 sums off by"),
@@ -264,6 +266,13 @@ def test_load_chain_rejects_malformed(tmp_path, body, fragment):
     path = tmp_path / "bad.txt"
     path.write_text(body)
     with pytest.raises(ChainFileError, match=fragment.replace("(", "\\(")) as exc:
+        load_chain_from_file(path)
+    assert str(path) in str(exc.value)
+
+
+def test_load_chain_names_a_missing_file(tmp_path):
+    path = tmp_path / "nope.txt"
+    with pytest.raises(ChainFileError, match="^cannot read chain file ") as exc:
         load_chain_from_file(path)
     assert str(path) in str(exc.value)
 

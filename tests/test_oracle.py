@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,14 +8,13 @@ from stattrunc import (
     OracleError,
     TruncationProblem,
     exact_stationary_finite,
-    excursion_bound_check,
     matrix_chain,
     random_walk_certificate,
-    regenerative_expectation_exact,
     simulate_cycles,
     tight_certificate,
     verify_lyapunov_drift,
 )
+from stattrunc.chain import reward_values
 from stattrunc.oracle import (
     DEFAULT_CYCLE_CAP,
     Z_99,
@@ -22,6 +23,85 @@ from stattrunc.oracle import (
     _sparse_matrix,
 )
 from conftest import dirichlet_chain, reflecting_walk_matrix
+
+
+def dense_matrix(chain, n):
+    """P over {0..n-1} from per-state ``chain.row`` calls."""
+    P = np.zeros((n, n))
+    for x in range(n):
+        row = chain.row(x)
+        P[x, row.targets] = row.probs
+    return P
+
+
+def first_step_solve(P, idx, f):
+    """Dense solve of (I - P[idx, idx]) u = f on the states idx."""
+    try:
+        u = np.linalg.solve(np.eye(idx.size) - P[np.ix_(idx, idx)], f)
+    except np.linalg.LinAlgError as exc:
+        raise OracleError(f"first-step solve singular: {exc}") from exc
+    if not np.isfinite(u).all():
+        raise OracleError("first-step solve produced non-finite values")
+    return u
+
+
+def regenerative_expectation_exact(chain, n, z, f):
+    """E_z of the f-sum over one z-cycle, by first-step analysis.
+
+    Solves u(x) = f(x) + sum_{y != z} P(x, y) u(y) on S \\ {z} and returns
+    f(z) + sum_y P(z, y) u(y) with u(z) = 0.  With f = 1 this is the mean
+    return time E_z tau(z).  f must be finite and non-negative.
+    """
+    P = dense_matrix(chain, n)
+    fvals = reward_values(f, np.arange(n), "f")
+    idx = np.setdiff1d(np.arange(n), [z])
+    u = np.zeros(n)
+    u[idx] = first_step_solve(P, idx, fvals[idx])
+    return float(fvals[z] + P[z] @ u)
+
+
+@dataclass
+class ExcursionReport:
+    """Exact excursion expectations versus a claimed bounding function."""
+
+    states: list
+    values: list
+    bounds: list
+    slack: list
+    drift_failures: list
+    violations: list
+
+    @property
+    def passed(self):
+        return not self.violations
+
+
+def excursion_bound_check(chain, n, K, A, g, f):
+    """Check g(x) >= E_x sum_{j<T} f(X_j) exactly on a finite chain.
+
+    T is the hitting time of K: that is the stopping time for which the
+    drift inequality sum_{y not in K} P(x, y) g(y) <= g(x) - f(x) makes g
+    a valid upper bound.  Reports per-state slack for x in A minus K,
+    plus the states where the drift inequality itself fails.
+    """
+    P = dense_matrix(chain, n)
+    K_set = {int(k) for k in K}
+    idx = np.setdiff1d(np.arange(n), list(K_set))
+    g_all = reward_values(g, np.arange(n), "g")
+    fvec = reward_values(f, idx, "f")
+    u = np.zeros(n)
+    u[idx] = first_step_solve(P, idx, fvec)
+    g_idx = g_all[idx]
+    failed = P[np.ix_(idx, idx)] @ g_idx > g_idx - fvec + 1e-9 * (1.0 + np.abs(g_idx))
+    states = [x for x in sorted({int(a) for a in A} - K_set) if 0 <= x < n]
+    values = [float(u[x]) for x in states]
+    bounds = [float(g_all[x]) for x in states]
+    return ExcursionReport(
+        states=states, values=values, bounds=bounds,
+        slack=[b - v for b, v in zip(bounds, values)],
+        drift_failures=idx[failed].tolist(),
+        violations=[x for x, v, b in zip(states, values, bounds)
+                    if v > b + 1e-9 * (1.0 + abs(b))])
 
 
 def test_stationary_two_state(two_state):
@@ -123,24 +203,14 @@ def reference_tight_certificate(chain, n, K, r):
     (I - P restricted to the complement of K) u = r, 1.  Returns (g1, g2)
     as arrays over {0..n-1}.
     """
-    P = np.zeros((n, n))
-    for x in range(n):
-        row = chain.row(x)
-        P[x, row.targets] = row.probs
+    P = dense_matrix(chain, n)
     K_set = {int(k) for k in K}
     idx = np.array(sorted(set(range(n)) - K_set), dtype=np.int64)
     g1 = np.zeros(n)
     g2 = np.zeros(n)
     if idx.size:
-        M = np.eye(idx.size) - P[np.ix_(idx, idx)]
-        rvec = np.array([float(r(int(x))) for x in idx])
-        try:
-            u1 = np.linalg.solve(M, rvec)
-            u2 = np.linalg.solve(M, np.ones(idx.size))
-        except np.linalg.LinAlgError as exc:
-            raise OracleError(f"certificate solve singular: {exc}") from exc
-        if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
-            raise OracleError("certificate solve produced non-finite values")
+        u1 = first_step_solve(P, idx, np.array([float(r(int(x))) for x in idx]))
+        u2 = first_step_solve(P, idx, np.ones(idx.size))
         if u1.min() < -1e-9 or u2.min() < 1.0 - 1e-9:
             raise OracleError("certificate solve inconsistent; K may be "
                               "unreachable from part of the chain")
@@ -290,16 +360,23 @@ def test_dense_matrix_names_first_state_leaving_the_block():
 
 
 def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
-                              max_steps=DEFAULT_CYCLE_CAP, max_tracked=64):
+                              max_steps=DEFAULT_CYCLE_CAP):
     """The per-step numpy simulator that defines the stream contract.
 
     One ``rng.random()`` call per step; ``np.searchsorted`` on the row's
-    cumulative probabilities, clamped to the last target.
+    cumulative probabilities, clamped to the last target.  Returns the
+    ``CycleStats`` that ``simulate_cycles`` must reproduce and the
+    excursion survival: survival[i-1] estimates P_z(tau(z) > Gamma_i),
+    where Gamma_i is the first K-entry after the i-th exit from A, the
+    chance the cycle is still running when its i-th outside excursion has
+    come back.  A and K shape only the survival.
     """
     rng = np.random.default_rng(seed)
     z = int(z)
     K_set = {int(k) for k in K}
     A_set = {int(a) for a in A}
+    if z not in K_set or not K_set <= A_set:
+        raise ValueError("need z in K and K a subset of A")
     row_cache = {}
 
     def sample_next(x, u):
@@ -314,9 +391,9 @@ def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
 
     rewards = np.empty(n_cycles)
     lengths = np.empty(n_cycles)
-    survival_counts = np.zeros(max_tracked, dtype=np.int64)
+    rounds = np.zeros(n_cycles, dtype=np.int64)
     for c in range(n_cycles):
-        x, crew, clen, rounds, escaped = z, float(r(z)), 1, 0, False
+        x, crew, clen, escaped = z, float(r(z)), 1, False
         while True:
             x = sample_next(x, rng.random())
             if x == z:
@@ -331,12 +408,10 @@ def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
                 if x not in A_set:
                     escaped = True
             elif x in K_set:
-                rounds += 1
+                rounds[c] += 1
                 escaped = False
         rewards[c] = crew
         lengths[c] = clen
-        if rounds:
-            survival_counts[:min(rounds, max_tracked)] += 1
 
     mean_reward = float(rewards.mean())
     mean_length = float(lengths.mean())
@@ -346,18 +421,19 @@ def reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed, *,
         hw = Z_99 * float(d.std(ddof=1)) / (mean_length * np.sqrt(n_cycles))
     else:
         hw = float("inf")
-    tracked = int(np.max(np.nonzero(survival_counts)[0]) + 1) \
-        if survival_counts.any() else 0
-    survival = tuple(float(survival_counts[i]) / n_cycles for i in range(tracked))
-    return CycleStats(n_cycles=n_cycles, mean_reward=mean_reward,
-                      mean_length=mean_length, ratio=ratio, half_width=hw,
-                      excursion_survival=survival, seed=int(seed))
+    survival = tuple(np.count_nonzero(rounds >= i) / n_cycles
+                     for i in range(1, int(rounds.max()) + 1))
+    stats = CycleStats(n_cycles=n_cycles, mean_reward=mean_reward,
+                       mean_length=mean_length, ratio=ratio, half_width=hw,
+                       seed=int(seed))
+    return stats, survival
 
 
-def assert_matches_reference(*args, **kwargs):
-    expected = reference_simulate_cycles(*args, **kwargs)
-    assert simulate_cycles(*args, **kwargs) == expected
-    return expected
+def assert_matches_reference(chain, z, K, A, r, n_cycles, seed, **kwargs):
+    expected, survival = reference_simulate_cycles(chain, z, K, A, r, n_cycles, seed,
+                                                   **kwargs)
+    assert simulate_cycles(chain, z, r, n_cycles, seed, **kwargs) == expected
+    return expected, survival
 
 
 def random_sparse_chain(seed, n):
@@ -385,7 +461,7 @@ def test_simulation_matches_reference_on_random_chains(chain_seed, n, n_cycles,
 def test_simulation_matches_reference_at_batch_boundary(excursion_chain, n_cycles):
     # cycles average ~4.9 steps: one cycle stays in the first batch, 1000
     # and 5000 cycles run through one and several refills
-    stats = assert_matches_reference(
+    stats, _ = assert_matches_reference(
         excursion_chain["chain"], 0, excursion_chain["K"], excursion_chain["A"],
         lambda x: 0.1 * x, n_cycles, 17)
     assert stats.n_cycles == n_cycles
@@ -407,12 +483,12 @@ def test_simulation_matches_reference_on_long_cycles():
     # cycles of ~256 steps on the path and a near-critical walk: each run
     # spans more than two batches, so cycles straddle refills
     chain = forward_path_chain(383)
-    stats = assert_matches_reference(chain, 0, range(10), range(100),
-                                     lambda x: 0.01 * x, 192, 6)
+    stats, _ = assert_matches_reference(chain, 0, range(10), range(100),
+                                        lambda x: 0.01 * x, 192, 6)
     assert stats.mean_length > 200
     assert stats.mean_length * stats.n_cycles > 2 * _STREAM_BATCH
     walk = matrix_chain(reflecting_walk_matrix(400, 0.49))
-    stats = assert_matches_reference(walk, 0, range(5), range(50), float, 300, 3)
+    stats, _ = assert_matches_reference(walk, 0, range(5), range(50), float, 300, 3)
     assert stats.mean_length * stats.n_cycles > 2 * _STREAM_BATCH
 
 
@@ -421,12 +497,12 @@ def test_simulation_does_not_depend_on_the_refill_size(excursion_chain, monkeypa
     runs = ((forward_path_chain(383), range(10), range(100), 40, 6),
             (excursion_chain["chain"], excursion_chain["K"], excursion_chain["A"],
              2000, 17))
+    r = lambda x: 0.1 * x
     for chain, K, A, n_cycles, seed in runs:
-        args = (chain, 0, K, A, lambda x: 0.1 * x, n_cycles, seed)
-        expected = reference_simulate_cycles(*args)
+        expected, _ = reference_simulate_cycles(chain, 0, K, A, r, n_cycles, seed)
         for size in (1, 7, _STREAM_BATCH):
             monkeypatch.setattr(oracle_module, "_STREAM_BATCH", size)
-            assert simulate_cycles(*args) == expected
+            assert simulate_cycles(chain, 0, r, n_cycles, seed) == expected
 
 
 def test_simulation_matches_reference_when_row_mass_falls_short():
@@ -434,9 +510,11 @@ def test_simulation_matches_reference_when_row_mass_falls_short():
     # reference both stop at the first row they read
     P = np.array([[0.2, 0.4], [0.3, 0.3]])
     chain = matrix_chain(P)
-    for simulate in (reference_simulate_cycles, simulate_cycles):
-        with pytest.raises(ValueError, match=r"^row of state 0 sums off by 4\.000e-01$"):
-            simulate(chain, 0, [0], [0, 1], float, 500, 8)
+    match = r"^row of state 0 sums off by 4\.000e-01$"
+    with pytest.raises(ValueError, match=match):
+        reference_simulate_cycles(chain, 0, [0], [0, 1], float, 500, 8)
+    with pytest.raises(ValueError, match=match):
+        simulate_cycles(chain, 0, float, 500, 8)
 
 
 def test_simulation_cycle_cap_message_matches_reference():
@@ -445,25 +523,21 @@ def test_simulation_cycle_cap_message_matches_reference():
             reference_simulate_cycles(chain, 0, [0], [0], float, 100, 2,
                                       max_steps=cap)
         with pytest.raises(RuntimeError) as got:
-            simulate_cycles(chain, 0, [0], [0], float, 100, 2, max_steps=cap)
+            simulate_cycles(chain, 0, float, 100, 2, max_steps=cap)
         assert str(got.value) == str(expected.value)
 
 
 def test_simulation_is_deterministic(two_state):
-    a = simulate_cycles(two_state["chain"], 0, [0], [0, 1], two_state["r"],
-                        2000, seed=42)
-    b = simulate_cycles(two_state["chain"], 0, [0], [0, 1], two_state["r"],
-                        2000, seed=42)
-    c = simulate_cycles(two_state["chain"], 0, [0], [0, 1], two_state["r"],
-                        2000, seed=43)
+    a = simulate_cycles(two_state["chain"], 0, two_state["r"], 2000, seed=42)
+    b = simulate_cycles(two_state["chain"], 0, two_state["r"], 2000, seed=42)
+    c = simulate_cycles(two_state["chain"], 0, two_state["r"], 2000, seed=43)
     assert a == b
     assert a.ratio != c.ratio
     assert a.rng_algorithm == "numpy.random.default_rng (PCG64)"
 
 
 def test_simulation_two_state_confidence_interval(two_state):
-    stats = simulate_cycles(two_state["chain"], 0, [0], [0, 1], two_state["r"],
-                            200_000, seed=7)
+    stats = simulate_cycles(two_state["chain"], 0, two_state["r"], 200_000, seed=7)
     assert stats.mean_length == pytest.approx(1.5, abs=0.01)
     assert abs(stats.ratio - 1.0 / 3.0) <= stats.half_width
     assert stats.half_width < 1.5e-3
@@ -471,16 +545,15 @@ def test_simulation_two_state_confidence_interval(two_state):
 
 def test_simulation_walk_ratio(two_state):
     from stattrunc import random_walk_chain
-    stats = simulate_cycles(random_walk_chain(), 0, [0], range(200),
-                            lambda x: x / 2.0, 30_000, seed=11)
+    stats = simulate_cycles(random_walk_chain(), 0, lambda x: x / 2.0, 30_000, seed=11)
     assert abs(stats.ratio - 0.75) <= stats.half_width
     assert stats.half_width < 0.05
 
 
 def test_simulation_survival_shape(excursion_chain):
-    stats = simulate_cycles(excursion_chain["chain"], 0, excursion_chain["K"],
-                            excursion_chain["A"], lambda x: 1.0, 20_000, seed=3)
-    surv = np.array(stats.excursion_survival)
+    _, surv = reference_simulate_cycles(excursion_chain["chain"], 0, excursion_chain["K"],
+                                        excursion_chain["A"], lambda x: 1.0, 20_000, seed=3)
+    surv = np.array(surv)
     assert surv.size > 0
     assert np.all(np.diff(surv) <= 0.0)
     assert np.all((0.0 <= surv) & (surv <= 1.0))
@@ -489,29 +562,34 @@ def test_simulation_survival_shape(excursion_chain):
 def test_simulation_survival_tracks_geometric_bound(excursion_chain):
     """Empirical excursion tail vs (1-beta)(1-delta)^(i-1), both exactly 4/7 here."""
     n = 100_000
-    stats = simulate_cycles(excursion_chain["chain"], 0, excursion_chain["K"],
-                            excursion_chain["A"], lambda x: 1.0, n, seed=99)
+    _, surv = reference_simulate_cycles(excursion_chain["chain"], 0, excursion_chain["K"],
+                                        excursion_chain["A"], lambda x: 1.0, n, seed=99)
     beta = delta = excursion_chain["beta"]
-    for i, p_hat in enumerate(stats.excursion_survival, start=1):
+    for i, p_hat in enumerate(surv, start=1):
         se = np.sqrt(p_hat * (1.0 - p_hat) / n)
         assert p_hat <= (1.0 - beta) * (1.0 - delta) ** (i - 1) + 3.0 * se
 
 
 def test_simulation_argument_validation(two_state):
     with pytest.raises(ValueError, match="n_cycles"):
-        simulate_cycles(two_state["chain"], 0, [0], [0, 1], two_state["r"], 0, seed=1)
+        simulate_cycles(two_state["chain"], 0, two_state["r"], 0, seed=1)
     with pytest.raises(ValueError, match="z in K"):
-        simulate_cycles(two_state["chain"], 0, [1], [0, 1], two_state["r"], 10, seed=1)
-    single = simulate_cycles(two_state["chain"], 0, [0], [0, 1], two_state["r"],
-                             1, seed=1)
+        reference_simulate_cycles(two_state["chain"], 0, [1], [0, 1], two_state["r"],
+                                  10, seed=1)
+    single = simulate_cycles(two_state["chain"], 0, two_state["r"], 1, seed=1)
     assert single.half_width == np.inf
+
+
+def test_simulation_rejects_the_old_excursion_arguments(two_state):
+    # the K and A arguments are gone: the old seven-argument call must not bind
+    with pytest.raises(TypeError):
+        simulate_cycles(two_state["chain"], 0, [0], [0, 1], two_state["r"], 10, 1)
 
 
 def test_simulation_cycle_cap():
     from stattrunc import random_walk_chain
     with pytest.raises(RuntimeError, match="positive recurrent"):
-        simulate_cycles(random_walk_chain(), 0, [0], range(50), lambda x: 1.0,
-                        100, seed=5, max_steps=1)
+        simulate_cycles(random_walk_chain(), 0, lambda x: 1.0, 100, seed=5, max_steps=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -5.0], ids=["nan", "negative"])
@@ -523,7 +601,7 @@ def test_simulation_rejects_bad_reward_at_visited_state(bad, batch):
     r = (Reward(lambda xs: np.where(xs == 4, bad, xs / 2.0)) if batch
          else lambda x: bad if x == 4 else x / 2.0)
     with pytest.raises(ValueError, match=rf"finite and non-negative, got r\(4\)={bad}"):
-        simulate_cycles(random_walk_chain(), 0, [0], range(50), r, 2000, seed=5)
+        simulate_cycles(random_walk_chain(), 0, r, 2000, seed=5)
 
 
 def test_excursion_check_tight_bound_has_zero_slack():
