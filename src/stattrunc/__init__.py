@@ -24,6 +24,7 @@ from .bounds import (
 )
 from .chain import (
     ChainModel,
+    ChainTail,
     Reward,
     SparseRow,
     TruncationProblem,

@@ -2,7 +2,10 @@
 
 States are non-negative integers; a chain is anything that can produce the
 sparse transition rows of given states on demand.  Rows must have finite
-support, which keeps exit masses and tail sums exactly computable.
+support, which keeps exit masses and tail sums exactly computable.  An
+infinite chain may also declare a translation-invariant tail: from a
+level x0 on, every row is the same jumps with the same probabilities
+(``ChainTail``), so those rows need neither generating nor storing.
 """
 
 from __future__ import annotations
@@ -52,6 +55,27 @@ class SparseRow:
 RowBatch = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+@dataclass(frozen=True)
+class ChainTail:
+    """The rows of every state x >= ``x0``: ``probs[k]`` at ``x + jumps[k]``.
+
+    ``jumps`` are integers and ``probs`` their probabilities, 1-d and of
+    equal length.  ``ChainModel`` checks them against the row contract
+    once, when the chain is built.
+    """
+
+    x0: int
+    jumps: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "x0", int(self.x0))
+        object.__setattr__(self, "jumps", np.asarray(self.jumps, dtype=np.int64))
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
+        if self.jumps.shape != self.probs.shape or self.jumps.ndim != 1:
+            raise ValueError("tail jumps and probs must be 1-d arrays of equal length")
+
+
 @dataclass(frozen=True, kw_only=True)
 class ChainModel:
     """A Markov chain given by on-demand sparse row access.
@@ -68,16 +92,40 @@ class ChainModel:
     ``ROW_SUM_TOL`` of 1.  ``rows`` checks this on every row it returns,
     so the rows the bounds rely on (B non-negative and substochastic)
     are checked exactly once, whichever form the chain gives.
+
+    An infinite chain may declare a ``tail`` (a ``ChainTail`` or a tuple
+    ``(x0, jumps, probs)``): the rows of all states >= x0.  ``rows`` then
+    answers those states from the tail, and asks ``rows_fn`` or
+    ``row_fn`` only for the head, the states below x0.  The tail is one
+    row shifted, so the row contract is checked on it once, here, at x0:
+    a row that passes at x0 passes at every larger state.
     """
 
     row_fn: Callable[[StateIndex], SparseRow] | None = None
     description: str
     n_states: int | None = None
     rows_fn: Callable[[np.ndarray], RowBatch] | None = None
+    tail: ChainTail | None = None
 
     def __post_init__(self):
-        if self.rows_fn is None and self.row_fn is None:
+        if self.tail is not None:
+            self._check_tail()
+        if self.rows_fn is None and self.row_fn is None \
+                and (self.tail is None or self.tail.x0 > 0):
             raise ValueError(f"chain {self.description!r} needs rows_fn or row_fn")
+
+    def _check_tail(self) -> None:
+        try:
+            tail = self.tail if isinstance(self.tail, ChainTail) else ChainTail(*self.tail)
+            object.__setattr__(self, "tail", tail)
+            if self.n_states is not None:
+                raise ValueError("a finite chain has no tail")
+            if tail.x0 < 0:
+                raise ValueError(f"x0 must be non-negative, got {tail.x0}")
+            _check_rows(np.array([tail.x0]), np.array([0, tail.jumps.size]),
+                        tail.x0 + tail.jumps, tail.probs)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"tail of chain {self.description!r}: {exc}") from exc
 
     def _check_states(self, lo: int, hi: int) -> None:
         if lo < 0:
@@ -95,13 +143,35 @@ class ChainModel:
         """Rows of the states ``xs`` as ``(indptr, targets, probs)``.
 
         Row i of the batch is ``targets[indptr[i]:indptr[i+1]]`` with
-        ``probs`` alongside.  Uses ``rows_fn`` when the chain has one,
-        else stacks ``row_fn``.  The first state, in batch order, whose
+        ``probs`` alongside.  States in the tail are answered from it;
+        the others from ``rows_fn`` when the chain has one, else by
+        stacking ``row_fn``.  The first head state, in batch order, whose
         row breaks the row contract is named in a ``ValueError``.
         """
         xs = np.asarray(xs, dtype=np.int64).reshape(-1)
         if xs.size:
             self._check_states(int(xs.min()), int(xs.max()))
+        if self.tail is None:
+            return self._head_rows(xs)
+        in_tail = xs >= self.tail.x0
+        if in_tail.all():
+            return self._tail_rows(xs)
+        if not in_tail.any():
+            return self._head_rows(xs)
+        parts = []
+        for rows, batch_rows in ((~in_tail, self._head_rows), (in_tail, self._tail_rows)):
+            ptr, targets, probs = batch_rows(xs[rows])
+            parts.append((np.flatnonzero(rows), np.diff(ptr), targets, probs))
+        return merge_rows(xs.size, parts)
+
+    def _tail_rows(self, xs: np.ndarray) -> RowBatch:
+        """``rows`` of states in the tail: one broadcast, checked at x0."""
+        jumps, probs = self.tail.jumps, self.tail.probs
+        return (np.arange(0, (xs.size + 1) * jumps.size, jumps.size, dtype=np.int64),
+                (xs[:, None] + jumps).ravel(), np.tile(probs, xs.size))
+
+    def _head_rows(self, xs: np.ndarray) -> RowBatch:
+        """``rows`` of states below the tail, from ``rows_fn`` or ``row_fn``."""
         if self.rows_fn is None:
             indptr, targets, probs = _stack_rows([self.row_fn(x) for x in xs.tolist()])
         else:
@@ -158,6 +228,25 @@ def _check_rows(xs: np.ndarray, indptr: np.ndarray, targets: np.ndarray,
     else:
         fault = f"sums off by {dev[i]:.3e}"
     raise ValueError(f"row of state {xs[i]} {fault}")
+
+
+def merge_rows(n: int, parts) -> RowBatch:
+    """CSR form ``(indptr, targets, probs)`` of n rows given in parts.
+
+    Each part is ``(rows, counts, targets, probs)``: row ``rows[i]`` holds
+    the part's next ``counts[i]`` entries, in order.  No row takes entries
+    from two parts.
+    """
+    counts = np.zeros(n, dtype=np.int64)
+    for rows, cnt, _, _ in parts:
+        counts[rows] += cnt
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    targets, probs = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1])
+    for rows, cnt, t, p in parts:
+        pos = np.repeat(indptr[rows] - (np.cumsum(cnt) - cnt), cnt) + np.arange(t.size)
+        targets[pos], probs[pos] = t, p
+    return indptr, targets, probs
 
 
 def _stack_rows(rows: Sequence[SparseRow]) -> RowBatch:

@@ -212,6 +212,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"YAML parse error in {path}: {exc}") from exc
     if raw is None:
@@ -228,27 +230,28 @@ def load_reward_table(path: str) -> Reward:
     """
     table: dict[int, float] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, rawline in enumerate(fh, start=1):
+                line = rawline.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ConfigError(f"{path}:{lineno}: expected 'state value'")
+                try:
+                    state, value = int(parts[0]), float(parts[1])
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                if state < 0 or not 0.0 <= value < float("inf"):
+                    raise ConfigError(f"{path}:{lineno}: need state >= 0 and "
+                                      "finite value >= 0")
+                if state in table:
+                    raise ConfigError(f"{path}:{lineno}: duplicate state {state}")
+                table[state] = value
     except OSError as exc:
         raise ConfigError(f"cannot read reward table {path}: {exc}") from exc
-    with fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'state value'")
-            try:
-                state, value = int(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if state < 0 or not 0.0 <= value < float("inf"):
-                raise ConfigError(f"{path}:{lineno}: need state >= 0 and "
-                                  "finite value >= 0")
-            if state in table:
-                raise ConfigError(f"{path}:{lineno}: duplicate state {state}")
-            table[state] = value
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"reward table {path} is not UTF-8 text: {exc}") from exc
     states = np.array(sorted(table), dtype=np.int64)
     values = np.array([table[x] for x in states.tolist()], dtype=np.float64)
 

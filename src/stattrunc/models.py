@@ -13,10 +13,12 @@ Two built-in models are provided:
   i.e. a regularized lower incomplete gamma evaluation.  The row of state
   x is P(x, y) = beta_{x+1-y} for 1 <= y <= x+1 and P(x, 0) = sum of the
   remaining coefficient tail, so every row sums to one by construction.
+  Once that tail has underflowed (x >= 196 at c = 2.01) every row is the
+  whole band, which the chain declares as its tail.
 
 * ``random_walk_chain`` -- reflected walk on {0, 1, ...}: from x >= 1 it
-  moves up with probability 1/3 and down with probability 2/3; state 0
-  moves to 1 with probability one.
+  moves up with probability 1/3 and down with probability 2/3 (its tail,
+  from x0 = 1); state 0 moves to 1 with probability one.
 
 Arbitrary finite chains can be loaded from a plain-text coordinate file
 via ``load_chain_from_file``.
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainModel, Reward, RewardFn, RowBatch, csr_chain
+from .chain import ChainModel, ChainTail, Reward, RewardFn, RowBatch, csr_chain
 
 
 class ChainFileError(ValueError):
@@ -112,18 +114,12 @@ def gm1_rows(xs: np.ndarray, params: Gm1Params = Gm1Params()) -> RowBatch:
     Row x holds the coefficient tail ``tail[x+1]`` = sum_{i > x} beta_i
     at y = 0 first (when positive; accumulated directly, never as 1 -
     partial sum, so it is non-negative by construction), then the
-    Toeplitz band beta_{x+1-y} for y = x+1-kmax, ..., x+1.
-
-    From x = nb - 1 on (nb coefficients) the tail is 0 and every row is
-    the whole band, beta_{nb-1}, ..., beta_0 at y = x+2-nb, ..., x+1, so a
-    batch of such states is one broadcast.
+    Toeplitz band beta_{x+1-y} for y = x+1-kmax, ..., x+1.  The formula
+    holds at every state; ``gm1_chain`` asks it only for the states below
+    its tail (``gm1_tail``).
     """
     betas, tail = _beta_table(params.c)
     nb = betas.size
-    if xs.size and xs.min() >= nb - 1:
-        targets = (xs[:, None] + np.arange(2 - nb, 2)).ravel()
-        probs = np.tile(betas[::-1], xs.size)
-        return np.arange(0, (xs.size + 1) * nb, nb, dtype=np.int64), targets, probs
     kmax = np.minimum(xs, nb - 1)
     p0 = tail[np.minimum(xs + 1, tail.size - 1)]   # tail[-1] == 0
     has0 = (p0 > 0.0).astype(np.int64)
@@ -144,15 +140,25 @@ def gm1_rows(xs: np.ndarray, params: Gm1Params = Gm1Params()) -> RowBatch:
     return indptr, targets, probs
 
 
+def gm1_tail(params: Gm1Params = Gm1Params()) -> ChainTail:
+    """The rows of the G/M/1 chain from x0 = nb - 1 on (nb coefficients).
+
+    There the tail mass P(x, 0) is 0 and every row is the whole band,
+    beta_{nb-1}, ..., beta_0 at y = x+2-nb, ..., x+1: jumps 2-nb, ..., 1.
+    """
+    betas = _beta_table(params.c)[0]
+    nb = betas.size
+    return ChainTail(nb - 1, np.arange(2 - nb, 2), betas[::-1])
+
+
 def gm1_chain(params: Gm1Params = Gm1Params()) -> ChainModel:
-    """The embedded G/M/1 chain on {0, 1, 2, ...}.
+    """The embedded G/M/1 chain on {0, 1, 2, ...}, with its ``gm1_tail``.
 
     Its beta table is computed here, so building the chain is its set-up.
     """
-    _beta_table(params.c)
     return ChainModel(
         description=f"G/M/1 embedded chain, uniform interarrival on (0, {params.c})",
-        rows_fn=lambda xs: gm1_rows(xs, params),
+        rows_fn=lambda xs: gm1_rows(xs, params), tail=gm1_tail(params),
     )
 
 
@@ -176,7 +182,9 @@ def gm1_certificate() -> LyapunovCertificate:
 def random_walk_rows(xs: np.ndarray) -> RowBatch:
     """Rows of the reflected random walk at the states ``xs``, in CSR form.
 
-    Up 1/3 and down 2/3; state 0 moves to 1 with probability one.
+    Up 1/3 and down 2/3; state 0 moves to 1 with probability one.  The
+    formula holds at every state; ``random_walk_chain`` asks it only for
+    state 0, below its tail.
     """
     at0 = xs == 0
     targets = np.stack([xs - 1, xs + 1], axis=1)
@@ -192,7 +200,8 @@ def random_walk_rows(xs: np.ndarray) -> RowBatch:
 def random_walk_chain() -> ChainModel:
     """Reflected random walk on {0, 1, 2, ...} with downward drift."""
     return ChainModel(description="reflected random walk, up 1/3 / down 2/3",
-                      rows_fn=random_walk_rows)
+                      rows_fn=random_walk_rows,
+                      tail=ChainTail(1, [-1, 1], [2.0 / 3.0, 1.0 / 3.0]))
 
 
 def random_walk_certificate() -> LyapunovCertificate:
@@ -211,47 +220,51 @@ def load_chain_from_file(path) -> ChainModel:
 
     Format: optional comment lines starting with '#', one header line
     ``states N``, then one ``src dst prob`` triple per line (whitespace
-    separated).  A missing or unreadable file, a malformed line, an index
-    outside the declared dimension and a probability outside (0, 1] raise
-    ``ChainFileError``, and so does a row that breaks the row contract of
-    ``ChainModel`` (``ChainModel.rows`` checks every row once, on load): an
-    empty row, a repeated (src, dst) pair, or a row whose sum is off by
-    more than ``chain.ROW_SUM_TOL``.
+    separated).  A missing or unreadable file, one that is not UTF-8
+    text, a malformed line, an index outside the declared dimension and a
+    probability outside (0, 1] raise ``ChainFileError``, and so does a row
+    that breaks the row contract of ``ChainModel`` (``ChainModel.rows``
+    checks every row once, on load): an empty row, a repeated (src, dst)
+    pair, or a row whose sum is off by more than ``chain.ROW_SUM_TOL``.
     """
     n = None
     triples: list[tuple[int, int, float]] = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if n is None:
+                    if len(parts) != 2 or parts[0].lower() != "states":
+                        raise ChainFileError(f"{path}:{lineno}: expected header 'states N'")
+                    try:
+                        n = int(parts[1])
+                    except ValueError as exc:
+                        raise ChainFileError(
+                            f"{path}:{lineno}: bad state count {parts[1]!r}") from exc
+                    if n <= 0:
+                        raise ChainFileError(f"{path}:{lineno}: state count must be positive")
+                    continue
+                if len(parts) != 3:
+                    raise ChainFileError(
+                        f"{path}:{lineno}: expected 'src dst prob', got {line!r}")
+                try:
+                    src, dst, prob = int(parts[0]), int(parts[1]), float(parts[2])
+                except ValueError as exc:
+                    raise ChainFileError(f"{path}:{lineno}: unparsable entry {line!r}") from exc
+                if not (0 <= src < n and 0 <= dst < n):
+                    raise ChainFileError(
+                        f"{path}:{lineno}: state outside declared dimension {n}: {line!r}")
+                if not 0.0 < prob <= 1.0:
+                    raise ChainFileError(
+                        f"{path}:{lineno}: probability must be in (0, 1]: {line!r}")
+                triples.append((src, dst, prob))
     except OSError as exc:
         raise ChainFileError(f"cannot read chain file {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if n is None:
-                if len(parts) != 2 or parts[0].lower() != "states":
-                    raise ChainFileError(f"{path}:{lineno}: expected header 'states N'")
-                try:
-                    n = int(parts[1])
-                except ValueError as exc:
-                    raise ChainFileError(f"{path}:{lineno}: bad state count {parts[1]!r}") from exc
-                if n <= 0:
-                    raise ChainFileError(f"{path}:{lineno}: state count must be positive")
-                continue
-            if len(parts) != 3:
-                raise ChainFileError(f"{path}:{lineno}: expected 'src dst prob', got {line!r}")
-            try:
-                src, dst, prob = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ChainFileError(f"{path}:{lineno}: unparsable entry {line!r}") from exc
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ChainFileError(
-                    f"{path}:{lineno}: state outside declared dimension {n}: {line!r}")
-            if not 0.0 < prob <= 1.0:
-                raise ChainFileError(f"{path}:{lineno}: probability must be in (0, 1]: {line!r}")
-            triples.append((src, dst, prob))
+    except UnicodeDecodeError as exc:
+        raise ChainFileError(f"chain file {path} is not UTF-8 text: {exc}") from exc
     if n is None:
         raise ChainFileError(f"{path}: missing 'states N' header")
 

@@ -23,6 +23,15 @@ larger one.  A system whose band LU exchanges a row, or whose band would
 hold more than ``BAND_FILL`` times the entries of I - B (say, every row
 jumps to one hub state), is factored by SuperLU in state order instead.
 
+When the chain declares a tail (``chain.ChainTail``) and A is a range,
+the rows of A' that are the tail with every target in A' (the tail run)
+are one stencil: row i holds the tail's probability k at column
+i + jump k.  B then stores only the other rows as a CSR matrix, and each
+consumer of B adds the run's part itself: the assembly skips its rows,
+the band factorization writes them as one broadcast slice, and the
+products B x and x B add them as shifted slices or a convolution.
+``TruncatedSystem.full_B`` writes the run out, for SuperLU and the tests.
+
 Every solve is refined iteratively, clamped to be non-negative and
 returned only with a checked max-norm residual certificate.  The row solve
 y = nu (I - B)^{-1} is refined for forward accuracy (mixed-precision
@@ -45,8 +54,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf
 
-from .chain import (TruncationProblem, as_state_array, is_contiguous, member_mask,
-                    reward_values)
+from .chain import (ChainModel, TruncationProblem, as_state_array, is_contiguous,
+                    member_mask, merge_rows, reward_values)
 from .models import LyapunovCertificate
 
 DEFAULT_TOL = 1e-12
@@ -76,6 +85,55 @@ class SolverOptions:
             raise ValueError(f"tol must be positive with 10*tol < 1, got {self.tol!r}")
 
 
+@dataclass(frozen=True)
+class TailRun:
+    """Rows ``start`` .. ``stop - 1`` of B, each the chain's tail.
+
+    In positions of A', row i holds ``probs[k]`` at column i + ``jumps[k]``.
+    An empty run has ``start == stop == m``.
+    """
+
+    start: int
+    stop: int
+    jumps: np.ndarray
+    probs: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.stop - self.start
+
+    @property
+    def nnz(self) -> int:
+        return self.size * self.jumps.size
+
+
+def _tail_run(chain: ChainModel, A: np.ndarray, z: int) -> TailRun:
+    """The rows of A' that are the chain's tail with every target in A'.
+
+    A must be a range holding z.  A tail row x has its targets in A' and
+    on z's side when x > z, x + jumps[0] > z and x + jumps[-1] <= max A;
+    those states are a range, whose positions in A' are their offsets
+    from min A less one (z lies below them).  Tail rows below z, which
+    the built-in chains (z below the tail) never have, stay in the CSR
+    part: so the run of a prefix of A is this run cut at the prefix's top.
+    """
+    m = A.size - 1
+    tail = chain.tail
+    if tail is not None and is_contiguous(A):
+        lo = max(tail.x0, z + 1 - min(int(tail.jumps[0]), 0))
+        hi = int(A[-1]) - max(int(tail.jumps[-1]), 0)
+        if lo <= hi:
+            first = int(A[0]) + 1
+            return TailRun(lo - first, hi + 1 - first, tail.jumps, tail.probs)
+    return TailRun(m, m, np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+def _csr(m: int, parts) -> sp.csr_matrix:
+    """The m x m CSR matrix of the row parts of ``chain.merge_rows``."""
+    indptr, indices, data = merge_rows(m, parts)
+    return sp.csr_matrix((data, indices, indptr), shape=(m, m))
+
+
 @dataclass
 class TruncatedSystem:
     """Vectors and matrices of the truncated system over A' = A - {z}.
@@ -86,10 +144,14 @@ class TruncatedSystem:
     indices are sorted within each row, as a row's targets are.  The scalars
     attached to z (its self-loop mass, reward and exit bounds) are carried
     alongside because the cycle-based formulas need them.
+
+    B is held in two parts: the tail ``run``, whose rows are the chain's
+    tail (see ``TailRun``), and the CSR matrix ``B`` of every other row,
+    with the run's rows left empty.  ``full_B`` writes out the whole.
     """
 
     Aprime: np.ndarray           # ordered states of A'
-    B: sp.csr_matrix             # substochastic restriction to A'
+    B: sp.csr_matrix             # the rows of B outside the tail run
     nu: np.ndarray               # entry row P(z, x), x in A'
     p: np.ndarray                # exit column P(x, z)
     q: np.ndarray                # one-step escape mass into A^c
@@ -102,11 +164,21 @@ class TruncatedSystem:
     r_z: float
     h1_z: float
     h2_z: float
+    run: TailRun
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return int(self.Aprime.size)
+
+    def full_B(self) -> sp.csr_matrix:
+        """B as one CSR matrix, the run's rows written out: the matrix the
+        same chain without a tail assembles."""
+        B, run, m = self.B, self.run, self.size
+        rows = np.arange(run.start, run.stop)
+        return _csr(m, [(np.arange(m), np.diff(B.indptr), B.indices, B.data),
+                        (rows, np.full(run.size, run.jumps.size),
+                         (rows[:, None] + run.jumps).ravel(), np.tile(run.probs, run.size))])
 
     def positions(self, states: Iterable[int]) -> np.ndarray:
         """Positions in A' of the given states (which must all lie in A')."""
@@ -163,11 +235,13 @@ def assemble_truncated_system(problem: TruncationProblem,
     """Build the truncated system for a problem and a Lyapunov certificate.
 
     The overshoot bounds h_i are computed exactly from the finite-support
-    rows as h_i(x) = sum_{y not in A} P(x, y) g_i(y).  Every row of A, z's
-    included, is read once through ``chain.row_chunks``: z's row gives the
-    entry row nu, the self-loop P(z, z) and h_i(z) exactly as any other
-    row gives its B row, p, q and h_i.  Rewards and drift functions are
-    evaluated on whole arrays of states.
+    rows as h_i(x) = sum_{y not in A} P(x, y) g_i(y).  Every row of A
+    outside the tail run (see ``TailRun``), z's included, is read once
+    through ``chain.row_chunks``: z's row gives the entry row nu, the
+    self-loop P(z, z) and h_i(z) exactly as any other row gives its B row,
+    p, q and h_i.  The run's rows are the chain's tail, with p, q and h 0.
+    Rewards are evaluated on all of A' and drift functions on the escaping
+    entries, each on whole arrays of states.
     """
     chain, A, z = problem.chain, problem.A, problem.z
     is_z = A == z
@@ -177,6 +251,7 @@ def assemble_truncated_system(problem: TruncationProblem,
     Aprime = A[~is_z]
     m = Aprime.size
     r_vec = problem.rewards(Aprime)
+    run = _tail_run(chain, A, z)
 
     p, q, h1, h2, nu = (np.zeros(m) for _ in range(5))
     # B's column indices are written in the dtype the CSR matrix keeps, so
@@ -199,12 +274,13 @@ def assemble_truncated_system(problem: TruncationProblem,
         return A_range[0] <= lo and hi <= A_range[1] and not lo <= z <= hi
 
     # B's entries are written chunk after chunk into one pair of arrays,
-    # sized at the first chunk to its longest row times m (B's nnz or just
-    # above it on chains of equal-length rows), grown by realloc if a later
-    # chunk needs more and cut to nnz at the end.  So B is never held
-    # twice, and no per-chunk pieces leave heap holes whose layout, which
-    # varies from run to run, decides where the factorization's copy of B
-    # goes: that swung the gm1 a = 10^4 peak RSS by ~10 MB
+    # sized at the first chunk to its longest row times the rows read (B's
+    # nnz or just above it on chains of equal-length rows), grown by
+    # realloc if a later chunk needs more and cut to nnz at the end.  So B
+    # is never held twice, and no per-chunk pieces leave heap holes whose
+    # layout, which varies from run to run, decides where the
+    # factorization's copy of B goes: that swung the gm1 a = 10^4 peak RSS
+    # by ~10 MB when B held every row
     data, indices = np.empty(0), np.empty(0, dtype=index_dtype)
     nnz = 0
 
@@ -212,15 +288,24 @@ def assemble_truncated_system(problem: TruncationProblem,
         nonlocal nnz
         end = nnz + vals.size
         if end > data.size:
-            cap = max(end, 2 * data.size, int(counts.max(initial=0)) * m)
+            cap = max(end, 2 * data.size, int(counts.max(initial=0)) * (m - run.size))
             data.resize(cap, refcheck=False)
             indices.resize(cap, refcheck=False)
         data[nnz:end] = vals
         indices[nnz:end] = cols
         nnz = end
 
+    def row_chunks():
+        # the rows of A below and above the run, whose states are
+        # A[run.start + 1:run.stop + 1] (z lies below them); ``start``
+        # indexes A
+        for base in (0, run.stop + 1):
+            states = A[base:run.start + 1] if base == 0 else A[base:]
+            for start, *chunk in chain.row_chunks(states):
+                yield base + start, *chunk
+
     B_indptr = np.zeros(m + 1, dtype=np.int64)
-    for start, xs, indptr, targets, probs in chain.row_chunks(A):
+    for start, xs, indptr, targets, probs in row_chunks():
         n = xs.size
         counts = np.diff(indptr)
         s0 = start - int(iz < start)
@@ -269,7 +354,7 @@ def assemble_truncated_system(problem: TruncationProblem,
     return TruncatedSystem(
         Aprime=Aprime, B=B, nu=nu, p=p, q=q, r_vec=r_vec,
         h1=h1, h2=h2, A_full=A, z=int(z), P_zz=P_zz,
-        r_z=problem.reward(z), h1_z=h1_z, h2_z=h2_z,
+        r_z=problem.reward(z), h1_z=h1_z, h2_z=h2_z, run=run,
     )
 
 
@@ -279,13 +364,14 @@ def prefix_system(system: TruncatedSystem, problem: TruncationProblem,
 
     ``problem.A`` must be a leading part of ``system.A_full`` that holds
     its z, and ``system`` must have been assembled from ``problem``'s
-    chain and reward and from ``certificate``.  B, nu, p and r are then
-    leading blocks of ``system``'s, B without its entries past the prefix
-    (views when those are B's last entries, as on chains that reach one
-    state up).  q and h differ only on the rows that reach past the
-    prefix: those rows and z's are read again through ``chain.rows`` and
-    summed by ``expected_g_rows``.  Every array equals that of
-    ``assemble_truncated_system(problem, certificate)``.
+    chain and reward and from ``certificate``.  nu, p and r are then
+    leading parts of ``system``'s, and the tail run is ``system``'s cut at
+    the prefix's top.  Two kinds of rows are read again through
+    ``chain.rows``: the rows that reach past the prefix, whose q and h
+    change and whose B entries past it go, and the rows that leave the run
+    because they reach past it, whose B entries are written to the CSR
+    part.  Every other row of the CSR part is ``system``'s.  Every array
+    equals that of ``assemble_truncated_system(problem, certificate)``.
 
     When ``system`` has a ``BandLU`` of the prefix's own band, the prefix
     solves with its leading m' columns: the factors its own factorization
@@ -296,23 +382,20 @@ def prefix_system(system: TruncatedSystem, problem: TruncationProblem,
     if z != system.z or not np.array_equal(A, system.A_full[:n]):
         raise ValueError(f"A must be a leading part of the system's A and hold its z={system.z}")
     m = n - 1
-    B = system.B
+    B, Aprime = system.B, system.Aprime[:m]
+    run = _tail_run(problem.chain, A, z)
+    left = np.arange(system.run.start, min(system.run.stop, m))
+    left = left[(left < run.start) | (left >= run.stop)]
     hi = int(B.indptr[m])
-    past = np.flatnonzero(B.indices[:hi] >= m)
-    reach = np.searchsorted(B.indptr, past, side="right") - 1
-    indptr = B.indptr[:m + 1] - np.concatenate(([0], np.cumsum(np.bincount(reach, minlength=m))))
-    keep = hi - past.size
-    if np.array_equal(past, np.arange(keep, hi)):
-        data, indices = B.data[:keep], B.indices[:keep]
-    else:
-        data, indices = np.delete(B.data[:hi], past), np.delete(B.indices[:hi], past)
+    row = np.repeat(np.arange(m), np.diff(B.indptr[:m + 1]))
+    inside = B.indices[:hi] < m
 
-    fix = np.unique(reach)
-    xs = np.append(system.Aprime[fix], z)
+    fix = np.union1d(row[~inside], left)
+    xs = np.append(Aprime[fix], z)
     row_ptr, targets, probs = problem.chain.rows(xs)
+    row_x = np.repeat(np.arange(xs.size), np.diff(row_ptr))
     outside = ~member_mask(targets, A)
-    n_out = np.bincount(np.repeat(np.arange(xs.size), np.diff(row_ptr))[outside],
-                        minlength=xs.size)
+    n_out = np.bincount(row_x[outside], minlength=xs.size)
     esc = np.flatnonzero(n_out)
     q_x, h1_x, h2_x = np.zeros(xs.size), np.zeros(xs.size), np.zeros(xs.size)
     q_x[esc], h1_x[esc], h2_x[esc] = expected_g_rows(
@@ -320,18 +403,22 @@ def prefix_system(system: TruncatedSystem, problem: TruncationProblem,
     q, h1, h2 = system.q[:m].copy(), system.h1[:m].copy(), system.h2[:m].copy()
     q[fix], h1[fix], h2[fix] = q_x[:-1], h1_x[:-1], h2_x[:-1]
 
-    # set, not passed to the constructor, which copies a view of less than
-    # half of its base
-    B_m = sp.csr_matrix((m, m))
-    B_m.data, B_m.indices, B_m.indptr = data, indices, indptr.astype(B.indptr.dtype)
+    # the rows that leave the run have every target but those past the
+    # prefix in A' (none is z)
+    new = np.isin(fix, left)
+    entry = np.append(new, False)[row_x] & ~outside
+    B_m = _csr(m, [(np.arange(m), np.bincount(row[inside], minlength=m),
+                    B.indices[:hi][inside], B.data[:hi][inside]),
+                   (fix[new], np.bincount(row_x[entry], minlength=xs.size)[:-1][new],
+                    np.searchsorted(Aprime, targets[entry]), probs[entry])])
     prefix = TruncatedSystem(
-        Aprime=system.Aprime[:m], B=B_m,
+        Aprime=Aprime, B=B_m,
         nu=system.nu[:m], p=system.p[:m], q=q, r_vec=system.r_vec[:m], h1=h1, h2=h2,
         A_full=A, z=system.z, P_zz=system.P_zz, r_z=system.r_z,
-        h1_z=float(h1_x[-1]), h2_z=float(h2_x[-1]),
+        h1_z=float(h1_x[-1]), h2_z=float(h2_x[-1]), run=run,
     )
     lu = system._cache.get("lu")
-    if isinstance(lu, BandLU) and _band(prefix.B) == (lu.kl, lu.ku):
+    if isinstance(lu, BandLU) and _band(prefix.B, prefix.run) == (lu.kl, lu.ku):
         prefix._cache["lu"] = lu.leading(m)
     return prefix
 
@@ -346,10 +433,10 @@ BAND_FILL = 4
 LD_BLOCK = 1 << 18
 
 
-def _row_blocks(B: sp.csr_matrix):
-    """Consecutive row ranges (i0, i1) of B, each holding at most
-    ``LD_BLOCK`` entries or one row."""
-    m, indptr = B.shape[0], B.indptr
+def _row_blocks(indptr: np.ndarray):
+    """Consecutive row ranges (i0, i1) of the CSR row pointer ``indptr``,
+    each holding at most ``LD_BLOCK`` entries or one row."""
+    m = indptr.size - 1
     size = max(LD_BLOCK, int(np.diff(indptr).max(initial=0)))
     i0 = 0
     while i0 < m:
@@ -358,21 +445,26 @@ def _row_blocks(B: sp.csr_matrix):
         i0 = i1
 
 
-def _band(B: sp.csr_matrix) -> tuple[int, int] | None:
-    """(kl, ku) of M = (I - B)^T, or None when its band is too wide.
+def _band(B: sp.csr_matrix, run: TailRun | None = None) -> tuple[int, int] | None:
+    """(kl, ku) of M = (I - B)^T, B the CSR rows ``B`` plus the tail
+    ``run``, or None when its band is too wide.
 
     kl and ku are how far a row of B reaches up and down; a row's first
     and last columns are its lowest and highest, as B's column indices
-    are sorted within each row.  The band is too wide when it would hold
-    more than ``BAND_FILL`` times the entries of I - B.
+    and a tail's jumps are sorted.  The band is too wide when it would
+    hold more than ``BAND_FILL`` times the entries of I - B, the run's
+    included.
     """
     m = B.shape[0]
     rows = np.flatnonzero(np.diff(B.indptr))
-    kl = ku = 0
+    kl = ku = nnz_run = 0
     if rows.size:
         kl = max(0, int((B.indices[B.indptr[rows + 1] - 1] - rows).max()))
         ku = max(0, int((rows - B.indices[B.indptr[rows]]).max()))
-    return (kl, ku) if (2 * kl + ku + 1) * m <= BAND_FILL * (B.nnz + m) else None
+    if run is not None and run.size:
+        kl, ku = max(kl, int(run.jumps[-1])), max(ku, -int(run.jumps[0]))
+        nnz_run = run.nnz
+    return (kl, ku) if (2 * kl + ku + 1) * m <= BAND_FILL * (B.nnz + nnz_run + m) else None
 
 
 class BandLU:
@@ -394,10 +486,11 @@ class BandLU:
         self.ab, self.L, self.kl, self.ku = ab, L, kl, ku
 
     @classmethod
-    def factor(cls, B: sp.csr_matrix, kl: int, ku: int) -> "BandLU | None":
-        """The band LU of (I - B)^T, or None when partial pivoting exchanges
-        a row, as rounding can make it do where a block of I - B is nearly
-        singular."""
+    def factor(cls, B: sp.csr_matrix, kl: int, ku: int,
+               run: TailRun | None = None) -> "BandLU | None":
+        """The band LU of (I - B)^T, B the CSR rows ``B`` plus the tail
+        ``run``, or None when partial pivoting exchanges a row, as rounding
+        can make it do where a block of I - B is nearly singular."""
         m, indptr = B.shape[0], B.indptr
         width = 2 * kl + ku + 1
         # M[i, j] is ab[kl + ku + i - j, j], and column j of M is row j of
@@ -407,7 +500,7 @@ class BandLU:
         # starts kl + ku entries in, end inside it
         buf = np.zeros((m + 1, width))
         abT = buf[:m]
-        for i0, i1 in _row_blocks(B):
+        for i0, i1 in _row_blocks(indptr):
             lo, hi = indptr[i0], indptr[i1]
             ptr = indptr[i0:i1 + 1] - lo
             cols = B.indices[lo:hi] - np.repeat(np.arange(i0, i1, dtype=B.indices.dtype),
@@ -415,6 +508,8 @@ class BandLU:
             cols += kl + ku
             sp.csr_matrix((np.negative(B.data[lo:hi]), cols, ptr),
                           shape=(i1 - i0, width)).toarray(out=abT[i0:i1])
+        if run is not None and run.size:
+            abT[run.start:run.stop, kl + ku + run.jumps] = -run.probs
         ab = abT.T
         ab[kl + ku] += 1.0
         ab, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
@@ -439,22 +534,51 @@ class BandLU:
         return dtbsv(k, self.ab, x, overwrite_x=1)
 
 
+def _check_escapes(system: TruncatedSystem, B_full: sp.csr_matrix) -> None:
+    """Raise ``SolverError`` unless the chain leaves A' from every state.
+
+    I - B is singular when a class of states in A' is closed: from there the
+    chain never reaches z or leaves A.  The band LU reports that as a zero
+    pivot, but SuperLU can crash on it, so it is found first: by a
+    breadth-first search from the rows that lose mass (p + q > 0) back
+    along the entries of B.  ``scipy.sparse.csgraph`` is imported here,
+    so only a system that SuperLU factors loads it.
+    """
+    from scipy.sparse.csgraph import breadth_first_order
+
+    m = system.size
+    leak = np.flatnonzero(system.p + system.q > 0.0)
+    rows = np.repeat(np.arange(m), np.diff(B_full.indptr))
+    back = sp.csr_matrix((np.ones(rows.size + leak.size),
+                          (np.concatenate((B_full.indices, np.full(leak.size, m))),
+                           np.concatenate((rows, leak)))), shape=(m + 1, m + 1))
+    reached = np.zeros(m + 1, dtype=bool)
+    reached[breadth_first_order(back, m, return_predecessors=False)] = True
+    if not reached.all():
+        x = int(system.Aprime[np.argmin(reached)])
+        raise SolverError(f"I - B is singular: from state {x} the chain never reaches "
+                          f"z={system.z} or leaves A")
+
+
 def _lu(system: TruncatedSystem):
     """The state-order LU of I - B, computed once per system.
 
     A ``BandLU`` of (I - B)^T when ``_band`` finds the band narrow enough
     and partial pivoting takes every pivot on the diagonal, else SuperLU's
-    LU of I - B in state order with diagonal pivots.  Both hold no fill
-    outside the envelope of I - B.
+    LU of I - B in state order with diagonal pivots, from ``full_B``.
+    Both hold no fill outside the envelope of I - B.
     """
     if "lu" not in system._cache:
-        B, m = system.B, system.size
-        band = _band(B)
-        lu = BandLU.factor(B, *band) if band is not None else None
+        B, run, m = system.B, system.run, system.size
+        band = _band(B, run)
+        lu = BandLU.factor(B, *band, run) if band is not None else None
         if lu is None:
+            B_full = system.full_B()
+            _check_escapes(system, B_full)
             # I - B is a nonsingular M-matrix, so every pivot is positive
             # and perm_r = perm_c = identity
-            lu = spla.splu((sp.identity(m, format="csr") - B).tocsc(), permc_spec="NATURAL",
+            lu = spla.splu((sp.identity(m, format="csr") - B_full).tocsc(),
+                           permc_spec="NATURAL",
                            diag_pivot_thresh=0.0, relax=1, panel_size=1)
         system._cache["lu"] = lu
     return system._cache["lu"]
@@ -466,38 +590,105 @@ def _transposed(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
     on those very arrays.
 
     Set, not passed to the constructor, which copies arrays that are views
-    of less than half of their base, as a prefix system's B and each row
-    block of B are: ~12 MB for each row solve at gm1 a = 5000, and ~8 MB of
-    column indices for each long-double residual at gm1 a = 10^4.
+    of less than half of their base, as each row block of B is.
     """
     T = sp.csc_matrix((n, indptr.size - 1), dtype=data.dtype)
     T.data, T.indices, T.indptr = data, indices, indptr
     return T
 
 
+def _Bx(system: TruncatedSystem, x: np.ndarray) -> np.ndarray:
+    """B x, in double.
+
+    Each row's products are summed left to right from 0, as scipy's CSR
+    product sums them: the run's rows by one shifted slice of x per jump,
+    so they give the very sums of their written-out form in ``full_B``.
+    """
+    Bx = system.B @ x
+    run = system.run
+    rows = Bx[run.start:run.stop]     # empty in the CSR part: zeros
+    for j, p in zip(run.jumps.tolist(), run.probs.tolist()):
+        rows += x[run.start + j:run.stop + j] * p
+    return Bx
+
+
+def _xB(system: TruncatedSystem, x: np.ndarray) -> np.ndarray:
+    """x B, in the dtype of x: double, or long double.
+
+    The sums are those of scipy's product of ``full_B``'s transpose, bit
+    for bit: each column adds its terms in row order, from 0.  A
+    long-double product is formed a block of rows at a time, each block
+    of at most ``LD_BLOCK`` entries of ``full_B`` summed on its own and
+    added to the total, so no long-double copy of all of B is held.
+    """
+    B, run, m = system.B, system.run, system.size
+    blocks = [(0, m)]
+    if x.dtype != B.data.dtype:
+        counts = np.diff(B.indptr)
+        counts[run.start:run.stop] = run.jumps.size
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        blocks = _row_blocks(indptr)
+    xB = np.zeros(m, dtype=x.dtype)
+    for i0, i1 in blocks:
+        xB += _xB_rows(system, x, i0, i1)
+    return xB
+
+
+def _xB_rows(system: TruncatedSystem, x: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """The sum over rows i0 .. i1 - 1 of x_i B(i, .), term by term in row
+    order from 0: the CSR rows below the run, then the run's, then the CSR
+    rows above it."""
+    B, run, m = system.B, system.run, system.size
+    r0, r1 = min(max(run.start, i0), i1), min(max(run.stop, i0), i1)
+    indptr, lo = B.indptr, B.indptr[i0]
+    vals = B.data[lo:indptr[i1]].astype(x.dtype, copy=False)
+    part = _transposed(vals[:indptr[r0] - lo], B.indices[lo:indptr[r0]],
+                       indptr[i0:r0 + 1] - lo, m) @ x[i0:r0]
+    if r1 > r0:
+        jumps = run.jumps.tolist()
+        c0, c1 = r0 + jumps[0], r1 + jumps[-1]
+        if x.dtype == B.data.dtype:
+            _add_run(part, x, run, r0, r1, c0, c1)
+        else:
+            # a long-double convolution sums each column's terms in the
+            # order of its longer operand, x's run entries padded, from 0;
+            # the columns that the CSR rows below reached go on from their
+            # sums instead
+            span = c1 - c0 - (r1 - r0) + 1
+            taps = np.zeros(span, dtype=x.dtype)
+            taps[run.jumps - jumps[0]] = run.probs
+            padded = np.zeros(r1 - r0 + span, dtype=x.dtype)
+            padded[:r1 - r0] = x[r0:r1]
+            reached = int(B.indices[lo:indptr[r0]].max(initial=c0 - 1)) + 1
+            head = part[c0:reached].copy()
+            part[c0:c1] += np.convolve(padded, taps)[:c1 - c0]
+            part[c0:reached] = head
+            _add_run(part, x, run, r0, r1, c0, reached)
+    for i in range(r1, i1):
+        cols = slice(indptr[i] - lo, indptr[i + 1] - lo)
+        part[B.indices[lo:][cols]] += vals[cols] * x[i]
+    return part
+
+
+def _add_run(part: np.ndarray, x: np.ndarray, run: TailRun, r0: int, r1: int,
+             c0: int, c1: int) -> None:
+    """Add to the columns c0 .. c1 - 1 of ``part`` the terms x_i B(i, .) of
+    the run's rows r0 .. r1 - 1, in row order: one shifted slice of x per
+    jump, the highest jump first."""
+    for j, p in zip(run.jumps[::-1].tolist(), run.probs[::-1].tolist()):
+        a, b = max(r0, c0 - j), min(r1, c1 - j)
+        if a < b:
+            part[a + j:b + j] += x[a:b] * p
+
+
 def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
               transpose: bool) -> np.ndarray:
-    """b - (I - B) x, or b - x (I - B) in long double when ``transpose``.
-
-    x B is summed a block of B's rows at a time: each block's values go to
-    long double and its product with x is added to the sum, so no
-    long-double copy of all of B is held.
-    """
+    """b - (I - B) x, or b - x (I - B) in long double when ``transpose``."""
     if not transpose:
-        return b - (x - system.B @ x)
-    B = system.B
-    indptr = B.indptr
-    blocks = list(_row_blocks(B))
-    vals = np.empty(max((int(indptr[i1] - indptr[i0]) for i0, i1 in blocks), default=0),
-                    dtype=np.longdouble)
+        return b - (x - _Bx(system, x))
     x_ld = x.astype(np.longdouble)
-    xB = np.zeros(system.size, dtype=np.longdouble)
-    for i0, i1 in blocks:
-        lo, hi = indptr[i0], indptr[i1]
-        np.copyto(vals[:hi - lo], B.data[lo:hi])
-        xB += _transposed(vals[:hi - lo], B.indices[lo:hi], indptr[i0:i1 + 1] - lo,
-                          system.size) @ x_ld[i0:i1]
-    return b.astype(np.longdouble) - (x_ld - xB)
+    return b.astype(np.longdouble) - (x_ld - _xB(system, x_ld))
 
 
 def _move(system: TruncatedSystem, x: np.ndarray, x_new: np.ndarray, b: np.ndarray,
@@ -514,8 +705,7 @@ def _move(system: TruncatedSystem, x: np.ndarray, x_new: np.ndarray, b: np.ndarr
         return x_new, _residual(system, x_new, b, False)
     d = x_new - x
     if d.any():     # a last step often rounds away in every entry of y
-        B = system.B
-        residual -= d - _transposed(B.data, B.indices, B.indptr, system.size) @ d
+        residual -= d - _xB(system, d)
     return x_new, residual
 
 

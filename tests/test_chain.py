@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stattrunc import (
     ChainModel,
+    ChainTail,
     Gm1Params,
     SparseRow,
     TruncationProblem,
@@ -13,7 +16,8 @@ from stattrunc import (
     one_step_fringe,
     random_walk_chain,
 )
-from stattrunc.chain import ROW_CHUNK, Reward, as_state_array, member_mask, reward_values
+from stattrunc.chain import (ROW_CHUNK, ROW_SUM_TOL, Reward, as_state_array, member_mask,
+                             reward_values)
 from stattrunc.models import _beta_table
 
 from conftest import gm1_row_reference, stacked_rows, walk_row_reference
@@ -265,8 +269,8 @@ def test_gm1_rows_match_row(c, data):
 @pytest.mark.parametrize("c", [0.5, 2.01, 7.0])
 @pytest.mark.parametrize("batch", ["past-cut", "straddle", "shuffled"])
 def test_gm1_rows_match_row_on_full_chunks(c, batch):
-    # a whole ROW_CHUNK of states: past the cut every row is the broadcast
-    # band; a batch with states below the cut takes the per-entry path
+    # a whole ROW_CHUNK of states: past the cut every row is the chain's
+    # tail; a batch with states below the cut mixes head and tail rows
     cut = gm1_cut(c)
     if batch == "past-cut":
         xs = np.arange(cut, cut + ROW_CHUNK)
@@ -351,3 +355,74 @@ def test_one_step_fringe_spans_row_chunks():
     assert one_step_fringe(walk, A).tolist() == holes + [3 * ROW_CHUNK]
     gm1 = gm1_chain()
     assert one_step_fringe(gm1, range(50)).tolist() == [50]
+
+
+def _head_row(x):
+    """Row of a head state of the tail tests' chains: down to 0 or up by 2."""
+    return SparseRow([0, x + 2], [0.25, 0.75])
+
+
+@pytest.mark.parametrize("tail,fragment", [
+    ((5, [-1, -1, 1], [0.25, 0.25, 0.5]), "not strictly increasing"),
+    ((5, [1, -1], [0.5, 0.5]), "not strictly increasing"),
+    ((5, [-1, 1], [1.0, 0.0]), "non-positive or NaN probability 0.0 at target 6"),
+    ((5, [-1, 1], [1.5, -0.5]), "non-positive or NaN probability -0.5 at target 6"),
+    ((5, [-1, 1], [0.5, float("nan")]), "non-positive or NaN probability nan"),
+    ((5, [-1, 1], [2.0 / 3.0, 1.0 / 3.0 + 5 * ROW_SUM_TOL]), "sums off by 5.000e-10"),
+    ((1, [-2, 1], [0.5, 0.5]), "negative target -1"),
+    ((5, [], []), "is empty"),
+    ((5, [-1, 1], [0.5]), "equal length"),
+    ((5, [0]), "missing"),
+])
+def test_tail_breaking_the_row_contract_is_rejected_at_construction(tail, fragment):
+    """The tail is checked once, when the chain is built, against the same
+    contract as every row; the error names the tail and its chain."""
+    with pytest.raises(ValueError, match=r"^tail of chain 'tailed': .*" + re.escape(fragment)):
+        ChainModel(row_fn=_head_row, description="tailed", tail=tail)
+
+
+def test_tail_within_the_row_sum_tolerance_is_accepted():
+    chain = ChainModel(row_fn=_head_row, description="tailed",
+                       tail=(5, [-1, 1], [2.0 / 3.0, 1.0 / 3.0 + 0.5 * ROW_SUM_TOL]))
+    assert isinstance(chain.tail, ChainTail) and chain.tail.jumps.dtype == np.int64
+
+
+def test_finite_chain_has_no_tail():
+    with pytest.raises(ValueError, match="^tail of chain 'finite': a finite chain has no tail"):
+        ChainModel(row_fn=_head_row, description="finite", n_states=10,
+                   tail=ChainTail(5, [-1, 1], [0.5, 0.5]))
+
+
+def test_tail_from_zero_needs_no_row_function():
+    chain = ChainModel(description="pure tail", tail=(0, [0, 2], [0.5, 0.5]))
+    indptr, targets, probs = chain.rows([3, 0])
+    assert indptr.tolist() == [0, 2, 4] and targets.tolist() == [3, 5, 0, 2]
+    with pytest.raises(ValueError, match="needs rows_fn or row_fn"):
+        ChainModel(description="head missing", tail=(1, [0], [1.0]))
+
+
+@pytest.mark.parametrize("form", ["rows_fn", "row_fn"])
+def test_rows_of_a_batch_mixing_head_and_tail_states_come_in_batch_order(form):
+    """Head rows from the chain's row function, tail rows from its tail, in
+    the order of the batch, duplicates and empty batches included; the
+    row function is asked for head states only."""
+    asked = []
+
+    def row_of(x):
+        asked.append(x)
+        return _head_row(x)
+
+    tail = ChainTail(4, [-3, -1, 2], [0.125, 0.5, 0.375])
+    chain = (ChainModel(row_fn=row_of, description="mixed", tail=tail) if form == "row_fn"
+             else ChainModel(rows_fn=lambda xs: stacked_rows(row_of, xs), description="mixed",
+                             tail=tail))
+    xs = [9, 0, 4, 3, 3, 100, 1]
+    want = stacked_rows(lambda x: _head_row(x) if x < 4 else SparseRow(x + tail.jumps, tail.probs),
+                        xs)
+    for got, expect in zip(chain.rows(xs), want):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    assert asked == [0, 3, 3, 1]
+    for xs in ([], [7, 5], [2, 0]):
+        for got, expect in zip(chain.rows(xs), stacked_rows(
+                lambda x: _head_row(x) if x < 4 else SparseRow(x + tail.jumps, tail.probs), xs)):
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)

@@ -178,6 +178,23 @@ def test_main_missing_chain_file_is_a_config_error(tmp_path, capsys):
     assert str(tmp_path / "nope.txt") in err[0]
 
 
+@pytest.mark.parametrize("kind", ["chain", "reward"])
+def test_main_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys, kind):
+    """A chain file or reward table of random bytes ends in exit 2 with one
+    line naming it, not in a traceback."""
+    data = tmp_path / "bin.txt"
+    data.write_bytes(bytes(np.random.default_rng(0).integers(128, 256, size=200).tolist()))
+    cfg = tmp_path / "bin.yaml"
+    cfg.write_text("model: file:bin.txt\nz: 0\nK_max: 0\na_values: [2]\n" if kind == "chain"
+                   else "model: random_walk\nz: 0\nK_max: 2\na_values: [10]\n"
+                        "r_spec: file:bin.txt\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "config error:" in err[0] and "is not UTF-8 text" in err[0]
+    assert str(data) in err[0]
+
+
 def test_main_all_rows_failed_exit_code(tmp_path, capsys):
     chain = write_cycle_chain(tmp_path)
     cfg = tmp_path / "degenerate.yaml"

@@ -121,6 +121,19 @@ def test_load_config_error_paths(tmp_path):
         load_config(str(empty))
 
 
+def test_files_that_are_not_utf8_are_config_errors(tmp_path):
+    table = tmp_path / "r.txt"
+    table.write_bytes(b"0 1.0\n\xff\xfe 2.0\n")
+    with pytest.raises(ConfigError, match="^reward table .* is not UTF-8 text: ") as exc:
+        load_reward_table(str(table))
+    assert str(table) in str(exc.value)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_bytes(b"model: random_walk\nz: \xc0\n")
+    with pytest.raises(ConfigError, match="^config .* is not UTF-8 text: ") as exc:
+        load_config(str(cfg))
+    assert str(cfg) in str(exc.value)
+
+
 def test_reward_table_round_trip(tmp_path):
     table = tmp_path / "r.txt"
     table.write_text("# header\n0 1.5\n3 0.25  # inline comment\n\n")

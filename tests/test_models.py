@@ -277,6 +277,16 @@ def test_load_chain_names_a_missing_file(tmp_path):
     assert str(path) in str(exc.value)
 
 
+def test_load_chain_names_a_file_that_is_not_utf8(tmp_path):
+    """Bytes that do not decode as UTF-8 are a malformed chain file, not an
+    I/O failure."""
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"states 2\n0 1 1.0\n\xff\xfe\x80 0 1.0\n")
+    with pytest.raises(ChainFileError, match="^chain file .* is not UTF-8 text: ") as exc:
+        load_chain_from_file(path)
+    assert str(path) in str(exc.value)
+
+
 LAZY_SPECIAL = """
 import io, sys
 from stattrunc import config, gm1_chain

@@ -69,7 +69,7 @@ def test_walk_assembly_escape_mass():
     assert sys_.Aprime.tolist() == list(range(1, 10))
     np.testing.assert_allclose(sys_.q[:-1], 0.0)
     assert sys_.q[-1] == pytest.approx(1.0 / 3.0)
-    row_sums = np.asarray(sys_.B.sum(axis=1)).ravel() + sys_.p + sys_.q
+    row_sums = np.asarray(sys_.full_B().sum(axis=1)).ravel() + sys_.p + sys_.q
     np.testing.assert_allclose(row_sums, 1.0, atol=1e-15)
     # exit bounds follow from g(x) = x^2 at the landing state 10
     assert sys_.h1[-1] == pytest.approx(100.0 / 3.0)
@@ -204,7 +204,7 @@ def test_state_order_factor_is_unpivoted_with_band_fill():
     band: rows of B reach 1 state up on both chains, and 195 down on gm1.
     L is read from the band itself, not from a copy."""
     for sys_, band in ((gm1_system(2000), (1, 195)), (walk_system(2000), (1, 1))):
-        B = sys_.B.tocoo()
+        B = sys_.full_B().tocoo()
         assert (int((B.col - B.row).max()), int((B.row - B.col).max())) == band
         lu = solver_module._lu(sys_)
         m, kl = sys_.size, band[0]
@@ -230,12 +230,12 @@ def test_factor_is_that_of_identity_minus_B_and_B_transposed_is_kept(model):
     B0 = sys_.B.copy()
     lu = solver_module._lu(sys_)
     m = sys_.size
-    want, piv = _dgbtrf_of(sys_.B, lu.kl, lu.ku)
+    want, piv = _dgbtrf_of(sys_.full_B(), lu.kl, lu.ku)
     assert np.array_equal(piv, np.arange(m)) and np.array_equal(lu.ab, want)
     assert list(sys_._cache) == ["lu"]
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(sys_.B, name), getattr(B0, name)), name
-    I_minus_B = (sp.identity(m, format="csr") - sys_.B).toarray()
+    I_minus_B = (sp.identity(m, format="csr") - sys_.full_B()).toarray()
     rng = np.random.default_rng(3)
     b = rng.uniform(size=m)
     x = lu.solve(b, trans="N")
@@ -260,9 +260,9 @@ def _band_cases(tmp_path):
     jump = load_chain_from_file(write_jump_chain(tmp_path / "jump.txt"))
     jump_sys = assemble_truncated_system(
         TruncationProblem(chain=jump, A=np.arange(400), z=0, K=[0], r=float), ZERO_CERT)
-    yield "gm1", gm1_system(600).B, (1, 195)
-    yield "walk", walk_system(600).B, (1, 1)
-    yield "jump", jump_sys.B, (3, 3)
+    yield "gm1", gm1_system(600).full_B(), (1, 195)
+    yield "walk", walk_system(600).full_B(), (1, 1)
+    yield "jump", jump_sys.full_B(), (3, 3)
     for band in ((0, 1), (1, 0), (0, 0)):
         yield f"{band}", _banded_B(300, *band, seed=sum(band)), band
 
@@ -296,7 +296,7 @@ def test_leading_factors_share_the_full_band():
     m = 700
     lead = lu.leading(m)
     assert np.shares_memory(lead.ab, lu.ab) and np.shares_memory(lead.L, lu.ab)
-    own = solver_module.BandLU.factor(sys_.B[:m, :m].tocsr(), lu.kl, lu.ku)
+    own = solver_module.BandLU.factor(sys_.full_B()[:m, :m].tocsr(), lu.kl, lu.ku)
     # all but the multipliers of rows past the block, which no solve reads
     k = lu.kl + lu.ku
     assert np.array_equal(lead.ab[:k + 1], own.ab[:k + 1])
@@ -335,7 +335,7 @@ def test_row_exchanges_send_the_system_to_superlu():
 def _exact_row_residual(sys_, x) -> list:
     """nu - x (I - B) in exact rational arithmetic, and the sum of the
     magnitudes of its terms, per entry."""
-    B = sys_.B.tocsc()
+    B = sys_.full_B().tocsc()
     xs = [Fraction(v) for v in x.tolist()]
     exact, scale = [], []
     for c in range(sys_.size):
@@ -413,6 +413,27 @@ def test_hub_chain_is_factored_by_superlu_without_a_dense_array():
     assert repr(report) == HUB_REPORT
 
 
+def test_closed_class_in_A_is_a_typed_error_before_superlu(monkeypatch):
+    """A state of A' that the chain never leaves makes I - B singular.  On
+    the hub chain's wide band SuperLU would factor it, and SuperLU can
+    crash on such a matrix; the search for states that never escape
+    reports it first, as a pipeline error naming the state."""
+    n = 60
+    chain = hub_chain(n)
+    indptr, targets, probs = chain.rows(np.arange(n))
+    P = sp.csr_matrix((probs, targets, indptr), shape=(n, n)).toarray()
+    P[40] = 0.0
+    P[40, 40] = 1.0
+    absorbing = matrix_chain(P, "hub chain absorbed at 40")
+    called = []
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: called.append(a))
+    prob = TruncationProblem(chain=absorbing, A=np.arange(50), z=0, K=[0, 1, 2], r=float)
+    with pytest.raises(PipelineError, match="I - B is singular: from state 40 the chain "
+                                            "never reaches z=0 or leaves A"):
+        run_pipeline(prob, ZERO_CERT)
+    assert not called
+
+
 def test_gm1_center_is_refined_to_the_stored_chain_mean():
     """At A = {0..9999} the center pi~(r) is within 1e-14 of the mean of the
     double-precision gm1 chain, 133.16712406453872 (perfbench/README.md).
@@ -430,8 +451,9 @@ def test_row_solve_matches_refinement_against_a_colamd_factor():
     y . h and y . q read included.  The unrefined solves of the two factors
     differ by ~80 ulp of max |y| and ~1400 ulp in some entry."""
     sys_ = gm1_system(2000)
-    lu = spla.splu((sp.identity(sys_.size, format="csr") - sys_.B).tocsc())
-    B_ld = sys_.B.astype(np.longdouble)
+    B = sys_.full_B()
+    lu = spla.splu((sp.identity(sys_.size, format="csr") - B).tocsc())
+    B_ld = B.astype(np.longdouble)
     eps = np.finfo(np.float64).eps
     y, best = lu.solve(sys_.nu, trans="T"), np.inf
     for _ in range(8):
@@ -538,7 +560,8 @@ def reference_assembly(problem, certificate) -> dict:
 
 def assert_matches_reference(problem, certificate):
     sys_ = assemble_truncated_system(problem, certificate)
-    got = dict(data=sys_.B.data, indices=sys_.B.indices, indptr=sys_.B.indptr,
+    B = sys_.full_B()
+    got = dict(data=B.data, indices=B.indices, indptr=B.indptr,
                nu=sys_.nu, p=sys_.p, q=sys_.q, r_vec=sys_.r_vec, h1=sys_.h1,
                h2=sys_.h2, P_zz=sys_.P_zz, h1_z=sys_.h1_z, h2_z=sys_.h2_z)
     want = reference_assembly(problem, certificate)
