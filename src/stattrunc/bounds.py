@@ -33,6 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .chain import (
+    ChainTail,
     StateIndex,
     TruncationProblem,
     as_state_array,
@@ -42,6 +43,7 @@ from .chain import (
 )
 from .models import LyapunovCertificate
 from .solver import (
+    AssemblyError,
     SolverOptions,
     TruncatedSystem,
     assemble_truncated_system,
@@ -264,6 +266,29 @@ def run_sweep(problems: list[TruncationProblem], certificate: LyapunovCertificat
             for i, p in enumerate(problems)]
 
 
+def _tail_drift(certificate: LyapunovCertificate, tail: ChainTail,
+                xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_y P(x, y) g_i(y)`` over the tail rows of the consecutive
+    states ``xs``, whose targets together are one range of states.
+
+    Each g is evaluated once over that range, and each sum is formed as
+    ``expected_g_rows`` forms it: the products P(x, y) g_i(y) added in
+    target order from 0.0, one shifted slice per jump.
+    """
+    base = int(xs[0]) + int(tail.jumps[0])
+    span = np.arange(base, int(xs[-1]) + int(tail.jumps[-1]) + 1)
+    try:
+        g1 = reward_values(certificate.g1, span, "g1")
+        g2 = reward_values(certificate.g2, span, "g2")
+    except ValueError as exc:
+        raise AssemblyError(str(exc)) from exc
+    s1, s2 = np.zeros(xs.size), np.zeros(xs.size)
+    for j, p in zip((tail.jumps - tail.jumps[0]).tolist(), tail.probs.tolist()):
+        s1 += p * g1[j:j + xs.size]
+        s2 += p * g2[j:j + xs.size]
+    return s1, s2
+
+
 def verify_lyapunov_drift(problem: TruncationProblem,
                           certificate: LyapunovCertificate,
                           check_window: Iterable[StateIndex] | None = None
@@ -275,12 +300,16 @@ def verify_lyapunov_drift(problem: TruncationProblem,
         sum_{y not in K} P(x, y) g1(y) <= g1(x) - r(x)
         sum_{y not in K} P(x, y) g2(y) <= g2(x) - 1
 
-    are evaluated exactly from the finite-support row of x, read through
-    ``chain.row_chunks`` like the rows of an assembly, with g and r
-    evaluated on whole chunks; each left-hand side is ``expected_g_rows``
-    of the row's entries outside K, summed left to right along the row.
-    States inside K are excluded (the inequalities are only required on
-    K^c).
+    are evaluated exactly from the finite-support row of x, with g and r
+    evaluated on whole arrays of states; each left-hand side is summed
+    left to right along the row, as ``expected_g_rows`` sums it.  The
+    tail rows (see ``chain.ChainTail``) of a run of consecutive window
+    states, each of whose target range holds no state of K, are one
+    stencil, applied by ``_tail_drift``, when the run is longer than the
+    span of the tail's jumps (then every state of its target range is a
+    target, and the range is at most twice the run).  Every other row is
+    read through ``chain.row_chunks``, like the rows of an assembly.
+    States inside K are excluded (the inequalities are only required on K^c).
 
     The window check is necessarily finite; whether the inequalities hold
     on all of K^c remains the certificate supplier's analytic obligation.
@@ -296,23 +325,45 @@ def verify_lyapunov_drift(problem: TruncationProblem,
     in_K = member_mask(states, K)
     report.excluded_states = states[in_K].tolist()
     states = states[~in_K]
-    for _, xs, indptr, targets, probs in chain.row_chunks(states):
+    n = states.size
+    if not n:
+        return report
+    lhs1, lhs2 = np.zeros(n), np.zeros(n)
+    read = np.ones(n, dtype=bool)
+    tail = chain.tail
+    if tail is not None:
+        # the tail states whose target range holds no state of K, cut into
+        # runs of consecutive states; ``link[i]``: states i and i + 1 share a run
+        lo, hi = states + tail.jumps[0], states + tail.jumps[-1]
+        free = (states >= tail.x0) & (np.searchsorted(K, lo) == np.searchsorted(K, hi, "right"))
+        link = free[:-1] & free[1:] & (np.diff(states) == 1)
+        starts = np.flatnonzero(free & ~np.append(False, link))
+        stops = np.flatnonzero(free & ~np.append(link, False)) + 1
+        least = int(tail.jumps[-1] - tail.jumps[0]) + 1
+        for i, j in zip(starts.tolist(), stops.tolist()):
+            if j - i >= least:
+                lhs1[i:j], lhs2[i:j] = _tail_drift(certificate, tail, states[i:j])
+                read[i:j] = False
+    rest = np.flatnonzero(read)
+    for start, xs, indptr, targets, probs in chain.row_chunks(states[rest]):
         keep = ~member_mask(targets, K)
         counts = np.bincount(np.repeat(np.arange(xs.size), np.diff(indptr))[keep],
                              minlength=xs.size)
-        _, lhs1, lhs2 = expected_g_rows(certificate, counts, targets[keep], probs[keep])
-        g1 = reward_values(certificate.g1, xs, "g1")
-        g2 = reward_values(certificate.g2, xs, "g2")
-        found = []
-        for kind, lhs, rhs in (("g1", lhs1, g1 - problem.rewards(xs)),
-                               ("g2", lhs2, g2 - 1.0)):
-            slack = rhs - lhs
-            report.max_slack = max(report.max_slack, float(slack.max()))
-            report.min_slack = min(report.min_slack, float(slack.min()))
-            bad = np.flatnonzero(lhs > rhs + DRIFT_REL_SLACK * (1.0 + np.abs(rhs)))
-            found += [(i, kind, DriftViolation(int(xs[i]), kind, float(lhs[i]), float(rhs[i])))
-                      for i in bad.tolist()]
-        # state order, and g1 before g2 at one state
-        report.violations += [v for _, _, v in sorted(found, key=lambda f: f[:2])]
-        report.checked_states.extend(xs.tolist())
+        at = rest[start:start + xs.size]
+        _, lhs1[at], lhs2[at] = expected_g_rows(certificate, counts, targets[keep],
+                                                probs[keep])
+    g1 = reward_values(certificate.g1, states, "g1")
+    g2 = reward_values(certificate.g2, states, "g2")
+    found = []
+    for kind, lhs, rhs in (("g1", lhs1, g1 - problem.rewards(states)),
+                           ("g2", lhs2, g2 - 1.0)):
+        slack = rhs - lhs
+        report.max_slack = max(report.max_slack, float(slack.max()))
+        report.min_slack = min(report.min_slack, float(slack.min()))
+        bad = np.flatnonzero(lhs > rhs + DRIFT_REL_SLACK * (1.0 + np.abs(rhs)))
+        found += [(i, kind, DriftViolation(int(states[i]), kind, float(lhs[i]), float(rhs[i])))
+                  for i in bad.tolist()]
+    # state order, and g1 before g2 at one state
+    report.violations = [v for _, _, v in sorted(found, key=lambda f: f[:2])]
+    report.checked_states = states.tolist()
     return report

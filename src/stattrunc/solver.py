@@ -8,20 +8,33 @@ solve against the entry row nu(x) = P(z, x) plus a handful of column
 solves, all sharing a single factorization.
 
 That factorization is LAPACK's band LU (dgbtrf) of M = (I - B)^T, whose
-column j is row j of I - B, in state order.  Its bandwidths are how far a
-row of B reaches up and down in A'.  Rows of B are substochastic, so M is
-column diagonally dominant, and partial pivoting takes the diagonal pivot
-unless rounding tips a nearly singular block of I - B the other way (as
-on gm1 with a hole at z + 1, where every state below z leaves A through
-z).  The band LU is kept only when every pivot is on the diagonal: then
-M = L U with no fill outside the band, the row solve (with M) is two BLAS
-triangular band solves (dtbsv), with L then U, and the column solves
-(with M^T) are two, with U^T then L^T.  The first m' columns of the
-factors are then the factors of M's leading m' x m' block, so the system
-of a prefix of A (``prefix_system``) solves with the factorization of a
-larger one.  A system whose band LU exchanges a row, or whose band would
-hold more than ``BAND_FILL`` times the entries of I - B (say, every row
-jumps to one hub state), is factored by SuperLU in state order instead.
+column j is row j of I - B, in state order, restricted to a band: its
+bandwidths are how far B's entries of at least ``BAND_CUT`` = 2^-106
+(u^2, u the unit roundoff) reach up and down in A'.  On gm1 that is 34
+states down where B's rows reach 195: the jumps below -34 carry ~1e-32
+in all.  The factor is then that of I - B~, B~ the entries of B inside
+the band, and serves only as the preconditioner of the refined solves
+below, whose every residual is formed against all of B.  Since
+0 <= B~ <= B, |(I - B~)^{-1}| <= |(I - B)^{-1}| in the 1- and
+infinity-norms, so a column solve (I - B) x = b refines at a rate of at
+most |(I - B)^{-1}|_inf times the most entries a row of B drops, times
+2^-106, and the row solve y (I - B) = nu at most |(I - B)^{-1}|_1 times
+the most entries a column of B drops, times 2^-106; a solve that does
+not converge fails its residual check.  Rows of B are substochastic and
+B~ <= B, so M~ = (I - B~)^T is column diagonally dominant, and partial
+pivoting takes the diagonal pivot unless rounding tips a nearly singular
+block of I - B the other way (as on gm1 with a hole at z + 1, where every
+state below z leaves A through z).  The band LU is kept only when every
+pivot is on the diagonal: then M~ = L U with no fill outside the band,
+the row solve (with M~) is two BLAS triangular band solves (dtbsv), with
+L then U, and the column solves (with M~^T) are two, with U^T then L^T.
+The first m' columns of the factors are then the factors of M~'s leading
+m' x m' block, so the system of a prefix of A whose band is the same
+(``prefix_system``) solves with the factorization of a larger one.  A
+system whose band LU exchanges a row, or whose band would hold more than
+``BAND_FILL`` times the entries of I - B (say, every row jumps to one hub
+state), is factored by SuperLU in state order instead, with every entry
+of B.
 
 When the chain declares a tail (``chain.ChainTail``) and A is a range,
 the rows of A' that are the tail with every target in A' (the tail run)
@@ -427,6 +440,12 @@ def prefix_system(system: TruncatedSystem, problem: TruncationProblem,
 #: most this many times the entries of I - B (nnz(B) + m); past that, SuperLU
 BAND_FILL = 4
 
+#: the band's reach is that of B's entries of at least u^2 (u = 2^-53, the
+#: unit roundoff); the band LU factors I - B restricted to it, and the
+#: smaller entries outside it are left to refinement, whose residuals read
+#: all of B
+BAND_CUT = 2.0 ** -106
+
 #: values of B converted to long double, or of M written into band storage,
 #: at a time (4 MB of long double); a block holds whole rows of B, so a
 #: longer row is a block of its own
@@ -446,40 +465,46 @@ def _row_blocks(indptr: np.ndarray):
 
 
 def _band(B: sp.csr_matrix, run: TailRun | None = None) -> tuple[int, int] | None:
-    """(kl, ku) of M = (I - B)^T, B the CSR rows ``B`` plus the tail
-    ``run``, or None when its band is too wide.
+    """(kl, ku) of the band of M = (I - B)^T that the band LU factors, B
+    the CSR rows ``B`` plus the tail ``run``, or None when it is too wide.
 
-    kl and ku are how far a row of B reaches up and down; a row's first
-    and last columns are its lowest and highest, as B's column indices
-    and a tail's jumps are sorted.  The band is too wide when it would
-    hold more than ``BAND_FILL`` times the entries of I - B, the run's
-    included.
+    kl and ku are how far B's entries of at least ``BAND_CUT`` reach up
+    and down in a row; the entries outside that band are left out of the
+    factor.  The band is too wide when it would hold more than
+    ``BAND_FILL`` times the entries of I - B, the run's included.
     """
     m = B.shape[0]
-    rows = np.flatnonzero(np.diff(B.indptr))
     kl = ku = nnz_run = 0
-    if rows.size:
-        kl = max(0, int((B.indices[B.indptr[rows + 1] - 1] - rows).max()))
-        ku = max(0, int((rows - B.indices[B.indptr[rows]]).max()))
+    for i0, i1 in _row_blocks(B.indptr):
+        lo, hi = B.indptr[i0], B.indptr[i1]
+        rows = np.repeat(np.arange(i0, i1), np.diff(B.indptr[i0:i1 + 1]))
+        reach = (B.indices[lo:hi] - rows)[B.data[lo:hi] >= BAND_CUT]
+        kl, ku = max(kl, int(reach.max(initial=0))), max(ku, -int(reach.min(initial=0)))
     if run is not None and run.size:
-        kl, ku = max(kl, int(run.jumps[-1])), max(ku, -int(run.jumps[0]))
+        jumps = run.jumps[run.probs >= BAND_CUT]
+        kl, ku = max(kl, int(jumps.max(initial=0))), max(ku, -int(jumps.min(initial=0)))
         nnz_run = run.nnz
     return (kl, ku) if (2 * kl + ku + 1) * m <= BAND_FILL * (B.nnz + nnz_run + m) else None
 
 
 class BandLU:
-    """The LU factors of M = (I - B)^T, with every pivot on the diagonal,
-    in LAPACK band storage.
+    """The LU factors of M = (I - B)^T restricted to its band (kl, ku), with
+    every pivot on the diagonal, in LAPACK band storage.
 
-    M = L U, with L unit lower of bandwidth kl and U upper of bandwidth
-    kl + ku.  ``ab`` is dgbtrf's band: its rows 0 .. kl + ku hold U in
-    upper band storage, its rows below the multipliers of L.  ``L`` is a
-    view of ``ab``'s buffer from row kl + ku, with ``ab``'s leading
-    dimension, so it is L in lower band storage (U's diagonal at its row 0
-    is never read, as L's diagonal is a unit one).  ``solve(b, trans)`` has
-    SuperLU's meaning on I - B: ``"N"`` solves (I - B) x = b, a solve with
-    M^T, and ``"T"`` solves x (I - B) = b, a solve with M.  Each is two
-    BLAS triangular band solves (dtbsv).
+    The entries of M outside the band are entries of B below ``BAND_CUT``
+    (see ``_band``), so the factors are those of M~ = (I - B~)^T, B~ the
+    entries of B inside the band, which differs from M by less than u^2 in
+    each entry it leaves out; the refined solves, whose residuals read all
+    of B, make up the difference.  M~ = L U, with L unit lower of
+    bandwidth kl and U upper of bandwidth kl + ku.  ``ab`` is dgbtrf's
+    band: its rows 0 .. kl + ku hold U in upper band storage, its rows
+    below the multipliers of L.  ``L`` is a view of ``ab``'s buffer from
+    row kl + ku, with ``ab``'s leading dimension, so it is L in lower band
+    storage (U's diagonal at its row 0 is never read, as L's diagonal is a
+    unit one).  ``solve(b, trans)`` has SuperLU's meaning on I - B~:
+    ``"N"`` solves (I - B~) x = b, a solve with M~^T, and ``"T"`` solves
+    x (I - B~) = b, a solve with M~.  Each is two BLAS triangular band
+    solves (dtbsv).
     """
 
     def __init__(self, ab: np.ndarray, L: np.ndarray, kl: int, ku: int):
@@ -488,28 +513,35 @@ class BandLU:
     @classmethod
     def factor(cls, B: sp.csr_matrix, kl: int, ku: int,
                run: TailRun | None = None) -> "BandLU | None":
-        """The band LU of (I - B)^T, B the CSR rows ``B`` plus the tail
-        ``run``, or None when partial pivoting exchanges a row, as rounding
-        can make it do where a block of I - B is nearly singular."""
+        """The band LU of (I - B)^T restricted to the band (kl, ku), B the
+        CSR rows ``B`` plus the tail ``run``, or None when partial pivoting
+        exchanges a row, as rounding can make it do where a block of I - B
+        is nearly singular."""
         m, indptr = B.shape[0], B.indptr
         width = 2 * kl + ku + 1
         # M[i, j] is ab[kl + ku + i - j, j], and column j of M is row j of
         # I - B: ab^T, in C order, is B with each row's columns shifted by
-        # kl + ku minus its position, negated, plus 1 at column kl + ku.
-        # One spare row of the buffer lets the view L of width rows, which
-        # starts kl + ku entries in, end inside it
+        # kl + ku minus its position, negated, plus 1 at column kl + ku;
+        # the entries that land outside its columns kl .. 2 kl + ku are
+        # outside the band, and left out.  One spare row of the buffer lets
+        # the view L of width rows, which starts kl + ku entries in, end
+        # inside it
         buf = np.zeros((m + 1, width))
         abT = buf[:m]
         for i0, i1 in _row_blocks(indptr):
             lo, hi = indptr[i0], indptr[i1]
-            ptr = indptr[i0:i1 + 1] - lo
-            cols = B.indices[lo:hi] - np.repeat(np.arange(i0, i1, dtype=B.indices.dtype),
-                                                np.diff(ptr))
+            rows = np.repeat(np.arange(i0, i1, dtype=B.indices.dtype),
+                             np.diff(indptr[i0:i1 + 1]))
+            cols = B.indices[lo:hi] - rows
             cols += kl + ku
-            sp.csr_matrix((np.negative(B.data[lo:hi]), cols, ptr),
+            inside = (cols >= kl) & (cols < width)
+            ptr = np.zeros(i1 - i0 + 1, dtype=indptr.dtype)
+            np.cumsum(np.bincount(rows[inside] - i0, minlength=i1 - i0), out=ptr[1:])
+            sp.csr_matrix((np.negative(B.data[lo:hi][inside]), cols[inside], ptr),
                           shape=(i1 - i0, width)).toarray(out=abT[i0:i1])
         if run is not None and run.size:
-            abT[run.start:run.stop, kl + ku + run.jumps] = -run.probs
+            inside = (run.jumps >= -ku) & (run.jumps <= kl)
+            abT[run.start:run.stop, kl + ku + run.jumps[inside]] = -run.probs[inside]
         ab = abT.T
         ab[kl + ku] += 1.0
         ab, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
@@ -563,9 +595,10 @@ def _check_escapes(system: TruncatedSystem, B_full: sp.csr_matrix) -> None:
 def _lu(system: TruncatedSystem):
     """The state-order LU of I - B, computed once per system.
 
-    A ``BandLU`` of (I - B)^T when ``_band`` finds the band narrow enough
-    and partial pivoting takes every pivot on the diagonal, else SuperLU's
-    LU of I - B in state order with diagonal pivots, from ``full_B``.
+    A ``BandLU`` of (I - B)^T restricted to its band when ``_band`` finds
+    the band narrow enough and partial pivoting takes every pivot on the
+    diagonal, else SuperLU's LU of all of I - B in state order with
+    diagonal pivots, from ``full_B``.
     Both hold no fill outside the envelope of I - B.
     """
     if "lu" not in system._cache:

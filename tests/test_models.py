@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from scipy import integrate
 
 import stattrunc
+import stattrunc.bounds as bounds_module
 from stattrunc import (
     ChainFileError,
     Gm1Params,
@@ -22,6 +25,7 @@ from stattrunc import (
     verify_lyapunov_drift,
 )
 from stattrunc.chain import ROW_CHUNK, Reward, reward_values
+from stattrunc.config import build_certificate, build_chain, build_reward, parse_config
 
 from conftest import CERT_REFERENCES, expected_g
 
@@ -310,3 +314,52 @@ def test_only_gm1_loads_scipy_special():
                           os.path.join(CONFIG_DIR, "two_state.yaml")],
                          env=env, capture_output=True, text=True, check=True)
     assert run.stdout.split() == ["False", "True"]
+
+
+def _drift_cases(case):
+    """(problem, certificate, window) of each audit the stencil is checked on."""
+    if case == "gm1":
+        prob = TruncationProblem(chain=gm1_chain(), A=np.arange(10_000), z=0,
+                                 K=np.arange(201), r=float)
+        return [(prob, gm1_certificate(), None)]
+    if case == "walk":
+        prob = TruncationProblem(chain=random_walk_chain(), A=np.arange(100_000), z=0,
+                                 K=np.arange(301), r=lambda x: x / 2.0)
+        # runs of 69 states and single states
+        window = [x for x in range(3000) if x % 70 != 3] + [5000, 5002, 299]
+        return [(prob, random_walk_certificate(), None),
+                (prob, random_walk_certificate(), window)]
+    with open(os.path.join(CONFIG_DIR, "gm1.yaml"), encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    cfg = parse_config({**raw, "K_max": 150}, base_dir=CONFIG_DIR)
+    chain, reward, K = build_chain(cfg), build_reward(cfg), np.arange(cfg.K_max + 1)
+    cert = build_certificate(cfg, chain, cfg.a_values[-1], K, reward)
+    return [(TruncationProblem(chain=chain, A=np.arange(a + 1), z=cfg.z, K=K, r=reward),
+             cert, None) for a in cfg.a_values]
+
+
+@pytest.mark.parametrize("case", ["gm1", "walk", "gm1.yaml K_max 150"])
+def test_drift_audit_sums_tail_rows_as_a_stencil(monkeypatch, case):
+    """The tail rows of long runs of window states are summed as one
+    stencil, and every ``DriftReport`` field is bit for bit that of the
+    same chain without a tail, whose every row is read, violations
+    included (K_max 150 on configs/gm1.yaml is too small for its
+    certificate)."""
+    stenciled = []
+    tail_drift = bounds_module._tail_drift
+
+    def counting(certificate, tail, xs):
+        stenciled.append(xs.size)
+        return tail_drift(certificate, tail, xs)
+
+    monkeypatch.setattr(bounds_module, "_tail_drift", counting)
+    for prob, cert, window in _drift_cases(case):
+        stenciled.clear()
+        report = verify_lyapunov_drift(prob, cert, window)
+        assert sum(stenciled) > 0.5 * len(report.checked_states)
+        stenciled.clear()
+        untailed = replace(prob, chain=replace(prob.chain, tail=None))
+        rows = verify_lyapunov_drift(untailed, cert, window)
+        assert not stenciled
+        assert repr(report) == repr(rows)
+        assert report.passed == (case != "gm1.yaml K_max 150")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -27,17 +28,19 @@ from stattrunc import (
     gm1_chain,
     load_chain_from_file,
     matrix_chain,
+    random_walk_certificate,
     random_walk_chain,
     run_pipeline,
     solve,
     solve_transpose,
     tight_certificate,
 )
+from stattrunc.bounds import DegenerateDeltaError
 from stattrunc.chain import ROW_CHUNK, member_mask
 from stattrunc.models import random_walk_rows
 
-from conftest import (expected_g, gm1_row_reference, hub_chain, walk_row_reference,
-                      write_jump_chain)
+from conftest import (expected_g, gm1_row_reference, hub_chain, stacked_rows,
+                      walk_row_reference, write_jump_chain)
 
 ZERO_CERT = LyapunovCertificate(g1=lambda x: 0.0, g2=lambda x: 0.0)
 
@@ -186,11 +189,22 @@ def gm1_system(a: int):
     return assemble_truncated_system(prob, gm1_certificate())
 
 
+def _in_band(B: sp.csr_matrix, kl: int, ku: int) -> sp.csr_matrix:
+    """B restricted to the band of (I - B)^T of bandwidths (kl, ku): the
+    entries whose column is at most kl above and ku below their row."""
+    C = B.tocoo()
+    keep = (C.col - C.row <= kl) & (C.row - C.col <= ku)
+    return sp.csr_matrix((C.data[keep], (C.row[keep], C.col[keep])), shape=B.shape)
+
+
 def _dgbtrf_of(B: sp.csr_matrix, kl: int, ku: int):
-    """LAPACK's (ab, piv) of (I - B)^T, its band written from a dense I - B."""
+    """LAPACK's (ab, piv) of (I - B)^T restricted to the band (kl, ku), its
+    band written from a dense I - B."""
     m = B.shape[0]
     M = (sp.identity(m, format="csr") - B).toarray().T
     i, j = np.nonzero(M)
+    inside = (i - j <= kl) & (j - i <= ku)
+    i, j = i[inside], j[inside]
     ab = np.zeros((2 * kl + ku + 1, m))
     ab[kl + ku + i - j, j] = M[i, j]
     ab, piv, info = dgbtrf(ab, kl, ku)
@@ -201,11 +215,16 @@ def _dgbtrf_of(B: sp.csr_matrix, kl: int, ku: int):
 def test_state_order_factor_is_unpivoted_with_band_fill():
     """(I - B)^T is column diagonally dominant, so its band LU in state
     order keeps every pivot on the diagonal and the factors fill only the
-    band: rows of B reach 1 state up on both chains, and 195 down on gm1.
-    L is read from the band itself, not from a copy."""
-    for sys_, band in ((gm1_system(2000), (1, 195)), (walk_system(2000), (1, 1))):
+    band.  Rows of B reach 1 state up on both chains and 195 down on gm1,
+    but gm1's entries of at least ``BAND_CUT`` reach only 34 down: the band
+    is theirs.  L is read from the band itself, not from a copy."""
+    for sys_, reach, band in ((gm1_system(2000), (1, 195), (1, 34)),
+                              (walk_system(2000), (1, 1), (1, 1))):
         B = sys_.full_B().tocoo()
-        assert (int((B.col - B.row).max()), int((B.row - B.col).max())) == band
+        assert (int((B.col - B.row).max()), int((B.row - B.col).max())) == reach
+        big = B.data >= solver_module.BAND_CUT
+        d = B.col[big] - B.row[big]
+        assert (int(d.max()), -int(d.min())) == band
         lu = solver_module._lu(sys_)
         m, kl = sys_.size, band[0]
         # a BandLU is kept only with every pivot on the diagonal
@@ -222,10 +241,12 @@ def test_state_order_factor_is_unpivoted_with_band_fill():
 
 @pytest.mark.parametrize("model", ["gm1", "walk"])
 def test_factor_is_that_of_identity_minus_B_and_B_transposed_is_kept(model):
-    """The band factor is, bit for bit, LAPACK's of (I - B)^T written from a
-    dense I - B, which takes every pivot on the diagonal; that transpose,
-    factored, is the only other form of B the system keeps, and B is left
-    as it was.  Its two solves are those of I - B and of its transpose."""
+    """The band factor is, bit for bit, LAPACK's of (I - B)^T restricted to
+    its band, written from a dense I - B, which takes every pivot on the
+    diagonal; that transpose, factored, is the only other form of B the
+    system keeps, and B is left as it was.  Its two solves are those of
+    I - B and of its transpose, to far below the solves' tolerance: the
+    entries outside the band are below ``BAND_CUT``."""
     sys_ = gm1_system(600) if model == "gm1" else walk_system(600)
     B0 = sys_.B.copy()
     lu = solver_module._lu(sys_)
@@ -260,7 +281,7 @@ def _band_cases(tmp_path):
     jump = load_chain_from_file(write_jump_chain(tmp_path / "jump.txt"))
     jump_sys = assemble_truncated_system(
         TruncationProblem(chain=jump, A=np.arange(400), z=0, K=[0], r=float), ZERO_CERT)
-    yield "gm1", gm1_system(600).full_B(), (1, 195)
+    yield "gm1", gm1_system(600).full_B(), (1, 34)
     yield "walk", walk_system(600).full_B(), (1, 1)
     yield "jump", jump_sys.full_B(), (3, 3)
     for band in ((0, 1), (1, 0), (0, 0)):
@@ -268,9 +289,11 @@ def _band_cases(tmp_path):
 
 
 def test_band_solves_are_lapacks_row_solve_and_backward_stable_column_solve(tmp_path):
-    """The two triangular band solves: the row solve equals LAPACK's dgbtrs
-    on dgbtrf's factors bit for bit, and the column solve's residual is
-    within 8 eps of |I - B| |x| + |b| in every entry."""
+    """The two triangular band solves of I - B restricted to its band (on
+    gm1 B's entries down to jump -34; the smaller ones are left out): the
+    row solve equals LAPACK's dgbtrs on dgbtrf's factors bit for bit, and
+    the column solve's residual is within 8 eps of |I - B| |x| + |b| in
+    every entry, for B restricted to the band and for all of B."""
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(7)
     for name, B, band in _band_cases(tmp_path):
@@ -282,10 +305,11 @@ def test_band_solves_are_lapacks_row_solve_and_backward_stable_column_solve(tmp_
         want, info = dgbtrs(ab, *band, b, piv, trans=0)
         assert info == 0 and np.array_equal(lu.solve(b, "T"), want), name
         x = lu.solve(b, "N")
-        I_minus_B = np.eye(m, dtype=np.longdouble) - B.toarray().astype(np.longdouble)
-        residual = b - I_minus_B @ x.astype(np.longdouble)
-        scale = np.abs(I_minus_B) @ np.abs(x).astype(np.longdouble) + b
-        assert np.all(np.abs(residual) <= 8 * eps * scale), name
+        for factored in (_in_band(B, *band), B):
+            I_minus_B = np.eye(m, dtype=np.longdouble) - factored.toarray().astype(np.longdouble)
+            residual = b - I_minus_B @ x.astype(np.longdouble)
+            scale = np.abs(I_minus_B) @ np.abs(x).astype(np.longdouble) + b
+            assert np.all(np.abs(residual) <= 8 * eps * scale), name
 
 
 def test_leading_factors_share_the_full_band():
@@ -309,20 +333,28 @@ def test_leading_factors_share_the_full_band():
 def test_row_exchanges_send_the_system_to_superlu():
     """Where a block of I - B is nearly singular, rounding makes partial
     pivoting exchange rows: on gm1 with a hole at z + 1 (every state below
-    z leaves A through z) 24 of the 398 band pivots leave the diagonal.
-    The band LU is dropped and SuperLU factors I - B in state order; the
-    pipeline still gives its report.  So it does on the larger such system
-    whose ``PipelineError`` ``test_delta_beyond_one_is_a_pipeline_error``
+    z leaves A through z) 24 of the 398 pivots of the band (B's reach is
+    (1, 195), its band (1, 34)) leave the diagonal.  The band LU is
+    dropped and SuperLU factors all of I - B in state order; the pipeline
+    still gives its report.  So it does on the larger such system whose
+    ``PipelineError`` ``test_delta_beyond_one_is_a_pipeline_error``
     checks."""
     A = np.setdiff1d(np.arange(400), [26])
     prob = TruncationProblem(chain=gm1_chain(), A=A, z=25, K=np.arange(26), r=lambda x: x / 2.0)
     sys_ = assemble_truncated_system(prob, gm1_certificate())
+    B = sys_.B.tocoo()
+    assert (int((B.col - B.row).max()), int((B.row - B.col).max())) == (1, 195)
     band = solver_module._band(sys_.B)
-    assert band == (1, 195)
+    assert band == (1, 34)
     piv = _dgbtrf_of(sys_.B, *band)[1]
     assert int((piv != np.arange(sys_.size)).sum()) == 24
     assert solver_module.BandLU.factor(sys_.B, *band) is None
-    assert isinstance(solver_module._lu(sys_), spla.SuperLU)
+    lu = solver_module._lu(sys_)
+    assert isinstance(lu, spla.SuperLU)
+    # SuperLU factors every entry of B, those below BAND_CUT too
+    LU = (lu.L @ lu.U).tocoo()
+    assert set(zip(B.row.tolist(), B.col.tolist())) <= set(zip(LU.row.tolist(), LU.col.tolist()))
+    assert B.data.min() < solver_module.BAND_CUT
     report = run_pipeline(prob, gm1_certificate())
     assert report.Delta1 > 0 and report.interval[0] <= report.pi_tilde_r <= report.interval[1]
 
@@ -330,6 +362,134 @@ def test_row_exchanges_send_the_system_to_superlu():
     prob = TruncationProblem(chain=gm1_chain(), A=A, z=1030, K=[0, 1030], r=float)
     sys_ = assemble_truncated_system(prob, gm1_certificate())
     assert isinstance(solver_module._lu(sys_), spla.SuperLU)
+
+
+#: how far, in ulps, a report field may move when the band LU leaves out
+#: B's entries below ``BAND_CUT``; the largest move seen on the built-in
+#: chains is 3 ulps, of delta at gm1 a = 1000
+CUT_ULPS = 8
+
+
+def _ulps(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / float(np.spacing(max(abs(a), abs(b))))
+
+
+def _cut_outcome(problem, certificate, cut: float):
+    """``run_pipeline``'s report with the band cut at ``cut``, or the name of
+    the error it ends in."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "BAND_CUT", cut)
+        try:
+            return run_pipeline(problem, certificate)
+        except (DegenerateDeltaError, PipelineError) as exc:
+            return type(exc).__name__
+
+
+def _report_ulps(a, b) -> dict:
+    """Each field's distance in ulps, an interval's ends as two fields."""
+    out = {}
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        for i, (u, v) in enumerate(zip(np.atleast_1d(x).tolist(), np.atleast_1d(y).tolist())):
+            out[f"{f.name}[{i}]" if isinstance(x, tuple) else f.name] = _ulps(u, v)
+    return out
+
+
+@pytest.mark.parametrize("model", ["gm1", "walk"])
+def test_band_cut_at_zero_is_the_full_reach_factor(monkeypatch, model):
+    """With ``BAND_CUT`` at 0 every entry of B counts: the band is B's whole
+    reach and the factor is, bit for bit, LAPACK's of all of (I - B)^T.  So
+    the cut is the only thing that makes the band narrower."""
+    monkeypatch.setattr(solver_module, "BAND_CUT", 0.0)
+    sys_ = gm1_system(600) if model == "gm1" else walk_system(600)
+    B = sys_.full_B()
+    C = B.tocoo()
+    reach = (int((C.col - C.row).max()), int((C.row - C.col).max()))
+    assert reach == ((1, 195) if model == "gm1" else (1, 1))
+    assert solver_module._band(sys_.B, sys_.run) == solver_module._band(B) == reach
+    lu = solver_module._lu(sys_)
+    want, piv = _dgbtrf_of(B, *reach)
+    assert (lu.kl, lu.ku) == reach and np.array_equal(lu.ab, want)
+
+
+def test_band_cut_moves_no_report_field_past_its_bound(capsys):
+    """The factor with the cut is that of a matrix within 2^-106 of I - B in
+    each entry it drops, and every solve is refined against all of B: every
+    ``BoundReport`` field is within ``CUT_ULPS`` of the report with the cut
+    at 0.  At gm1 a = 10^4 the band is (1, 34), 37 rows, where B's reach is
+    (1, 195); the walk keeps (1, 1)."""
+    worst = (0.0, "")
+    for model, a in (("gm1", 1000), ("gm1", 10_000), ("walk", 1000), ("walk", 100_000)):
+        if model == "gm1":
+            chain, cert, K, r = gm1_chain(), gm1_certificate(), np.arange(201), float
+        else:
+            chain, cert, K, r = (random_walk_chain(), random_walk_certificate(),
+                                 np.arange(301), lambda x: x / 2.0)
+        prob = TruncationProblem(chain=chain, A=np.arange(a), z=0, K=K, r=r)
+        if a == 10_000:
+            lu = solver_module._lu(assemble_truncated_system(prob, cert))
+            assert (lu.kl, lu.ku, lu.ab.shape) == (1, 34, (37, a - 1))
+        elif a == 100_000:
+            lu = solver_module._lu(assemble_truncated_system(prob, cert))
+            assert (lu.kl, lu.ku) == (1, 1)
+        got = _report_ulps(_cut_outcome(prob, cert, solver_module.BAND_CUT),
+                           _cut_outcome(prob, cert, 0.0))
+        name = max(got, key=got.get)
+        worst = max(worst, (got[name], f"{name} on {model} at a = {a}"))
+    with capsys.disabled():
+        print(f"\nband cut: largest report move {worst[0]:.0f} ulps, {worst[1]}", flush=True)
+    assert worst[0] <= CUT_ULPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.data())
+def test_random_tails_across_the_cut_give_the_uncut_reports(seed, data):
+    """Random tails and head rows whose probabilities span 1e-40 to 1: the
+    deepest tail jump and the far jumps of the head rows lie below
+    ``BAND_CUT``, so some entries fall outside the band and others inside
+    it.  On a random A = {0..a-1}, with or without a hole, the pipeline
+    ends the same way with the cut as with the cut at 0, and every report
+    field is within ``CUT_ULPS``.  The jump -1 holds 3/4 of each row, so
+    the chain drifts down to z = 0."""
+    rng = np.random.default_rng(seed)
+    deep = data.draw(st.integers(2, 12))
+    jumps = np.array(sorted({-deep, -1} | data.draw(st.sets(st.integers(-deep, 2), max_size=4))))
+
+    def row_probs(tiny: np.ndarray, down: np.ndarray) -> np.ndarray:
+        probs = 10.0 ** rng.uniform(-40.0, 0.0, size=tiny.size)
+        probs[tiny] = 10.0 ** rng.uniform(-40.0, -33.0, size=int(tiny.sum()))
+        probs[down] = 0.0
+        probs[down] = 3.0 * probs.sum() + 1e-3
+        return probs / probs.sum()
+
+    tail_probs = row_probs(jumps == -deep, jumps == -1)
+    x0 = data.draw(st.integers(deep, 15))
+    heads = {}
+    for x in range(x0):
+        step = x - 1 if x else 1
+        targets = np.unique(np.append(rng.integers(0, x + 3, size=rng.integers(1, 6)), step))
+        heads[x] = SparseRow(targets, row_probs(targets < x - 2, targets == step))
+
+    def row_of(x):
+        return heads[x] if x < x0 else SparseRow(x + jumps, tail_probs)
+
+    chain = ChainModel(description="random tail with tiny taps", tail=(x0, jumps, tail_probs),
+                       rows_fn=lambda xs: stacked_rows(row_of, xs))
+    a = data.draw(st.integers(x0 + 2, 400))
+    A = np.arange(a)
+    if data.draw(st.booleans()):
+        A = np.delete(A, data.draw(st.integers(3, a - 1)))
+    K = np.arange(data.draw(st.integers(1, 3)))
+    r = Reward(lambda xs: (xs % 5) * 0.75 + 0.5)
+    cert = LyapunovCertificate(g1=Reward(lambda xs: 1.0 + xs.astype(np.float64) ** 2),
+                               g2=Reward(lambda xs: 2.0 + xs.astype(np.float64)))
+    prob = TruncationProblem(chain=chain, A=A, z=0, K=K, r=r)
+    cut, uncut = (_cut_outcome(prob, cert, c) for c in (solver_module.BAND_CUT, 0.0))
+    assert isinstance(cut, str) == isinstance(uncut, str)
+    if isinstance(cut, str):
+        assert cut == uncut
+    else:
+        assert max(_report_ulps(cut, uncut).values()) <= CUT_ULPS
 
 
 def _exact_row_residual(sys_, x) -> list:
