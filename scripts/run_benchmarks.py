@@ -3,11 +3,11 @@
 
 Usage:  python3 scripts/run_benchmarks.py [--out-dir results]
 
-The queue config takes ~0.05 s in all, ~0.033 s of it at a = 10^4 (the
-assembly and the band LU ~4 ms each, the refined row solve ~14 ms, each
-column solve ~2 ms), and the walk config ~0.007 s, 0.004 s of it at
-a = 10^4 (2-core Xeon, one BLAS thread, Python 3.11, numpy 2.4, scipy
-1.17).  Re-running overwrites the CSVs in place.
+The queue config takes ~0.033 s in all, ~0.022 s of it at a = 10^4 (the
+assembly ~3 ms, the band LU ~5 ms, the refined row solve ~6 ms, each
+column solve ~1 ms), and the walk config ~0.01 s, 0.006 s of it at
+a = 10^4 (best of 9 on a shared 2-core Xeon, one BLAS thread, Python
+3.11, numpy 2.4, scipy 1.17).  Re-running overwrites the CSVs in place.
 """
 
 import argparse

@@ -404,10 +404,30 @@ class TruncationProblem:
 def one_step_fringe(chain: ChainModel, A: Iterable[StateIndex]) -> np.ndarray:
     """States outside A reachable from A in one step with positive probability.
 
-    Returned as a sorted int64 array.
+    Returned as a sorted int64 array.  When A is a range lo..hi and the
+    chain has a tail, the tail rows of A are not read: for each jump j,
+    their targets are the range [max(lo, x0) + j, hi + j], and the fringe
+    is those ranges outside A.  Only A's other rows are read.
     """
     A_arr = as_state_array(A)
     found = [np.zeros(0, dtype=np.int64)]
-    for _, _, _, targets, _ in chain.row_chunks(A_arr):
+    read, tail = A_arr, chain.tail
+    if tail is not None and is_contiguous(A_arr):
+        lo, hi = int(A_arr[0]), int(A_arr[-1])
+        first = max(lo, tail.x0)
+        if first <= hi:
+            read = A_arr[:first - lo]
+            starts, ends = first + tail.jumps, hi + tail.jumps
+            # the parts below and above A, each a union of ranges marked
+            # on a span no longer than the tail's reach
+            for a, b in ((starts, np.minimum(ends, lo - 1)), (np.maximum(starts, hi + 1), ends)):
+                a, b = a[a <= b], b[a <= b]
+                if a.size:
+                    base = int(a.min())
+                    cover = np.zeros(int(b.max()) - base + 2, dtype=np.int64)
+                    np.add.at(cover, a - base, 1)
+                    np.add.at(cover, b - base + 1, -1)
+                    found.append(base + np.flatnonzero(np.cumsum(cover[:-1])))
+    for _, _, _, targets, _ in chain.row_chunks(read):
         found.append(np.unique(targets[~member_mask(targets, A_arr)]))
     return np.unique(np.concatenate(found))

@@ -9,32 +9,38 @@ solves, all sharing a single factorization.
 
 That factorization is LAPACK's band LU (dgbtrf) of M = (I - B)^T, whose
 column j is row j of I - B, in state order, restricted to a band: its
-bandwidths are how far B's entries of at least ``BAND_CUT`` = 2^-106
-(u^2, u the unit roundoff) reach up and down in A'.  On gm1 that is 34
-states down where B's rows reach 195: the jumps below -34 carry ~1e-32
-in all.  The factor is then that of I - B~, B~ the entries of B inside
-the band, and serves only as the preconditioner of the refined solves
-below, whose every residual is formed against all of B.  Since
-0 <= B~ <= B, |(I - B~)^{-1}| <= |(I - B)^{-1}| in the 1- and
-infinity-norms, so a column solve (I - B) x = b refines at a rate of at
-most |(I - B)^{-1}|_inf times the most entries a row of B drops, times
-2^-106, and the row solve y (I - B) = nu at most |(I - B)^{-1}|_1 times
-the most entries a column of B drops, times 2^-106; a solve that does
-not converge fails its residual check.  Rows of B are substochastic and
-B~ <= B, so M~ = (I - B~)^T is column diagonally dominant, and partial
-pivoting takes the diagonal pivot unless rounding tips a nearly singular
-block of I - B the other way (as on gm1 with a hole at z + 1, where every
-state below z leaves A through z).  The band LU is kept only when every
-pivot is on the diagonal: then M~ = L U with no fill outside the band,
-the row solve (with M~) is two BLAS triangular band solves (dtbsv), with
-L then U, and the column solves (with M~^T) are two, with U^T then L^T.
-The first m' columns of the factors are then the factors of M~'s leading
-m' x m' block, so the system of a prefix of A whose band is the same
-(``prefix_system``) solves with the factorization of a larger one.  A
-system whose band LU exchanges a row, or whose band would hold more than
-``BAND_FILL`` times the entries of I - B (say, every row jumps to one hub
-state), is factored by SuperLU in state order instead, with every entry
-of B.
+bandwidths are how far B~, B's entries of at least ``BAND_CUT`` = 2^-106
+(u^2, u the unit roundoff), reaches up and down in A'.  On gm1 that is 34
+states down where B's rows reach 195: the jumps below -34 carry
+8.9e-34 in all, and the band holds B~ exactly.  The factor is that of I - B_b,
+B_b the entries of B inside the band (B~ <= B_b <= B), and serves only
+as the preconditioner of the refined solves below.
+
+Every residual of those solves is formed against B~ alone (``_cut``):
+products with B~ read 36 of gm1's 197 tail jumps.  The entries left out,
+E = B - B~ >= 0, move into the certificate instead: ``_cut`` bounds the
+mass of every row and column of E by e-bar (~8.9e-34 on gm1, 0 when no
+entry lies below the cut, as on the walk and on file chains), so the
+residual against B is at most that against B~ plus e-bar |x|_inf in each
+entry, and the certified residual is that sum.  A solve refines towards
+the solution with B~ at a rate of at most |(I - B)^{-1}| times the most
+entries a row (column solves) or a column (the row solve) of B_b holds
+below the cut, times 2^-106; a solve that does not converge fails its
+residual check.  Rows of B are substochastic and B_b <= B, so
+M_b = (I - B_b)^T is column diagonally dominant, and partial pivoting
+takes the diagonal pivot unless rounding tips a nearly singular block of
+I - B the other way (as on gm1 with a hole at z + 1, where every state
+below z leaves A through z).  The band LU is kept only when every pivot
+is on the diagonal: then M_b = L U with no fill outside the band, the
+row solve (with M_b) is two BLAS triangular band solves (dtbsv), with L
+then U, and the column solves (with M_b^T) are two, with U^T then L^T.
+The first m' columns of the factors are then the factors of M_b's
+leading m' x m' block, so the system of a prefix of A whose band is the
+same (``prefix_system``) solves with the factorization of a larger one.
+A system whose band LU exchanges a row, or whose band would hold more
+than ``BAND_FILL`` times the entries of I - B (say, every row jumps to
+one hub state), is factored by SuperLU in state order instead, with
+every entry of B.
 
 When the chain declares a tail (``chain.ChainTail``) and A is a range,
 the rows of A' that are the tail with every target in A' (the tail run)
@@ -42,7 +48,8 @@ are one stencil: row i holds the tail's probability k at column
 i + jump k.  B then stores only the other rows as a CSR matrix, and each
 consumer of B adds the run's part itself: the assembly skips its rows,
 the band factorization writes them as one broadcast slice, and the
-products B x and x B add them as shifted slices or a convolution.
+products B~ x and x B~ add their kept jumps as shifted slices or a
+convolution.
 ``TruncatedSystem.full_B`` writes the run out, for SuperLU and the tests.
 
 Every solve is refined iteratively, clamped to be non-negative and
@@ -50,7 +57,8 @@ returned only with a checked max-norm residual certificate.  The row solve
 y = nu (I - B)^{-1} is refined for forward accuracy (mixed-precision
 iterative refinement, Higham, "Accuracy and Stability of Numerical
 Algorithms", ch. 12): every inner product of the bounds is taken with y.
-It forms one long-double residual, then updates it in double: each step
+It forms one long-double residual against B~, a block of rows of B at
+a time (``LD_BLOCK``), then updates it in double: each step
 changes y by so little that the update's rounding lies far below that of
 the long-double residual.  The column solves are refined for backward
 error, in double, until the residual reaches the roundoff floor.
@@ -204,7 +212,12 @@ class TruncatedSystem:
 
 @dataclass
 class SolveResult:
-    """Solution of (I - B) x = b or the transpose system, with certificate."""
+    """Solution of (I - B) x = b or the transpose system, with certificate.
+
+    ``residual_norm`` is the max-norm of the residual against B~ plus
+    e-bar |x|_inf (see ``_cut``): a bound on that against all of B, up to
+    the rounding of the former.
+    """
 
     x: np.ndarray
     residual_norm: float
@@ -440,15 +453,16 @@ def prefix_system(system: TruncatedSystem, problem: TruncationProblem,
 #: most this many times the entries of I - B (nnz(B) + m); past that, SuperLU
 BAND_FILL = 4
 
-#: the band's reach is that of B's entries of at least u^2 (u = 2^-53, the
-#: unit roundoff); the band LU factors I - B restricted to it, and the
-#: smaller entries outside it are left to refinement, whose residuals read
-#: all of B
+#: B~ is B's entries of at least u^2 (u = 2^-53, the unit roundoff): the
+#: band LU factors I - B restricted to B~'s reach, and every residual reads
+#: B~ alone, the certificate bounding what the smaller entries add
+#: (``_cut``)
 BAND_CUT = 2.0 ** -106
 
-#: values of B converted to long double, or of M written into band storage,
-#: at a time (4 MB of long double); a block holds whole rows of B, so a
-#: longer row is a block of its own
+#: entries of B (all of them, not B~'s) per block of rows whose product
+#: with y is summed on its own in long double, or per block of M written
+#: into band storage (4 MB of long double); a block holds whole rows of B,
+#: so a longer row is a block of its own
 LD_BLOCK = 1 << 18
 
 
@@ -462,6 +476,50 @@ def _row_blocks(indptr: np.ndarray):
         i1 = int(np.searchsorted(indptr, indptr[i0] + size, side="right")) - 1
         yield i0, i1
         i0 = i1
+
+
+def _cut(system: TruncatedSystem) -> tuple[sp.csr_matrix, TailRun, float]:
+    """B~, the entries of B of at least ``BAND_CUT``, as CSR rows and a tail
+    run, and e-bar, an upper bound on the mass of E = B - B~ in any row or
+    column of B; derived once per system.
+
+    Every residual reads B~ alone: E >= 0, so |b - (I - B) x| is at most
+    |b - (I - B~) x| + e-bar |x|_inf in each entry, and |b - x (I - B)|
+    too, and the certified residual is that sum.  When no entry of B lies
+    below the cut, B~ is B itself (the same CSR matrix and run) and
+    e-bar is 0.
+    """
+    if "cut" not in system._cache:
+        B, run, m = system.B, system.run, system.size
+        keep = B.data >= BAND_CUT
+        drop = run.probs < BAND_CUT
+        cut = (B, run, 0.0)
+        if not keep.all() or drop.any():
+            E = sp.csr_matrix((np.where(keep, 0.0, B.data), B.indices, B.indptr), shape=(m, m))
+            ones = np.ones(m)
+            mass_col = E.T @ ones
+            # a column that no small CSR entry reaches gets at most one run
+            # row's dropped mass; column c of the others gets its share, the
+            # dropped jumps j with start <= c - j < stop, summed in order by
+            # reduceat over [lo, hi) (which gives an empty range one entry,
+            # so it is masked; the appended 0 keeps hi in range)
+            reached = np.flatnonzero(mass_col)
+            jumps, probs = run.jumps[drop], np.append(run.probs[drop], 0.0)
+            lo = np.searchsorted(jumps, reached - run.stop, side="right")
+            hi = np.searchsorted(jumps, reached - run.start, side="right")
+            share = np.add.reduceat(probs, np.stack((lo, hi), axis=1).ravel())[::2]
+            mass_col[reached] += np.where(lo < hi, share, 0.0)
+            mass = max((E @ ones).max(initial=0.0), mass_col.max(initial=0.0),
+                       probs.sum())
+            # each sum has under 2^31 terms, so it is within 2^-21 of its
+            # exact value, which the scaled sum, rounded up, exceeds
+            ebar = float(np.nextafter(mass * (1.0 + 2.0 ** -20), np.inf))
+            B_cut = B.copy()
+            B_cut.data[~keep] = 0.0
+            B_cut.eliminate_zeros()
+            cut = (B_cut, TailRun(run.start, run.stop, run.jumps[~drop], run.probs[~drop]), ebar)
+        system._cache["cut"] = cut
+    return system._cache["cut"]
 
 
 def _band(B: sp.csr_matrix, run: TailRun | None = None) -> tuple[int, int] | None:
@@ -492,18 +550,18 @@ class BandLU:
     every pivot on the diagonal, in LAPACK band storage.
 
     The entries of M outside the band are entries of B below ``BAND_CUT``
-    (see ``_band``), so the factors are those of M~ = (I - B~)^T, B~ the
-    entries of B inside the band, which differs from M by less than u^2 in
-    each entry it leaves out; the refined solves, whose residuals read all
-    of B, make up the difference.  M~ = L U, with L unit lower of
+    (see ``_band``), so the factors are those of M_b = (I - B_b)^T, B_b
+    the entries of B inside the band, which differs from M by less than u^2
+    in each entry it leaves out; the refined solves make up the difference
+    (see the module docstring).  M_b = L U, with L unit lower of
     bandwidth kl and U upper of bandwidth kl + ku.  ``ab`` is dgbtrf's
     band: its rows 0 .. kl + ku hold U in upper band storage, its rows
     below the multipliers of L.  ``L`` is a view of ``ab``'s buffer from
     row kl + ku, with ``ab``'s leading dimension, so it is L in lower band
     storage (U's diagonal at its row 0 is never read, as L's diagonal is a
-    unit one).  ``solve(b, trans)`` has SuperLU's meaning on I - B~:
-    ``"N"`` solves (I - B~) x = b, a solve with M~^T, and ``"T"`` solves
-    x (I - B~) = b, a solve with M~.  Each is two BLAS triangular band
+    unit one).  ``solve(b, trans)`` has SuperLU's meaning on I - B_b:
+    ``"N"`` solves (I - B_b) x = b, a solve with M_b^T, and ``"T"`` solves
+    x (I - B_b) = b, a solve with M_b.  Each is two BLAS triangular band
     solves (dtbsv).
     """
 
@@ -631,14 +689,14 @@ def _transposed(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
 
 
 def _Bx(system: TruncatedSystem, x: np.ndarray) -> np.ndarray:
-    """B x, in double.
+    """B~ x, in double (see ``_cut``).
 
     Each row's products are summed left to right from 0, as scipy's CSR
-    product sums them: the run's rows by one shifted slice of x per jump,
-    so they give the very sums of their written-out form in ``full_B``.
+    product sums them: the run's rows by one shifted slice of x per kept
+    jump, so they give the very sums of their written-out form.
     """
-    Bx = system.B @ x
-    run = system.run
+    B, run, _ = _cut(system)
+    Bx = B @ x
     rows = Bx[run.start:run.stop]     # empty in the CSR part: zeros
     for j, p in zip(run.jumps.tolist(), run.probs.tolist()):
         rows += x[run.start + j:run.stop + j] * p
@@ -646,33 +704,35 @@ def _Bx(system: TruncatedSystem, x: np.ndarray) -> np.ndarray:
 
 
 def _xB(system: TruncatedSystem, x: np.ndarray) -> np.ndarray:
-    """x B, in the dtype of x: double, or long double.
+    """x B~, in the dtype of x: double, or long double (see ``_cut``).
 
-    The sums are those of scipy's product of ``full_B``'s transpose, bit
-    for bit: each column adds its terms in row order, from 0.  A
-    long-double product is formed a block of rows at a time, each block
-    of at most ``LD_BLOCK`` entries of ``full_B`` summed on its own and
-    added to the total, so no long-double copy of all of B is held.
+    The sums are those of scipy's product of B~ written out and
+    transposed, bit for bit: each column adds its terms in row order,
+    from 0.  A long-double product is formed a block of rows at a time,
+    each block of at most ``LD_BLOCK`` entries of ``full_B`` (not of B~)
+    summed on its own and added to the total, so no long-double copy of
+    all of B is held.
     """
-    B, run, m = system.B, system.run, system.size
+    m, full_run = system.size, system.run
     blocks = [(0, m)]
-    if x.dtype != B.data.dtype:
-        counts = np.diff(B.indptr)
-        counts[run.start:run.stop] = run.jumps.size
+    if x.dtype != np.float64:
+        counts = np.diff(system.B.indptr)
+        counts[full_run.start:full_run.stop] = full_run.jumps.size
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         blocks = _row_blocks(indptr)
+    B, run, _ = _cut(system)
     xB = np.zeros(m, dtype=x.dtype)
     for i0, i1 in blocks:
-        xB += _xB_rows(system, x, i0, i1)
+        xB += _xB_rows(B, run, x, i0, i1)
     return xB
 
 
-def _xB_rows(system: TruncatedSystem, x: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """The sum over rows i0 .. i1 - 1 of x_i B(i, .), term by term in row
-    order from 0: the CSR rows below the run, then the run's, then the CSR
-    rows above it."""
-    B, run, m = system.B, system.run, system.size
+def _xB_rows(B: sp.csr_matrix, run: TailRun, x: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """The sum over rows i0 .. i1 - 1 of x_i B(i, .), B the CSR rows ``B``
+    plus the tail ``run``, term by term in row order from 0: the CSR rows
+    below the run, then the run's, then the CSR rows above it."""
+    m = B.shape[0]
     r0, r1 = min(max(run.start, i0), i1), min(max(run.stop, i0), i1)
     indptr, lo = B.indptr, B.indptr[i0]
     vals = B.data[lo:indptr[i1]].astype(x.dtype, copy=False)
@@ -717,7 +777,8 @@ def _add_run(part: np.ndarray, x: np.ndarray, run: TailRun, r0: int, r1: int,
 
 def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
               transpose: bool) -> np.ndarray:
-    """b - (I - B) x, or b - x (I - B) in long double when ``transpose``."""
+    """b - (I - B~) x, or b - x (I - B~) in long double when ``transpose``
+    (see ``_cut``)."""
     if not transpose:
         return b - (x - _Bx(system, x))
     x_ld = x.astype(np.longdouble)
@@ -726,12 +787,12 @@ def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
 
 def _move(system: TruncatedSystem, x: np.ndarray, x_new: np.ndarray, b: np.ndarray,
           residual: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
-    """x_new and its residual, given x and its residual.
+    """x_new and its residual against B~, given x and its residual.
 
     A column solve forms the residual of x_new afresh.  The row solve
-    updates x's long-double residual r to r - (d - d B), d = x_new - x,
-    with d B in double: d is exact where x_new is within a factor 2 of x
-    (Sterbenz), and a refinement step or the clamp is so small that d B's
+    updates x's long-double residual r to r - (d - d B~), d = x_new - x,
+    with d B~ in double: d is exact where x_new is within a factor 2 of x
+    (Sterbenz), and a refinement step or the clamp is so small that d B~'s
     rounding lies far below the long-double rounding of r itself.
     """
     if not transpose:
@@ -810,7 +871,8 @@ def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
         if lo < -1e-8 * scale:
             raise SolverError(f"solution significantly negative (min {lo:.3e})")
         x, residual = _move(system, x, np.maximum(x, 0.0), b, residual, transpose)
-    res = float(np.abs(residual).max())
+    # the residual against B is within e-bar |x|_inf of that against B~
+    res = float(np.abs(residual).max()) + _cut(system)[2] * float(np.abs(x).max())
     cap = opts.tol * _scale(b, x)
     if res > cap:
         raise SolverError(f"residual {res:.3e} exceeds tolerance {cap:.3e}")

@@ -31,6 +31,7 @@ from stattrunc import (
     random_walk_certificate,
     random_walk_chain,
     run_pipeline,
+    run_sweep,
     solve,
     solve_transpose,
     tight_certificate,
@@ -441,19 +442,13 @@ def test_band_cut_moves_no_report_field_past_its_bound(capsys):
     assert worst[0] <= CUT_ULPS
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.data())
-def test_random_tails_across_the_cut_give_the_uncut_reports(seed, data):
-    """Random tails and head rows whose probabilities span 1e-40 to 1: the
-    deepest tail jump and the far jumps of the head rows lie below
-    ``BAND_CUT``, so some entries fall outside the band and others inside
-    it.  On a random A = {0..a-1}, with or without a hole, the pipeline
-    ends the same way with the cut as with the cut at 0, and every report
-    field is within ``CUT_ULPS``.  The jump -1 holds 3/4 of each row, so
-    the chain drifts down to z = 0."""
+def straddling_chain(seed: int, jumps: np.ndarray, x0: int) -> ChainModel:
+    """A random chain whose tail (from x0, over ``jumps``) and head rows
+    have probabilities spanning 1e-40 to 1: the deepest tail jump
+    ``jumps[0]`` and the far jumps of the head rows lie below ``BAND_CUT``.
+    The jump -1 (which ``jumps`` must hold) takes 3/4 of each row, so the
+    chain drifts down to 0."""
     rng = np.random.default_rng(seed)
-    deep = data.draw(st.integers(2, 12))
-    jumps = np.array(sorted({-deep, -1} | data.draw(st.sets(st.integers(-deep, 2), max_size=4))))
 
     def row_probs(tiny: np.ndarray, down: np.ndarray) -> np.ndarray:
         probs = 10.0 ** rng.uniform(-40.0, 0.0, size=tiny.size)
@@ -462,8 +457,7 @@ def test_random_tails_across_the_cut_give_the_uncut_reports(seed, data):
         probs[down] = 3.0 * probs.sum() + 1e-3
         return probs / probs.sum()
 
-    tail_probs = row_probs(jumps == -deep, jumps == -1)
-    x0 = data.draw(st.integers(deep, 15))
+    tail_probs = row_probs(jumps == jumps[0], jumps == -1)
     heads = {}
     for x in range(x0):
         step = x - 1 if x else 1
@@ -473,18 +467,36 @@ def test_random_tails_across_the_cut_give_the_uncut_reports(seed, data):
     def row_of(x):
         return heads[x] if x < x0 else SparseRow(x + jumps, tail_probs)
 
-    chain = ChainModel(description="random tail with tiny taps", tail=(x0, jumps, tail_probs),
-                       rows_fn=lambda xs: stacked_rows(row_of, xs))
+    return ChainModel(description="random tail with tiny taps", tail=(x0, jumps, tail_probs),
+                      rows_fn=lambda xs: stacked_rows(row_of, xs))
+
+
+#: the certificate and reward the chains of ``straddling_chain`` are run with
+STRADDLING_CERT = LyapunovCertificate(g1=Reward(lambda xs: 1.0 + xs.astype(np.float64) ** 2),
+                                      g2=Reward(lambda xs: 2.0 + xs.astype(np.float64)))
+STRADDLING_REWARD = Reward(lambda xs: (xs % 5) * 0.75 + 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.data())
+def test_random_tails_across_the_cut_give_the_uncut_reports(seed, data):
+    """Random tails and head rows whose probabilities span 1e-40 to 1 (see
+    ``straddling_chain``): some entries fall outside the band and others
+    inside it.  On a random A = {0..a-1}, with or without a hole, the
+    pipeline ends the same way with the cut as with the cut at 0, and every
+    report field is within ``CUT_ULPS``."""
+    deep = data.draw(st.integers(2, 12))
+    jumps = np.array(sorted({-deep, -1} | data.draw(st.sets(st.integers(-deep, 2), max_size=4))))
+    x0 = data.draw(st.integers(deep, 15))
+    chain = straddling_chain(seed, jumps, x0)
     a = data.draw(st.integers(x0 + 2, 400))
     A = np.arange(a)
     if data.draw(st.booleans()):
         A = np.delete(A, data.draw(st.integers(3, a - 1)))
     K = np.arange(data.draw(st.integers(1, 3)))
-    r = Reward(lambda xs: (xs % 5) * 0.75 + 0.5)
-    cert = LyapunovCertificate(g1=Reward(lambda xs: 1.0 + xs.astype(np.float64) ** 2),
-                               g2=Reward(lambda xs: 2.0 + xs.astype(np.float64)))
-    prob = TruncationProblem(chain=chain, A=A, z=0, K=K, r=r)
-    cut, uncut = (_cut_outcome(prob, cert, c) for c in (solver_module.BAND_CUT, 0.0))
+    prob = TruncationProblem(chain=chain, A=A, z=0, K=K, r=STRADDLING_REWARD)
+    cut, uncut = (_cut_outcome(prob, STRADDLING_CERT, c)
+                  for c in (solver_module.BAND_CUT, 0.0))
     assert isinstance(cut, str) == isinstance(uncut, str)
     if isinstance(cut, str):
         assert cut == uncut
@@ -538,6 +550,131 @@ def test_certified_row_residual_is_that_of_the_returned_y():
         exact_max = float(max(abs(e) for e in exact))
         assert exact_max > 0.0
         assert abs(res.residual_norm - exact_max) <= 4 * eps_ld * scale.max()
+
+
+def _exact_column_residual(sys_, b, x) -> tuple[list, np.ndarray]:
+    """b - (I - B) x in exact rational arithmetic, and the sum of the
+    magnitudes of its terms, per entry: the column twin of
+    ``_exact_row_residual``."""
+    B = sys_.full_B()
+    xs = [Fraction(v) for v in x.tolist()]
+    exact, scale = [], []
+    for i in range(sys_.size):
+        lo, hi = B.indptr[i], B.indptr[i + 1]
+        terms = sum(xs[j] * Fraction(v) for j, v in zip(B.indices[lo:hi].tolist(),
+                                                       B.data[lo:hi].tolist()))
+        exact.append(Fraction(float(b[i])) - xs[i] + terms)
+        scale.append(float(b[i]) + float(x[i]) + float(terms))
+    return exact, np.array(scale)
+
+
+def _bits(report) -> list:
+    """Every field of a report as the hex strings of its floats."""
+    return [(f.name, [float(v).hex() for v in np.atleast_1d(getattr(report, f.name)).tolist()])
+            for f in dataclasses.fields(report)]
+
+
+def test_residuals_cut_below_2_to_the_minus_106_move_no_report_bit(monkeypatch):
+    """Every residual product reads only B~, B's entries of at least
+    ``BAND_CUT`` (``solver._cut``): on gm1 the tail run keeps 36 of its 197
+    taps.  With ``_cut`` replaced by all of B, every ``BoundReport`` of gm1
+    at a = 1000 and 10^4, as points and as a sweep, is the same bit for
+    bit."""
+    chain, cert = gm1_chain(), gm1_certificate()
+    problems = [TruncationProblem(chain=chain, A=np.arange(a), z=0, K=np.arange(201), r=float)
+                for a in (1000, 10_000)]
+    B, run, ebar = solver_module._cut(assemble_truncated_system(problems[1], cert))
+    assert (run.jumps.size, int(run.jumps[0]), int(run.jumps[-1])) == (36, -34, 1)
+    assert B.data.min() >= solver_module.BAND_CUT and 0.0 < ebar < 1e-33
+
+    def reports():
+        return [_bits(run_pipeline(p, cert)) for p in problems] + \
+            [_bits(report) for report, _ in run_sweep(problems, cert)]
+
+    shipped = reports()
+    monkeypatch.setattr(solver_module, "_cut", lambda system: (system.B, system.run, 0.0))
+    assert reports() == shipped
+
+
+#: a cut at which B~ leaves out so much (~4e-14 of each row on gm1) that
+#: e-bar |x|_inf is far above the rounding of the residual against B~,
+#: yet below the solves' tolerance
+WIDE_CUT = 2.0 ** -43
+
+
+@pytest.mark.parametrize("cut", [solver_module.BAND_CUT, WIDE_CUT])
+def test_residual_norm_bounds_the_residual_against_all_of_B(monkeypatch, cut):
+    """The certified residual is that against B~ plus e-bar |x|_inf, and so
+    at least the exact residual against all of B, less the rounding of the
+    residual against B~ itself: the bounds of ``_exact_row_residual``'s
+    tests in long double, (k + 2) eps times the sum of the term magnitudes
+    in double, k the most entries a row of B~ has.  Checked for the row
+    solve and the three column solves on gm1 at a = 250 and on a tail whose
+    taps straddle the cut.  At ``WIDE_CUT`` e-bar |x|_inf is larger than
+    that rounding, so the check would fail without it."""
+    monkeypatch.setattr(solver_module, "BAND_CUT", cut)
+    eps, eps_ld = np.finfo(np.float64).eps, float(np.finfo(np.longdouble).eps)
+    straddling = TruncationProblem(chain=straddling_chain(27, np.array([-7, -4, -2, -1, 1]), 9),
+                                   A=np.arange(120), z=0, K=[0], r=STRADDLING_REWARD)
+    for sys_ in (gm1_system(250), assemble_truncated_system(straddling, STRADDLING_CERT)):
+        B, run, ebar = solver_module._cut(sys_)
+        assert 0.0 < ebar and B.nnz + run.nnz < sys_.full_B().nnz
+        # e-bar bounds the exact mass of every row and column of E = B - B~
+        E = sys_.full_B().tocoo()
+        small = E.data < cut
+        mass = {}
+        for i, j, v in zip(E.row[small].tolist(), E.col[small].tolist(), E.data[small].tolist()):
+            mass[("row", i)] = mass.get(("row", i), 0) + Fraction(v)
+            mass[("col", j)] = mass.get(("col", j), 0) + Fraction(v)
+        assert max(mass.values()) <= ebar
+        k = max(int(np.diff(B.indptr).max()), run.jumps.size)
+        res = solve_transpose(sys_)
+        exact, scale = _exact_row_residual(sys_, res.x)
+        rounding = 4 * eps_ld * scale.max()
+        outcomes = [(res, exact, rounding)]
+        for b in (sys_.p, sys_.r_vec + sys_.h1, 1.0 + sys_.h2):
+            res = solve(sys_, b)
+            exact, scale = _exact_column_residual(sys_, b, res.x)
+            outcomes.append((res, exact, (k + 2) * eps * scale.max()))
+        for res, exact, rounding in outcomes:
+            assert res.residual_norm >= float(max(abs(e) for e in exact)) - rounding
+            if cut == WIDE_CUT:
+                assert ebar * np.abs(res.x).max() > rounding
+
+
+def test_ebar_bounds_the_mass_a_column_collects():
+    """A walk whose rows below x0 = 10 also send 1e-33 to state 1, and whose
+    tail from x0 jumps -9 with 1e-33: no row of E = B - B~ holds more than
+    1e-33, but state 1's column collects it from 8 head rows (1 and 3..9;
+    state 2 steps to 1) and from the tail run's row 10, and e-bar bounds
+    those 9, rounded up by a few parts in 10^7."""
+    tiny = 1e-33
+    jumps, tail_probs = np.array([-9, -1, 1]), np.array([tiny, 2.0 / 3.0, 1.0 / 3.0])
+
+    def row_of(x):
+        if x == 0:
+            return SparseRow([1], [1.0])
+        if x >= 10:
+            return SparseRow(x + jumps, tail_probs)
+        probs = {x - 1: 2.0 / 3.0, x + 1: 1.0 / 3.0}
+        probs[1] = probs.get(1, 0.0) + tiny
+        return SparseRow(sorted(probs), [probs[t] for t in sorted(probs)])
+
+    chain = ChainModel(description="walk with tiny jumps to 1", tail=(10, jumps, tail_probs),
+                       rows_fn=lambda xs: stacked_rows(row_of, xs))
+    prob = TruncationProblem(chain=chain, A=np.arange(60), z=0, K=[0], r=float)
+    sys_ = assemble_truncated_system(prob, ZERO_CERT)
+    assert sys_.run.start == 9      # state 10 is the run's first row
+    _, _, ebar = solver_module._cut(sys_)
+    assert 9 * Fraction(tiny) <= ebar < 9 * tiny * (1 + 1e-6)
+
+
+def test_chain_with_no_entry_below_the_cut_reads_all_of_B():
+    """On the walk every entry of B is at least ``BAND_CUT``: B~ is B itself,
+    the same CSR matrix and tail run, and e-bar is 0."""
+    sys_ = walk_system(600)
+    B, run, ebar = solver_module._cut(sys_)
+    assert B is sys_.B and run is sys_.run and ebar == 0.0
 
 
 #: ``run_pipeline``'s report on ``hub_chain(1200)`` at A = {0..999},

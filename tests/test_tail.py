@@ -24,7 +24,7 @@ from stattrunc import (
     run_sweep,
 )
 from stattrunc.bounds import DegenerateDeltaError, PipelineError
-from stattrunc.chain import Reward
+from stattrunc.chain import Reward, one_step_fringe
 from stattrunc.solver import prefix_system
 
 from conftest import gm1_row_reference, stacked_rows
@@ -142,3 +142,32 @@ def test_random_tails_give_the_untailed_systems_and_reports(seed, data):
         assert outcome(tailed_p, cert) == outcome(plain_p, cert)
     swept = [repr(rep) for rep, _ in run_sweep(problems[0], cert)]
     assert swept == [outcome(p, cert) for p in problems[1]]
+
+
+@pytest.mark.parametrize("model", ["gm1", "walk"])
+def test_fringe_of_a_range_reads_only_the_head_rows(model, monkeypatch):
+    """``one_step_fringe`` takes the fringe of a range's tail rows from the
+    jumps: the same states as the untailed chain's, which reads every row,
+    on ranges below, across and above x0, of one state or many, and on an
+    A with a hole (which reads every row).  For a range no tail row is
+    read."""
+    tailed, untailed = builtin(model)[:2]
+    x0 = tailed.tail.x0
+    read = []
+    rows = ChainModel.rows
+
+    def counted(self, xs):
+        if self is tailed:
+            read.append(np.asarray(xs, dtype=np.int64).max(initial=-1))
+        return rows(self, xs)
+
+    monkeypatch.setattr(ChainModel, "rows", counted)
+    ranges = [(0, 9999), (0, 49), (0, x0), (x0, 399), (max(x0 - 6, 0), 600), (300, 300),
+              (5000, 5002), (1, 1), (0, 0)]
+    for lo, hi in ranges:
+        A = np.arange(lo, hi + 1)
+        read.clear()
+        assert np.array_equal(one_step_fringe(tailed, A), one_step_fringe(untailed, A)), (lo, hi)
+        assert max(read, default=-1) < x0, (lo, hi)
+    A = np.delete(np.arange(500), 250)
+    assert np.array_equal(one_step_fringe(tailed, A), one_step_fringe(untailed, A))
