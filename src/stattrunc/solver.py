@@ -62,6 +62,20 @@ a time (``LD_BLOCK``), then updates it in double: each step
 changes y by so little that the update's rounding lies far below that of
 the long-double residual.  The column solves are refined for backward
 error, in double, until the residual reaches the roundoff floor.
+
+On a deep truncation of a light-tailed chain y underflows to exact zeros
+after a few thousand states (the walk at a = 10^5 has 1,073 nonzero
+entries), and the row solve stops there, as a sparse triangular solve
+whose cost follows the nonzeros (Gilbert and Peierls, 1988).  With s one
+past the last nonzero entry of a vector (``_support``) and R how far B~
+reaches to a higher column (``_reach``), the U pass of a band LU runs on
+the factor's first s columns after the L pass, and the long-double
+residual, each update and the residual's max read the rows of B~ below
+the s of y or of the step and form the entries below s + R; past those,
+the residual is b, which is 0 past its own support.  Every term left out
+is an exact-zero product or an x - 0, so each solve is the full-length
+one bit for bit; a dense y (gm1 up to a = 10^4, file chains) takes the
+full length.
 """
 
 from __future__ import annotations
@@ -466,11 +480,15 @@ BAND_CUT = 2.0 ** -106
 LD_BLOCK = 1 << 18
 
 
-def _row_blocks(indptr: np.ndarray):
+def _row_blocks(indptr: np.ndarray, longest: int | None = None):
     """Consecutive row ranges (i0, i1) of the CSR row pointer ``indptr``,
-    each holding at most ``LD_BLOCK`` entries or one row."""
+    each holding at most ``LD_BLOCK`` entries or one row.  A longer row
+    widens every block to its length: ``longest`` is that of a matrix
+    whose leading rows ``indptr`` holds, which then get its blocks."""
     m = indptr.size - 1
-    size = max(LD_BLOCK, int(np.diff(indptr).max(initial=0)))
+    if longest is None:
+        longest = int(np.diff(indptr).max(initial=0))
+    size = max(LD_BLOCK, longest)
     i0 = 0
     while i0 < m:
         i1 = int(np.searchsorted(indptr, indptr[i0] + size, side="right")) - 1
@@ -520,6 +538,37 @@ def _cut(system: TruncatedSystem) -> tuple[sp.csr_matrix, TailRun, float]:
             cut = (B_cut, TailRun(run.start, run.stop, run.jumps[~drop], run.probs[~drop]), ebar)
         system._cache["cut"] = cut
     return system._cache["cut"]
+
+
+def _reach(system: TruncatedSystem) -> int:
+    """R, how far B~ reaches to a higher column: the most any of its entries'
+    columns exceeds its row, or 0; derived once per system, from ``_cut``.
+
+    A row vector that is 0 from entry s on has x B~ = 0 from entry s + R
+    on.  R is 1 on the walk and on gm1, whose rows jump up by at most 1.
+    """
+    if "reach" not in system._cache:
+        B, run, _ = _cut(system)
+        reach = int(run.jumps.max(initial=0)) if run.size else 0
+        # the CSR part's rows inside the run are empty
+        for i0, i1 in ((0, run.start), (run.stop, B.shape[0])):
+            ptr = B.indptr[i0:i1 + 1]
+            rows = np.repeat(np.arange(i0, i1), np.diff(ptr))
+            reach = max(reach, int((B.indices[ptr[0]:ptr[-1]] - rows).max(initial=0)))
+        system._cache["reach"] = reach
+    return system._cache["reach"]
+
+
+def _support(x: np.ndarray) -> int:
+    """One past the last nonzero entry of x, or 0 when x is 0.
+
+    A row solve on a deep truncation of a light-tailed chain underflows to
+    exact zeros after a few thousand states; its passes stop there.
+    """
+    if not x.size or x[-1] != 0:
+        return x.size
+    nz = np.flatnonzero(x != 0)
+    return int(nz[-1]) + 1 if nz.size else 0
 
 
 def _band(B: sp.csr_matrix, run: TailRun | None = None) -> tuple[int, int] | None:
@@ -616,12 +665,20 @@ class BandLU:
         return BandLU(self.ab[:, :m], self.L[:, :m], self.kl, self.ku)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """U^T then L^T for ``"N"``, L then U for ``"T"`` (see the class
+        docstring).  The U pass of ``"T"`` runs on U's first s columns
+        only, s one past the last nonzero entry of the L pass's output:
+        past it that output is 0, and so is U's back-substitution, exactly.
+        """
         k = self.kl + self.ku
         if trans == "N":
             x = dtbsv(k, self.ab, b, trans=1)
             return dtbsv(self.kl, self.L, x, lower=1, trans=1, diag=1, overwrite_x=1)
         x = dtbsv(self.kl, self.L, b, lower=1, diag=1)
-        return dtbsv(k, self.ab, x, overwrite_x=1)
+        s = _support(x)
+        if s:
+            x[:s] = dtbsv(k, self.ab[:, :s], x[:s], overwrite_x=1)
+        return x
 
 
 def _check_escapes(system: TruncatedSystem, B_full: sp.csr_matrix) -> None:
@@ -706,38 +763,48 @@ def _Bx(system: TruncatedSystem, x: np.ndarray) -> np.ndarray:
 def _xB(system: TruncatedSystem, x: np.ndarray) -> np.ndarray:
     """x B~, in the dtype of x: double, or long double (see ``_cut``).
 
-    The sums are those of scipy's product of B~ written out and
-    transposed, bit for bit: each column adds its terms in row order,
-    from 0.  A long-double product is formed a block of rows at a time,
-    each block of at most ``LD_BLOCK`` entries of ``full_B`` (not of B~)
-    summed on its own and added to the total, so no long-double copy of
-    all of B is held.
+    ``x`` holds the first k <= m entries of a row vector that is 0 past
+    them, so only B~'s rows 0 .. k - 1 are read, and only the first
+    n = min(m, k + R) entries of the product are returned, R = ``_reach``:
+    every later one is 0.  The sums are those of scipy's product of B~
+    written out and transposed, bit for bit: each column adds its terms in
+    row order, from 0, and the rows left out add only exact zeros.  A
+    long-double product is formed a block of rows at a time, each block of
+    at most ``LD_BLOCK`` entries of ``full_B`` (not of B~) summed on its
+    own and added to the total, so no long-double copy of all of B is
+    held; the blocks past row k are skipped.
     """
-    m, full_run = system.size, system.run
-    blocks = [(0, m)]
+    m, full_run, k = system.size, system.run, x.size
+    blocks = [(0, k)]
     if x.dtype != np.float64:
+        # full_B's first k rows, blocked as all of full_B is: its longest
+        # row sets the block size
         counts = np.diff(system.B.indptr)
+        longest = max(int(counts.max(initial=0)), full_run.jumps.size)
+        counts = counts[:k]
         counts[full_run.start:full_run.stop] = full_run.jumps.size
-        indptr = np.zeros(m + 1, dtype=np.int64)
+        indptr = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        blocks = _row_blocks(indptr)
+        blocks = _row_blocks(indptr, longest)
     B, run, _ = _cut(system)
-    xB = np.zeros(m, dtype=x.dtype)
+    n = min(m, k + _reach(system))
+    xB = np.zeros(n, dtype=x.dtype)
     for i0, i1 in blocks:
-        xB += _xB_rows(B, run, x, i0, i1)
+        xB += _xB_rows(B, run, x, i0, i1, n)
     return xB
 
 
-def _xB_rows(B: sp.csr_matrix, run: TailRun, x: np.ndarray, i0: int, i1: int) -> np.ndarray:
+def _xB_rows(B: sp.csr_matrix, run: TailRun, x: np.ndarray, i0: int, i1: int,
+             n: int) -> np.ndarray:
     """The sum over rows i0 .. i1 - 1 of x_i B(i, .), B the CSR rows ``B``
     plus the tail ``run``, term by term in row order from 0: the CSR rows
-    below the run, then the run's, then the CSR rows above it."""
-    m = B.shape[0]
+    below the run, then the run's, then the CSR rows above it.  Its first
+    n entries, which hold every column those rows reach."""
     r0, r1 = min(max(run.start, i0), i1), min(max(run.stop, i0), i1)
     indptr, lo = B.indptr, B.indptr[i0]
     vals = B.data[lo:indptr[i1]].astype(x.dtype, copy=False)
     part = _transposed(vals[:indptr[r0] - lo], B.indices[lo:indptr[r0]],
-                       indptr[i0:r0 + 1] - lo, m) @ x[i0:r0]
+                       indptr[i0:r0 + 1] - lo, n) @ x[i0:r0]
     if r1 > r0:
         jumps = run.jumps.tolist()
         c0, c1 = r0 + jumps[0], r1 + jumps[-1]
@@ -775,32 +842,57 @@ def _add_run(part: np.ndarray, x: np.ndarray, run: TailRun, r0: int, r1: int,
             part[a + j:b + j] += x[a:b] * p
 
 
+def _ends(system: TruncatedSystem, x: np.ndarray) -> tuple[int, int]:
+    """(s, n): x is 0 from entry s on (``_support``), and x B~ from entry
+    n = min(m, s + R) on (``_reach``)."""
+    s = _support(x)
+    return s, min(x.size, s + _reach(system))
+
+
 def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
               transpose: bool) -> np.ndarray:
     """b - (I - B~) x, or b - x (I - B~) in long double when ``transpose``
-    (see ``_cut``)."""
+    (see ``_cut``).
+
+    The row residual is formed on the rows of B~ that x's support reads
+    and the columns they reach, its first n entries (``_ends``); past them
+    it is b itself, which is 0 past b's own support.  Each term left out
+    is an exact-zero product or an x - 0, so every entry is the one the
+    whole product gives.
+    """
     if not transpose:
         return b - (x - _Bx(system, x))
-    x_ld = x.astype(np.longdouble)
-    return b.astype(np.longdouble) - (x_ld - _xB(system, x_ld))
+    s, n = _ends(system, x)
+    hi = max(n, _support(b))
+    r = np.zeros(b.size, dtype=np.longdouble)
+    r[:hi] = b[:hi]
+    x_ld = x[:n].astype(np.longdouble)
+    r[:n] -= x_ld - _xB(system, x_ld[:s])
+    return r
 
 
 def _move(system: TruncatedSystem, x: np.ndarray, x_new: np.ndarray, b: np.ndarray,
-          residual: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
-    """x_new and its residual against B~, given x and its residual.
+          residual: np.ndarray, hi: int, transpose: bool
+          ) -> tuple[np.ndarray, np.ndarray, int]:
+    """x_new, its residual against B~ and that residual's ``hi``, given x,
+    its residual and theirs: a residual is 0 past its first ``hi`` entries
+    (``hi`` is m for a column solve).
 
     A column solve forms the residual of x_new afresh.  The row solve
     updates x's long-double residual r to r - (d - d B~), d = x_new - x,
     with d B~ in double: d is exact where x_new is within a factor 2 of x
     (Sterbenz), and a refinement step or the clamp is so small that d B~'s
-    rounding lies far below the long-double rounding of r itself.
+    rounding lies far below the long-double rounding of r itself.  Only
+    the first n entries of r move, n from d's support (``_ends``).
     """
     if not transpose:
-        return x_new, _residual(system, x_new, b, False)
+        return x_new, _residual(system, x_new, b, False), hi
     d = x_new - x
-    if d.any():     # a last step often rounds away in every entry of y
-        residual -= d - _xB(system, d)
-    return x_new, residual
+    s, n = _ends(system, d)
+    if s:     # a last step often rounds away in every entry of y
+        residual[:n] -= d[:n] - _xB(system, d[:s])
+        hi = max(hi, n)
+    return x_new, residual, hi
 
 
 def _scale(b: np.ndarray, x: np.ndarray) -> float:
@@ -841,6 +933,8 @@ def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
     trans = "T" if transpose else "N"
     x = _finite(lu.solve(b, trans=trans))
     residual = _residual(system, x, b, transpose)
+    # the residual is 0 past its first ``hi`` entries (see ``_residual``)
+    hi = max(_ends(system, x)[1], _support(b)) if transpose else system.size
     iterations = 0
     # Iterative refinement (see the module docstring).  The row solve stops
     # after a correction at y's last bit or one that did not halve, a column
@@ -856,8 +950,10 @@ def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
             if size <= 4.0 * eps * _scale(b, x) or size >= 0.9 * best:
                 break
             best = size
-        step = lu.solve(residual.astype(np.float64, copy=False), trans=trans)
-        x, residual = _move(system, x, _finite(x + step), b, residual, transpose)
+        rhs = np.zeros(system.size)
+        rhs[:hi] = residual[:hi]
+        step = lu.solve(rhs, trans=trans)
+        x, residual, hi = _move(system, x, _finite(x + step), b, residual, hi, transpose)
         iterations += 1
         if transpose:
             size = float(np.abs(step).max())
@@ -870,9 +966,10 @@ def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
         scale = max(1.0, float(np.abs(x).max()))
         if lo < -1e-8 * scale:
             raise SolverError(f"solution significantly negative (min {lo:.3e})")
-        x, residual = _move(system, x, np.maximum(x, 0.0), b, residual, transpose)
+        x, residual, hi = _move(system, x, np.maximum(x, 0.0), b, residual, hi, transpose)
     # the residual against B is within e-bar |x|_inf of that against B~
-    res = float(np.abs(residual).max()) + _cut(system)[2] * float(np.abs(x).max())
+    res = float(np.abs(residual[:hi]).max(initial=0.0))
+    res += _cut(system)[2] * float(np.abs(x).max())
     cap = opts.tol * _scale(b, x)
     if res > cap:
         raise SolverError(f"residual {res:.3e} exceeds tolerance {cap:.3e}")

@@ -552,6 +552,116 @@ def test_certified_row_residual_is_that_of_the_returned_y():
         assert abs(res.residual_norm - exact_max) <= 4 * eps_ld * scale.max()
 
 
+@pytest.mark.parametrize("block", [1, 150, solver_module.LD_BLOCK])
+def test_transpose_residual_over_y_support_is_exact_and_b_past_it(monkeypatch, block):
+    """On the walk at a = 3000, y underflows to exact zeros after its first
+    1,073 entries, so the long-double residual reads only the rows of B~
+    below y's support s and forms only its entries below s + R.  Whatever
+    the rows of B per block, those entries are within a few long-double
+    ulps of the exact residual, as in the full-length residual's test; every
+    later entry is the right-hand side itself, exactly."""
+    monkeypatch.setattr(solver_module, "LD_BLOCK", block)
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    sys_ = walk_system(3000)
+    x = solve_transpose(sys_).x
+    s, reach = solver_module._support(x), solver_module._reach(sys_)
+    assert (s, reach) == (1073, 1)
+    n = s + reach
+    got = solver_module._residual(sys_, x, sys_.nu, True)
+    assert got.dtype == np.longdouble and got.size == sys_.size
+    exact, scale = _exact_row_residual(sys_, x)
+    err = np.array([float(Fraction(*g.as_integer_ratio()) - e)
+                    for g, e in zip(got[:n], exact[:n])])
+    assert any(e != 0 for e in exact[:n])
+    assert np.all(np.abs(err) <= 4 * eps_ld * scale[:n])
+    assert np.array_equal(got[n:], sys_.nu[n:])
+    # a right-hand side with an entry past the columns that y reaches: the
+    # residual is that entry there, and the same as nu's below s + R
+    b = sys_.nu.copy()
+    b[2500] = 0.25
+    got_b = solver_module._residual(sys_, x, b, True)
+    assert np.array_equal(got_b[:n], got[:n]) and np.array_equal(got_b[n:], b[n:])
+
+
+def _row_support_outcomes(monkeypatch) -> list:
+    """The row solves and reports that stop where y underflows, and gm1's,
+    whose y is dense, as the bytes of each ``SolveResult``'s x, the hex
+    strings of its residual norm and its steps, and ``_bits`` of each
+    ``BoundReport``."""
+    def solved(res):
+        return res.x.tobytes(), float(res.residual_norm).hex(), res.iterations
+
+    walk, half = random_walk_chain(), lambda x: x / 2.0
+
+    def walk_problem(a):
+        return TruncationProblem(chain=walk, A=np.arange(a), z=0, K=np.arange(301), r=half)
+
+    out = []
+    for a in (3000, 100_000):
+        sys_ = walk_system(a)
+        out.append(solved(solve_transpose(sys_)))
+        # 1e-3 at the last entry, and at one past y's support
+        for at in (sys_.size - 1, 2000):
+            b = sys_.nu.copy()
+            b[at] = 1e-3
+            out.append(solved(solve_transpose(sys_, b=b)))
+        out += [solved(solve(sys_, v)) for v in (sys_.p, sys_.h1, sys_.h2)]
+    cert = random_walk_certificate()
+    problems = [walk_problem(a) for a in (1000, 10_000, 100_000)]
+    out.append(_bits(run_pipeline(problems[-1], cert)))
+    out += [_bits(report) for report, _ in run_sweep(problems, cert)]
+    gm1 = TruncationProblem(chain=gm1_chain(), A=np.arange(10_000), z=0,
+                            K=np.arange(201), r=float)
+    out.append(_bits(run_pipeline(gm1, gm1_certificate())))
+    with monkeypatch.context() as mp:
+        mp.setattr(solver_module, "_band", lambda B, run=None: None)
+        sys_ = walk_system(3000)
+        assert isinstance(solver_module._lu(sys_), spla.SuperLU)
+        out.append(solved(solve_transpose(sys_)))
+    return out
+
+
+def test_row_solve_over_y_support_is_bit_identical_to_the_full_length_one(monkeypatch):
+    """The row solve runs its U pass, its long-double residual, each
+    refinement update and the residual's max over y's support and the
+    columns it reaches (on the walk at a = 3000, 1,074 of 2,999 entries),
+    under the band LU and under SuperLU alike.  With ``_support`` made to
+    report every vector as reaching the last entry, every solve takes the
+    full-length path; every ``SolveResult`` and ``BoundReport`` is the same
+    bit for bit: the walk's row solves, with nu and with right-hand sides
+    that reach further, its column solves, the walk at a = 10^5 as a point
+    and as a sweep, and gm1 at a = 10^4."""
+    assert solver_module._support(solve_transpose(walk_system(3000)).x) == 1073
+    shipped = _row_support_outcomes(monkeypatch)
+    monkeypatch.setattr(solver_module, "_support", lambda x: x.size)
+    assert _row_support_outcomes(monkeypatch) == shipped
+
+
+def test_dense_row_solve_takes_the_full_length_path(monkeypatch):
+    """gm1's y at a = 10^4 is dense, so its row solve reads all of A': every
+    triangular band solve runs over all m columns of the factor, and every
+    product x B~ reads all m rows."""
+    sys_ = gm1_system(10_000)
+    m = sys_.size
+    tbsv, xB = solver_module.dtbsv, solver_module._xB
+    columns, rows = [], []
+
+    def counting_tbsv(k, a, x, **kw):
+        columns.append(a.shape[1])
+        return tbsv(k, a, x, **kw)
+
+    def counting_xB(system, x):
+        rows.append(x.size)
+        return xB(system, x)
+
+    monkeypatch.setattr(solver_module, "dtbsv", counting_tbsv)
+    monkeypatch.setattr(solver_module, "_xB", counting_xB)
+    res = solve_transpose(sys_)
+    assert res.iterations >= 1 and solver_module._support(res.x) == m
+    assert rows and set(rows) == {m}
+    assert columns and set(columns) == {m}
+
+
 def _exact_column_residual(sys_, b, x) -> tuple[list, np.ndarray]:
     """b - (I - B) x in exact rational arithmetic, and the sum of the
     magnitudes of its terms, per entry: the column twin of
