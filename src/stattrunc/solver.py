@@ -37,6 +37,14 @@ then U, and the column solves (with M_b^T) are two, with U^T then L^T.
 The first m' columns of the factors are then the factors of M_b's
 leading m' x m' block, so the system of a prefix of A whose band is the
 same (``prefix_system``) solves with the factorization of a larger one.
+On a chain with a declared tail the run's rows make the elimination a
+Toeplitz one, whose factors reach a fixed point (the canonical
+factorization of structured Markov chains; Bini, Latouche and Meini,
+"Numerical Methods for Structured Markov Chains", 2005): in double the
+columns repeat bit for bit, on the walk from column ~51.  With kl = 1,
+as on both built-in chains, dgbtrf runs on chunks of columns and stops
+where they repeat; the repeated column is broadcast, and the factor is
+the one call's bit for bit (``BandLU.factor``).
 A system whose band LU exchanges a row, or whose band would hold more
 than ``BAND_FILL`` times the entries of I - B (say, every row jumps to
 one hub state), is factored by SuperLU in state order instead, with
@@ -611,7 +619,8 @@ class BandLU:
     unit one).  ``solve(b, trans)`` has SuperLU's meaning on I - B_b:
     ``"N"`` solves (I - B_b) x = b, a solve with M_b^T, and ``"T"`` solves
     x (I - B_b) = b, a solve with M_b.  Each is two BLAS triangular band
-    solves (dtbsv).
+    solves (dtbsv).  ``factor`` calls dgbtrf once, or once per chunk of
+    columns when kl = 1 and the band holds a tail run.
     """
 
     def __init__(self, ab: np.ndarray, L: np.ndarray, kl: int, ku: int):
@@ -623,41 +632,80 @@ class BandLU:
         """The band LU of (I - B)^T restricted to the band (kl, ku), B the
         CSR rows ``B`` plus the tail ``run``, or None when partial pivoting
         exchanges a row, as rounding can make it do where a block of I - B
-        is nearly singular."""
-        m, indptr = B.shape[0], B.indptr
+        is nearly singular.
+
+        With kl = 1 and a tail run, dgbtrf runs on chunks of columns and
+        stops where the factor's columns repeat; any other band is one
+        call.  Either way the factor, the pivots and a zero pivot's
+        position are the one call's, bit for bit:
+
+        - Eliminating column j with kl = 1 and no row exchange changes
+          only row j + 1, in columns j + 1 .. j + ku.  So after the columns
+          below c, row c is U's row c and the rows below it are M's own,
+          and dgbtrf on columns c .. e - 1 (a column slice of the band)
+          does the one call's operations on them, but for column e - 1's
+          pivot and multiplier, which need row e.  The next chunk starts
+          ku + 1 columns back, with the rows of those columns below its
+          first put back to M's.  The first chunk ends at ``FIRST_CHUNK``,
+          or at 2 (ku + 1) when that is later, so that it is longer than
+          that overlap, and each next one at twice the last one's end.
+          M's band is written only as a chunk needs it.  A row exchange
+          moves a row up, so after one the whole band is factored again
+          in one call.
+        - The run's rows of M, run.start + 1 .. run.stop - ku - 1, are one
+          stencil.  Once a chunk's last ku + 2 finished columns, from
+          run.start on, are equal bit for bit, U's row i equals its row
+          i + 1, so every later column is that one up to column
+          run.stop - ku - 2.  Those columns are written as a broadcast, and
+          the last chunk starts at run.stop - ku - 1.
+        """
+        m = B.shape[0]
         width = 2 * kl + ku + 1
-        # M[i, j] is ab[kl + ku + i - j, j], and column j of M is row j of
-        # I - B: ab^T, in C order, is B with each row's columns shifted by
-        # kl + ku minus its position, negated, plus 1 at column kl + ku;
-        # the entries that land outside its columns kl .. 2 kl + ku are
-        # outside the band, and left out.  One spare row of the buffer lets
-        # the view L of width rows, which starts kl + ku entries in, end
-        # inside it
+        # ab^T, in C order, holds column j of M, row j of I - B, as its row
+        # j (see ``_band_rows``).  One spare row of the buffer lets the view
+        # L of width rows, which starts kl + ku entries in, end inside it
         buf = np.zeros((m + 1, width))
         abT = buf[:m]
-        for i0, i1 in _row_blocks(indptr):
-            lo, hi = indptr[i0], indptr[i1]
-            rows = np.repeat(np.arange(i0, i1, dtype=B.indices.dtype),
-                             np.diff(indptr[i0:i1 + 1]))
-            cols = B.indices[lo:hi] - rows
-            cols += kl + ku
-            inside = (cols >= kl) & (cols < width)
-            ptr = np.zeros(i1 - i0 + 1, dtype=indptr.dtype)
-            np.cumsum(np.bincount(rows[inside] - i0, minlength=i1 - i0), out=ptr[1:])
-            sp.csr_matrix((np.negative(B.data[lo:hi][inside]), cols[inside], ptr),
-                          shape=(i1 - i0, width)).toarray(out=abT[i0:i1])
-        if run is not None and run.size:
-            inside = (run.jumps >= -ku) & (run.jumps <= kl)
-            abT[run.start:run.stop, kl + ku + run.jumps[inside]] = -run.probs[inside]
-        ab = abT.T
-        ab[kl + ku] += 1.0
-        ab, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
-        if info > 0:
-            raise SolverError(f"I - B is singular: zero pivot at position {info - 1}")
-        if not np.array_equal(piv, np.arange(m)):
-            return None
+        bits = abT.view(np.int64)
+        stencil = _stencil(run, kl, ku) if run is not None and run.size else None
+        chunked = kl == 1 and stencil is not None
+        # the entries of a chunk's first ku + 1 columns below its first row
+        below = np.add.outer(np.arange(ku + 1), np.arange(width)) > kl + ku
+        # a chunk overlaps the next by ku + 1 columns, and must be longer
+        first = max(FIRST_CHUNK, 2 * (ku + 1))
+        c = w = 0                 # the chunk's first column; columns < w are written
+        saved, repeats = None, False
+        while True:
+            e = m if not chunked or repeats else min(m, max(first, 2 * w))
+            _band_rows(abT[w:e], B, kl, ku, w, run, stencil)
+            w = e
+            if saved is not None:
+                np.copyto(abT[c:c + ku + 1], saved, where=below)
+            saved = abT[e - ku - 1:e].copy() if e < m else None
+            ab, piv, info = dgbtrf(abT[c:e].T, kl, ku, overwrite_ab=1)
+            if not np.shares_memory(ab, buf):
+                abT[c:e] = ab.T
+            done = e if e == m else e - 1
+            if 0 < info <= done - c:
+                raise SolverError(f"I - B is singular: zero pivot at position {c + info - 1}")
+            if not np.array_equal(piv[:done - c], np.arange(done - c)):
+                if not chunked:
+                    return None
+                abT[:w] = 0.0
+                c = w = 0
+                saved, chunked = None, False
+                continue
+            if e == m:
+                break
+            c = e - ku - 1
+            last = run.stop - ku - 1
+            if (last >= e and done - ku - 2 >= run.start
+                    and (bits[done - ku - 2:done] == bits[done - 1]).all()):
+                # the overlap's rows below ``last`` are run rows of M
+                abT[done:last + ku + 1] = abT[done - 1]
+                c, w, saved, repeats = last, last + ku + 1, stencil, True
         L = buf.reshape(-1)[kl + ku:kl + ku + width * m].reshape(m, width).T
-        return cls(ab, L, kl, ku)
+        return cls(abT.T, L, kl, ku)
 
     def leading(self, m: int) -> "BandLU":
         """The factors of M's leading m x m block: our first m columns, as
@@ -679,6 +727,53 @@ class BandLU:
         if s:
             x[:s] = dtbsv(k, self.ab[:, :s], x[:s], overwrite_x=1)
         return x
+
+
+#: the first chunk of a chunked band factor ends at this column, or at
+#: 2 (ku + 1) when that is later (``BandLU.factor``); the walk's columns
+#: repeat from column ~51
+FIRST_CHUNK = 1 << 9
+
+
+def _stencil(run: TailRun, kl: int, ku: int) -> np.ndarray:
+    """The row of ab^T (see ``_band_rows``) of every row of the tail run."""
+    row = np.zeros(2 * kl + ku + 1)
+    inside = (run.jumps >= -ku) & (run.jumps <= kl)
+    row[kl + ku + run.jumps[inside]] = -run.probs[inside]
+    row[kl + ku] += 1.0
+    return row
+
+
+def _band_rows(out: np.ndarray, B: sp.csr_matrix, kl: int, ku: int, i0: int,
+               run: TailRun | None, stencil: np.ndarray | None) -> None:
+    """Write rows i0 .. i0 + len(out) - 1 of ab^T, M's band as ``BandLU``
+    stores it, transposed, into the zero array ``out``; ``stencil`` is the
+    run's row (``_stencil``).
+
+    M[i, j] is ab[kl + ku + i - j, j], and column j of M is row j of I - B:
+    row j of ab^T is B's row j with each column shifted by kl + ku minus
+    j, negated, plus 1 at column kl + ku.  The entries that land outside
+    its columns kl .. 2 kl + ku are outside the band, and left out.  A row
+    of B holds each column once, as a row's targets are strictly
+    increasing.
+    """
+    n, width = out.shape
+    indptr = B.indptr[i0:i0 + n + 1]
+    if indptr[-1] > indptr[0]:
+        for r0, r1 in _row_blocks(indptr):
+            lo, hi = indptr[r0], indptr[r1]
+            rows = np.repeat(np.arange(r0, r1, dtype=B.indices.dtype),
+                             np.diff(indptr[r0:r1 + 1]))
+            cols = B.indices[lo:hi] - rows
+            cols += kl + ku - i0
+            inside = (cols >= kl) & (cols < width)
+            out[rows[inside], cols[inside]] = np.negative(B.data[lo:hi][inside])
+    out[:, kl + ku] += 1.0
+    if stencil is not None:
+        # the run's rows hold no CSR entry
+        r0, r1 = max(run.start, i0), min(run.stop, i0 + n)
+        if r0 < r1:
+            out[r0 - i0:r1 - i0] = stencil
 
 
 def _check_escapes(system: TruncatedSystem, B_full: sp.csr_matrix) -> None:

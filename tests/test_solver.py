@@ -315,20 +315,153 @@ def test_band_solves_are_lapacks_row_solve_and_backward_stable_column_solve(tmp_
 
 def test_leading_factors_share_the_full_band():
     """The factors of a leading block are views of the full band, L too,
-    and solve as the block's own factorization does."""
-    sys_ = gm1_system(1500)
-    lu = solver_module._lu(sys_)
-    m = 700
-    lead = lu.leading(m)
-    assert np.shares_memory(lead.ab, lu.ab) and np.shares_memory(lead.L, lu.ab)
-    own = solver_module.BandLU.factor(sys_.full_B()[:m, :m].tocsr(), lu.kl, lu.ku)
-    # all but the multipliers of rows past the block, which no solve reads
-    k = lu.kl + lu.ku
-    assert np.array_equal(lead.ab[:k + 1], own.ab[:k + 1])
-    assert np.array_equal(lead.ab[:, :m - lu.kl], own.ab[:, :m - lu.kl])
-    b = np.random.default_rng(2).uniform(size=m)
-    for trans in "NT":
-        assert np.array_equal(lead.solve(b, trans), own.solve(b, trans)), trans
+    and solve as the block's own factorization does: gm1's band is
+    factored in chunks, and the walk's repeated columns are written as a
+    broadcast."""
+    for sys_, m in ((gm1_system(1500), 700), (walk_system(10_000), 5000)):
+        lu = solver_module._lu(sys_)
+        lead = lu.leading(m)
+        assert np.shares_memory(lead.ab, lu.ab) and np.shares_memory(lead.L, lu.ab)
+        own = solver_module.BandLU.factor(sys_.full_B()[:m, :m].tocsr(), lu.kl, lu.ku)
+        # all but the multipliers of rows past the block, which no solve reads
+        k = lu.kl + lu.ku
+        assert np.array_equal(lead.ab[:k + 1], own.ab[:k + 1])
+        assert np.array_equal(lead.ab[:, :m - lu.kl], own.ab[:, :m - lu.kl])
+        b = np.random.default_rng(2).uniform(size=m)
+        for trans in "NT":
+            assert np.array_equal(lead.solve(b, trans), own.solve(b, trans)), trans
+
+
+def _tail_system(model: str, a: int, c: float = 2.01):
+    """The truncated system of gm1 at c, or of the walk, on A = {0..a-1}."""
+    if model == "gm1":
+        chain, cert = gm1_chain(Gm1Params(c=c)), gm1_certificate()
+    else:
+        chain, cert = random_walk_chain(), random_walk_certificate()
+    prob = TruncationProblem(chain=chain, A=np.arange(a), z=0, K=[0], r=float)
+    return assemble_truncated_system(prob, cert)
+
+
+def _one_dgbtrf(B: sp.csr_matrix, run, kl: int, ku: int):
+    """LAPACK's (ab, piv, info) of (I - B)^T restricted to the band (kl,
+    ku), B the CSR rows plus the tail run, in one dgbtrf call on the whole
+    band; the band is written entry by entry, with no dense matrix."""
+    m = B.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, m), order="F")
+    C = B.tocoo()
+    d = C.col - C.row
+    keep = (d >= -ku) & (d <= kl)
+    ab[kl + ku + d[keep], C.row[keep]] = -C.data[keep]
+    for jump, prob in zip(run.jumps.tolist(), run.probs.tolist()):
+        if -ku <= jump <= kl:
+            ab[kl + ku + jump, run.start:run.stop] = -prob
+    ab[kl + ku] += 1.0
+    return dgbtrf(ab, kl, ku, overwrite_ab=1)
+
+
+TAIL_FACTOR_CASES = [("walk", 1000, 2.01), ("walk", 10_000, 2.01), ("walk", 100_000, 2.01),
+                     ("gm1", 1000, 2.01), ("gm1", 2500, 2.01), ("gm1", 5000, 2.01),
+                     ("gm1", 10_000, 2.01), ("gm1", 40_000, 2.002), ("gm1", 100_000, 2.0002),
+                     ("gm1", 3000, 300.0)]
+
+
+@pytest.mark.parametrize("model,a,c", TAIL_FACTOR_CASES)
+def test_chunked_factor_is_the_one_call_bit_for_bit(monkeypatch, model, a, c):
+    """With kl = 1 and a tail run the band is factored in chunks of
+    columns, and the columns that repeat are written, not factored: the
+    factor is, bit for bit, one dgbtrf call on the whole band.  The walk's
+    columns repeat from column ~51 and gm1's from ~3,630 at c = 2.01; at
+    c = 2.0002 they do not repeat within 10^5 columns, and every column
+    goes to LAPACK.  The walk at a = 10^5 sends under 1 % of its columns
+    to LAPACK.  gm1 at c = 300 jumps down 515 states, more than the first
+    chunk's ``FIRST_CHUNK`` columns, so its first chunk ends at
+    2 (ku + 1)."""
+    sys_ = _tail_system(model, a, c)
+    band = solver_module._band(sys_.B, sys_.run)
+    assert band[0] == 1 and sys_.run.size
+    assert band[1] >= solver_module.FIRST_CHUNK or c != 300.0
+    want, piv, info = _one_dgbtrf(sys_.B, sys_.run, *band)
+    assert info == 0 and np.array_equal(piv, np.arange(sys_.size))
+    columns = []
+
+    def counting_dgbtrf(ab, *args, **kwargs):
+        columns.append(ab.shape[1])
+        return dgbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "dgbtrf", counting_dgbtrf)
+    lu = solver_module.BandLU.factor(sys_.B, *band, sys_.run)
+    assert np.array_equal(lu.ab.view(np.int64), want.view(np.int64))
+    assert len(columns) > 1
+    if (model, a) == ("walk", 100_000):
+        assert sum(columns) < 0.01 * sys_.size
+    if c == 2.0002:
+        assert sum(columns) >= sys_.size
+
+
+def _hand_built_band(m: int, special: dict, run_rows: tuple, down: int = 1):
+    """B of a stencil that jumps down 1 .. ``down`` states with 2/3 in all
+    and up one with 1/3, the walk's when ``down`` is 1: rows ``run_rows``
+    as a tail run, and the others as CSR rows, each the stencil's inside
+    0 .. m - 1 unless ``special`` gives its entries ({row: {column:
+    value}})."""
+    jumps = [*range(-down, 0), 1]
+    probs = [2 / 3 / down] * down + [1 / 3]
+    run = solver_module.TailRun(*run_rows, np.array(jumps), np.array(probs))
+    rows, cols, vals = [], [], []
+    for i in [*range(run.start), *range(run.stop, m)]:
+        own = {i + j: p for j, p in zip(jumps, probs) if 0 <= i + j < m}
+        got = special.get(i, own)
+        rows += [i] * len(got)
+        cols += list(got)
+        vals += list(got.values())
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m)), run
+
+
+def _factor_outcome(factor):
+    """The band LU's ``ab``, None, or the ``SolverError`` message."""
+    try:
+        lu = factor()
+    except SolverError as exc:
+        return str(exc)
+    return None if lu is None else lu.ab.view(np.int64).tolist()
+
+
+F = solver_module.FIRST_CHUNK
+
+
+@pytest.mark.parametrize("special,run_rows,down,outcome", [
+    ({}, (300, 1900), 1, "ab"),
+    # a CSR row unlike the stencil where the walk's columns already repeat
+    ({280: {279: 0.5, 281: 0.25}}, (300, 1900), 1, "ab"),
+    # the first chunk's last columns repeat, but past the run's end
+    ({}, (1, 200), 1, "ab"),
+    # a self-loop: column 1950 of (I - B)^T is 0, in the last chunk
+    ({1950: {1950: 1.0}}, (300, 1900), 1, "I - B is singular: zero pivot at position 1950"),
+    # -2 below a diagonal 1, in the last chunk
+    ({1950: {1951: 2.0}}, (300, 1900), 1, None),
+    # a 0 diagonal in the first chunk's last column, -1/2 below it: the
+    # one call exchanges the rows; that chunk, without the row below,
+    # finds a zero pivot
+    ({F - 1: {F - 1: 1.0, F: 0.5}}, (F + 100, 1900), 1, None),
+    # a row exchange at the second chunk's first column, then a self-loop
+    ({F - 2: {F - 1: 2.0}, F + 34: {F + 34: 1.0}}, (F + 100, 1900), 1,
+     f"I - B is singular: zero pivot at position {F + 34}"),
+    # ku = F + 100 is more than the first chunk's F columns, so it ends at
+    # 2 (ku + 1), longer than the ku + 1 columns it shares with the next
+    ({}, (900, 1900), F + 100, "ab"),
+])
+def test_chunked_factor_keeps_the_one_calls_outcome(special, run_rows, down, outcome):
+    """A hand-built band with kl = 1 and a tail run ends as one dgbtrf call
+    does: the same ``ab`` bit for bit, the same zero pivot's position in a
+    ``SolverError``, or None after a row exchange."""
+    m = 2000
+    B, run = _hand_built_band(m, special, run_rows, down)
+    assert solver_module._band(B, run) == (1, down)
+    ab, piv, info = _one_dgbtrf(B, run, 1, down)
+    want = (f"I - B is singular: zero pivot at position {info - 1}" if info > 0
+            else None if not np.array_equal(piv, np.arange(m)) else ab.view(np.int64).tolist())
+    assert want == outcome if outcome != "ab" else isinstance(want, list)
+    assert _factor_outcome(lambda: solver_module.BandLU.factor(B, 1, down, run)) == want
 
 
 def test_row_exchanges_send_the_system_to_superlu():
