@@ -184,18 +184,18 @@ def system_bounds(system: TruncatedSystem, K: np.ndarray,
     if kp.size == 0:
         delta = 1.0
     else:
-        u_p = _stage("delta_solve", solve, system, system.p, opts.tol).x
-        delta = float(u_p[kp].min())
+        # each column solution is read at K' once and dropped before the
+        # next solve
+        delta = float(_stage("delta_solve", solve, system, system.p, opts.tol).x[kp].min())
         if delta <= 10.0 * opts.tol:
             raise DegenerateDeltaError(
                 f"delta={delta:.3e} <= 10*tol={10 * opts.tol:.1e}; enlarge A or shrink K")
         delta = _clamp_unit(delta, "delta", opts.tol)
-        u1 = _stage("upper_solves", solve, system, system.r_vec + system.h1, opts.tol).x
-        u2 = _stage("upper_solves", solve, system, np.ones(system.size) + system.h2,
-                    opts.tol).x
         amp = max(0.0, 1.0 - beta) / delta
-        corr1 = amp * float(u1[kp].max())
-        corr2 = amp * float(u2[kp].max())
+        corr1 = amp * float(_stage("upper_solves", solve, system, system.r_vec + system.h1,
+                                   opts.tol).x[kp].max())
+        corr2 = amp * float(_stage("upper_solves", solve, system, 1.0 + system.h2,
+                                   opts.tol).x[kp].max())
     Delta1 = float(y @ system.h1) + system.h1_z + corr1
     Delta2 = float(y @ system.h2) + system.h2_z + corr2
 

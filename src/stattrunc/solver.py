@@ -76,14 +76,21 @@ after a few thousand states (the walk at a = 10^5 has 1,073 nonzero
 entries), and the row solve stops there, as a sparse triangular solve
 whose cost follows the nonzeros (Gilbert and Peierls, 1988).  With s one
 past the last nonzero entry of a vector (``_support``) and R how far B~
-reaches to a higher column (``_reach``), the U pass of a band LU runs on
-the factor's first s columns after the L pass, and the long-double
-residual, each update and the residual's max read the rows of B~ below
-the s of y or of the step and form the entries below s + R; past those,
-the residual is b, which is 0 past its own support.  Every term left out
-is an exact-zero product or an x - 0, so each solve is the full-length
-one bit for bit; a dense y (gm1 up to a = 10^4, file chains) takes the
-full length.
+reaches to a higher column (``_reach``), the row solve holds every vector
+only up to its support: y's first entries, b's, each step's and the
+long-double residual's first max(min(m, s + R), support(b)) entries.
+With kl = 1 the L pass of a band LU runs on chunks of L's columns and
+stops at a chunk that ends in 0, the U pass on the factor's first s
+columns; the residual, each update, x + step, its checks and the clamp
+read the rows of B~ below the s of y or of the step and form the
+entries below s + R; past those, the residual is b, which is 0 past its
+own support.  SuperLU's solution is cut at its support the same way.
+Every term left out is an exact-zero product or an x - 0, so each solve
+is the full-length one bit for bit, and y is the only vector of length
+m it allocates; a dense y (gm1 up to a = 10^4, file chains) takes the
+full length.  A column solve reads each m-length vector once per
+iterate: one max and one min give its max-norm and finiteness, and the
+residual is formed in place.
 """
 
 from __future__ import annotations
@@ -619,8 +626,9 @@ class BandLU:
     unit one).  ``solve(b, trans)`` has SuperLU's meaning on I - B_b:
     ``"N"`` solves (I - B_b) x = b, a solve with M_b^T, and ``"T"`` solves
     x (I - B_b) = b, a solve with M_b.  Each is two BLAS triangular band
-    solves (dtbsv).  ``factor`` calls dgbtrf once, or once per chunk of
-    columns when kl = 1 and the band holds a tail run.
+    solves (dtbsv), the L pass of ``"T"`` one per chunk of columns when
+    kl = 1.  ``factor`` calls dgbtrf once, or once per chunk of columns
+    when kl = 1 and the band holds a tail run.
     """
 
     def __init__(self, ab: np.ndarray, L: np.ndarray, kl: int, ku: int):
@@ -712,20 +720,45 @@ class BandLU:
         no row was exchanged."""
         return BandLU(self.ab[:, :m], self.L[:, :m], self.kl, self.ku)
 
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    def solve(self, b: np.ndarray, trans: str = "N",
+              overwrite_b: bool = False) -> np.ndarray:
         """U^T then L^T for ``"N"``, L then U for ``"T"`` (see the class
-        docstring).  The U pass of ``"T"`` runs on U's first s columns
-        only, s one past the last nonzero entry of the L pass's output:
-        past it that output is 0, and so is U's back-substitution, exactly.
+        docstring).
+
+        ``"N"`` reads and returns all m entries, and may overwrite b when
+        ``overwrite_b``.  ``"T"`` follows the support of its right-hand
+        side: b holds the first n <= m entries of a row vector that is 0
+        past them, and the solution comes back up to its last nonzero
+        entry (``_support``), past which it is 0.  Its U pass runs on U's
+        first s columns only, s the support of the L pass's output: past
+        it that output is 0, and so is U's back-substitution, exactly.
+        With kl = 1 the L pass runs on chunks of L's columns, the first
+        ending at ``FIRST_CHUNK`` or at twice b's support when that is
+        later, each next one at twice the last one's end.  A chunk starts
+        at the last one's final column, whose entry is final, so dtbsv
+        applies its multiplier to the next row as the one call does.  The
+        pass stops at a chunk whose final entry is 0: b is 0 past it, so
+        every later entry is +0.  With kl > 1 it is one call.
         """
         k = self.kl + self.ku
         if trans == "N":
-            x = dtbsv(k, self.ab, b, trans=1)
+            x = dtbsv(k, self.ab, b, trans=1, overwrite_x=int(overwrite_b))
             return dtbsv(self.kl, self.L, x, lower=1, trans=1, diag=1, overwrite_x=1)
-        x = dtbsv(self.kl, self.L, b, lower=1, diag=1)
-        s = _support(x)
-        if s:
-            x[:s] = dtbsv(k, self.ab[:, :s], x[:s], overwrite_x=1)
+        m, sb = self.ab.shape[1], _support(b)
+        # with kl > 1 a chunk would start kl columns back: one chunk
+        e = min(m, max(FIRST_CHUNK, 2 * sb)) if self.kl == 1 else m
+        x = np.zeros(e)
+        x[:sb] = b[:sb]
+        c = 0
+        while True:
+            x[c:e] = dtbsv(self.kl, self.L[:, c:e], x[c:e], lower=1, diag=1, overwrite_x=1)
+            if e == m or not _support(x[e - 1:e]):
+                break
+            c, e = e - 1, min(m, 2 * e)
+            x.resize(e, refcheck=False)
+        x = x[:_support(x)]
+        if x.size:
+            x[:] = dtbsv(k, self.ab[:, :x.size], x, overwrite_x=1)
         return x
 
 
@@ -850,8 +883,9 @@ def _Bx(system: TruncatedSystem, x: np.ndarray) -> np.ndarray:
     B, run, _ = _cut(system)
     Bx = B @ x
     rows = Bx[run.start:run.stop]     # empty in the CSR part: zeros
+    term = np.empty(run.size)
     for j, p in zip(run.jumps.tolist(), run.probs.tolist()):
-        rows += x[run.start + j:run.stop + j] * p
+        rows += np.multiply(x[run.start + j:run.stop + j], p, out=term)
     return Bx
 
 
@@ -873,10 +907,12 @@ def _xB(system: TruncatedSystem, x: np.ndarray) -> np.ndarray:
     blocks = [(0, k)]
     if x.dtype != np.float64:
         # full_B's first k rows, blocked as all of full_B is: its longest
-        # row sets the block size
-        counts = np.diff(system.B.indptr)
-        longest = max(int(counts.max(initial=0)), full_run.jumps.size)
-        counts = counts[:k]
+        # row sets the block size if it holds more than LD_BLOCK entries,
+        # which needs the CSR part to hold more
+        longest = full_run.jumps.size
+        if system.B.nnz > LD_BLOCK:
+            longest = max(longest, int(np.diff(system.B.indptr).max()))
+        counts = np.diff(system.B.indptr[:k + 1])
         counts[full_run.start:full_run.stop] = full_run.jumps.size
         indptr = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -938,10 +974,11 @@ def _add_run(part: np.ndarray, x: np.ndarray, run: TailRun, r0: int, r1: int,
 
 
 def _ends(system: TruncatedSystem, x: np.ndarray) -> tuple[int, int]:
-    """(s, n): x is 0 from entry s on (``_support``), and x B~ from entry
-    n = min(m, s + R) on (``_reach``)."""
+    """(s, n): the row vector whose first entries x holds is 0 from entry
+    s on (``_support``), and x B~ from entry n = min(m, s + R) on
+    (``_reach``)."""
     s = _support(x)
-    return s, min(x.size, s + _reach(system))
+    return s, min(system.size, s + _reach(system))
 
 
 def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
@@ -949,125 +986,180 @@ def _residual(system: TruncatedSystem, x: np.ndarray, b: np.ndarray,
     """b - (I - B~) x, or b - x (I - B~) in long double when ``transpose``
     (see ``_cut``).
 
-    The row residual is formed on the rows of B~ that x's support reads
-    and the columns they reach, its first n entries (``_ends``); past them
-    it is b itself, which is 0 past b's own support.  Each term left out
-    is an exact-zero product or an x - 0, so every entry is the one the
-    whole product gives.
+    A column residual is formed in B~ x's own buffer.  The row residual
+    takes x and b as the first entries of row vectors that are 0 past
+    them, and returns only its first hi = max(n, support(b)) entries, n
+    from x (``_ends``): it is formed on the rows of B~ that x's support
+    reads and the n columns they reach, and past those it is b itself,
+    which is 0 past hi.  Each term left out is an exact-zero product or
+    an x - 0, so every entry is the one the whole product gives.
     """
     if not transpose:
-        return b - (x - _Bx(system, x))
+        r = _Bx(system, x)
+        np.subtract(x, r, out=r)
+        return np.subtract(b, r, out=r)
     s, n = _ends(system, x)
     hi = max(n, _support(b))
-    r = np.zeros(b.size, dtype=np.longdouble)
-    r[:hi] = b[:hi]
-    x_ld = x[:n].astype(np.longdouble)
+    r = np.zeros(hi, dtype=np.longdouble)
+    r[:min(hi, b.size)] = b[:hi]
+    x_ld = np.zeros(n, dtype=np.longdouble)
+    x_ld[:min(n, x.size)] = x[:n]
     r[:n] -= x_ld - _xB(system, x_ld[:s])
     return r
 
 
 def _move(system: TruncatedSystem, x: np.ndarray, x_new: np.ndarray, b: np.ndarray,
-          residual: np.ndarray, hi: int, transpose: bool
-          ) -> tuple[np.ndarray, np.ndarray, int]:
-    """x_new, its residual against B~ and that residual's ``hi``, given x,
-    its residual and theirs: a residual is 0 past its first ``hi`` entries
-    (``hi`` is m for a column solve).
+          residual: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+    """x_new and its residual against B~, given x and its residual.
 
     A column solve forms the residual of x_new afresh.  The row solve
     updates x's long-double residual r to r - (d - d B~), d = x_new - x,
     with d B~ in double: d is exact where x_new is within a factor 2 of x
     (Sterbenz), and a refinement step or the clamp is so small that d B~'s
-    rounding lies far below the long-double rounding of r itself.  Only
-    the first n entries of r move, n from d's support (``_ends``).
+    rounding lies far below the long-double rounding of r itself.  There
+    x_new holds at least as many first entries as x, r the first entries
+    that ``_residual`` returns; only r's first n entries move, n from d's
+    support (``_ends``), and r grows to n entries when d reaches further
+    (b is 0 past r).
     """
     if not transpose:
-        return x_new, _residual(system, x_new, b, False), hi
-    d = x_new - x
+        return x_new, _residual(system, x_new, b, False)
+    d = x_new.copy()
+    d[:x.size] -= x
     s, n = _ends(system, d)
     if s:     # a last step often rounds away in every entry of y
+        if n > residual.size:
+            residual = np.concatenate((residual, np.zeros(n - residual.size, residual.dtype)))
+        if n > d.size:
+            d = np.concatenate((d, np.zeros(n - d.size)))
         residual[:n] -= d[:n] - _xB(system, d[:s])
-        hi = max(hi, n)
-    return x_new, residual, hi
+    return x_new, residual
 
 
-def _scale(b: np.ndarray, x: np.ndarray) -> float:
+def _scale(bmax: float, xmax: float) -> float:
     """Residual scale: tolerances are relative to the system's magnitude.
 
-    max(1, |b|, |x|), so for O(1) right-hand sides the certificate is the
-    plain absolute max-norm bound; for large-magnitude systems (e.g. h
-    vectors growing like a^2) it is the attainable relative one, keeping
-    every displayed digit certified.
+    max(1, |b|, |x|), given |b| and |x|, so for O(1) right-hand sides the
+    certificate is the plain absolute max-norm bound; for large-magnitude
+    systems (e.g. h vectors growing like a^2) it is the attainable
+    relative one, keeping every displayed digit certified.
     """
-    bmax = float(np.abs(b).max(initial=0.0))
-    xmax = float(np.abs(x).max(initial=0.0))
     return max(1.0, bmax, xmax)
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    """x itself, checked before any residual is formed from it.
+def _absmax(v: np.ndarray) -> float:
+    """max |v|, 0 for an empty v, from one max and one min of v: NaN if v
+    holds one.  ``+ 0.0`` turns the -0.0 of a v of zeros into +0.0."""
+    if not v.size:
+        return 0.0
+    return float(max(v.max(), -v.min())) + 0.0
+
+
+def _extent(x: np.ndarray) -> tuple[float, float]:
+    """(min x, max |x|) of an iterate (0 for an empty x), checked before
+    any residual is formed from it.
 
     An overflowed iterate would otherwise reach ``_residual`` and make
-    numpy warn (inf - inf) before the solve is rejected.
+    numpy warn (inf - inf) before the solve is rejected; a NaN or an inf
+    entry makes max |x| one.
     """
-    if not np.all(np.isfinite(x)):
+    if not x.size:
+        return 0.0, 0.0
+    lo = float(x.min())
+    size = max(float(x.max()), -lo) + 0.0
+    if not np.isfinite(size):
         raise SolverError("non-finite intermediate in linear solve")
-    return x
+    return lo, size
+
+
+def _lu_solve(lu, b: np.ndarray, transpose: bool, overwrite_b: bool = False) -> np.ndarray:
+    """The LU solve of a refined solve, with a ``BandLU`` or SuperLU.
+
+    A column solve takes and returns all m entries, and may overwrite b
+    when ``overwrite_b``.  The row solve takes b's first entries, past
+    which it is 0, and returns the solution's up to its support
+    (``BandLU.solve``); SuperLU's full-length solution is cut there too.
+    """
+    if isinstance(lu, BandLU):
+        return lu.solve(b, "T" if transpose else "N", overwrite_b)
+    if not transpose:
+        return lu.solve(b)
+    m = lu.shape[0]
+    if b.size < m:
+        b = np.concatenate((b, np.zeros(m - b.size)))
+    x = lu.solve(b, trans="T")
+    return x[:_support(x)]
 
 
 def _solve(system, b, transpose, opts: SolverOptions) -> SolveResult:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (system.size,):
         raise ValueError(f"right-hand side must have shape ({system.size},)")
-    if not np.all(np.isfinite(b)):
+    # a NaN reaches both the min and the max
+    lo, bmax = float(b.min(initial=0.0)), float(b.max(initial=0.0))
+    if not (np.isfinite(lo) and np.isfinite(bmax)):
         raise ValueError("right-hand side must be finite")
-    if np.any(b < 0):
+    if lo < 0:
         raise ValueError("right-hand side must be non-negative")
-    if system.size == 0:
+    m = system.size
+    if m == 0:
         return SolveResult(x=np.zeros(0), residual_norm=0.0, iterations=0)
     lu = _lu(system)
-    trans = "T" if transpose else "N"
-    x = _finite(lu.solve(b, trans=trans))
+    if transpose:
+        # the row solve holds b, x, each step and the residual up to their
+        # supports (see the module docstring)
+        b = b[:_support(b)]
+    x = _lu_solve(lu, b, transpose)
+    xlo, xmax = _extent(x)
     residual = _residual(system, x, b, transpose)
-    # the residual is 0 past its first ``hi`` entries (see ``_residual``)
-    hi = max(_ends(system, x)[1], _support(b)) if transpose else system.size
+    rmax = None if transpose else _absmax(residual)
     iterations = 0
     # Iterative refinement (see the module docstring).  The row solve stops
     # after a correction at y's last bit or one that did not halve, a column
     # solve once its residual reaches the roundoff floor or stops shrinking.
     # ``residual`` always belongs to the current x: the row solve forms its
     # long-double residual once and updates it in double, a column solve
-    # forms each of its own once
+    # forms each of its own once, and its max once
     eps = np.finfo(np.float64).eps
     best = np.inf
     for _ in range(8):
-        if not transpose:
-            size = float(np.abs(residual).max())
-            if size <= 4.0 * eps * _scale(b, x) or size >= 0.9 * best:
+        if transpose:
+            step = _lu_solve(lu, residual.astype(np.float64), True)
+            x_new = np.zeros(max(x.size, step.size))
+            x_new[:x.size] = x
+            x_new[:step.size] += step
+        else:
+            if rmax <= 4.0 * eps * _scale(bmax, xmax) or rmax >= 0.9 * best:
                 break
-            best = size
-        rhs = np.zeros(system.size)
-        rhs[:hi] = residual[:hi]
-        step = lu.solve(rhs, trans=trans)
-        x, residual, hi = _move(system, x, _finite(x + step), b, residual, hi, transpose)
+            best = rmax
+            # x + step in the step's buffer, the residual's own
+            x_new = np.add(x, _lu_solve(lu, residual, False, overwrite_b=True), out=residual)
+        xlo, xmax = _extent(x_new)
+        x, residual = _move(system, x, x_new, b, residual, transpose)
         iterations += 1
         if transpose:
-            size = float(np.abs(step).max())
-            if size <= eps * float(np.abs(x).max()) or size >= 0.5 * best:
+            size = _absmax(step)
+            if size <= eps * xmax or size >= 0.5 * best:
                 break
             best = size
+        else:
+            rmax = _absmax(residual)
 
-    lo = x.min()
-    if lo < 0.0:
-        scale = max(1.0, float(np.abs(x).max()))
-        if lo < -1e-8 * scale:
-            raise SolverError(f"solution significantly negative (min {lo:.3e})")
-        x, residual, hi = _move(system, x, np.maximum(x, 0.0), b, residual, hi, transpose)
+    if xlo < 0.0:
+        if xlo < -1e-8 * max(1.0, xmax):
+            raise SolverError(f"solution significantly negative (min {xlo:.3e})")
+        x, residual = _move(system, x, np.maximum(x, 0.0), b, residual, transpose)
+        xmax, rmax = _absmax(x), None
     # the residual against B is within e-bar |x|_inf of that against B~
-    res = float(np.abs(residual[:hi]).max(initial=0.0))
-    res += _cut(system)[2] * float(np.abs(x).max())
-    cap = opts.tol * _scale(b, x)
+    res = (_absmax(residual) if rmax is None else rmax) + _cut(system)[2] * xmax
+    cap = opts.tol * _scale(bmax, xmax)
     if res > cap:
         raise SolverError(f"residual {res:.3e} exceeds tolerance {cap:.3e}")
+    if transpose and x.size < m:
+        # y, the one vector of length m the row solve allocates
+        y = np.zeros(m)
+        y[:x.size] = x
+        x = y
     return SolveResult(x=x, residual_norm=res, iterations=iterations)
 
 

@@ -689,10 +689,12 @@ def test_certified_row_residual_is_that_of_the_returned_y():
 def test_transpose_residual_over_y_support_is_exact_and_b_past_it(monkeypatch, block):
     """On the walk at a = 3000, y underflows to exact zeros after its first
     1,073 entries, so the long-double residual reads only the rows of B~
-    below y's support s and forms only its entries below s + R.  Whatever
-    the rows of B per block, those entries are within a few long-double
-    ulps of the exact residual, as in the full-length residual's test; every
-    later entry is the right-hand side itself, exactly."""
+    below y's support s and returns only its first hi = max(s + R,
+    support(b)) entries: past them the residual is b, which is 0 there.
+    Whatever the rows of B per block, the entries below s + R are within a
+    few long-double ulps of the exact residual, as in the full-length
+    residual's test, every later one is the right-hand side itself,
+    exactly, and the exact residual is 0 past hi."""
     monkeypatch.setattr(solver_module, "LD_BLOCK", block)
     eps_ld = float(np.finfo(np.longdouble).eps)
     sys_ = walk_system(3000)
@@ -701,24 +703,28 @@ def test_transpose_residual_over_y_support_is_exact_and_b_past_it(monkeypatch, b
     assert (s, reach) == (1073, 1)
     n = s + reach
     got = solver_module._residual(sys_, x, sys_.nu, True)
-    assert got.dtype == np.longdouble and got.size == sys_.size
+    assert got.dtype == np.longdouble and got.size == n
     exact, scale = _exact_row_residual(sys_, x)
     err = np.array([float(Fraction(*g.as_integer_ratio()) - e)
-                    for g, e in zip(got[:n], exact[:n])])
+                    for g, e in zip(got, exact[:n])])
     assert any(e != 0 for e in exact[:n])
     assert np.all(np.abs(err) <= 4 * eps_ld * scale[:n])
-    assert np.array_equal(got[n:], sys_.nu[n:])
+    assert not any(exact[n:])
     # a right-hand side with an entry past the columns that y reaches: the
-    # residual is that entry there, and the same as nu's below s + R
+    # residual runs to that entry, is that entry there, and is the same as
+    # nu's below s + R
     b = sys_.nu.copy()
     b[2500] = 0.25
     got_b = solver_module._residual(sys_, x, b, True)
-    assert np.array_equal(got_b[:n], got[:n]) and np.array_equal(got_b[n:], b[n:])
+    assert got_b.size == 2501
+    assert np.array_equal(got_b[:n], got) and np.array_equal(got_b[n:], b[n:2501])
 
 
-def _row_support_outcomes(monkeypatch) -> list:
-    """The row solves and reports that stop where y underflows, and gm1's,
-    whose y is dense, as the bytes of each ``SolveResult``'s x, the hex
+def _row_support_outcomes(monkeypatch, tmp_path) -> list:
+    """The row solves and reports that stop where y underflows, and those
+    whose y is dense (gm1's, the 1,500-state file chain's with jumps up to
+    3, whose L pass is one call with kl = 3, and the hub chain's, which
+    SuperLU factors), as the bytes of each ``SolveResult``'s x, the hex
     strings of its residual norm and its steps, and ``_bits`` of each
     ``BoundReport``."""
     def solved(res):
@@ -738,6 +744,7 @@ def _row_support_outcomes(monkeypatch) -> list:
             b = sys_.nu.copy()
             b[at] = 1e-3
             out.append(solved(solve_transpose(sys_, b=b)))
+        out.append(solved(solve_transpose(sys_, b=np.zeros(sys_.size))))
         out += [solved(solve(sys_, v)) for v in (sys_.p, sys_.h1, sys_.h2)]
     cert = random_walk_certificate()
     problems = [walk_problem(a) for a in (1000, 10_000, 100_000)]
@@ -751,36 +758,59 @@ def _row_support_outcomes(monkeypatch) -> list:
         sys_ = walk_system(3000)
         assert isinstance(solver_module._lu(sys_), spla.SuperLU)
         out.append(solved(solve_transpose(sys_)))
+    jump = load_chain_from_file(write_jump_chain(tmp_path / "jump.txt", n=1500))
+    jump_sys = assemble_truncated_system(
+        TruncationProblem(chain=jump, A=np.arange(1500), z=0, K=np.arange(21), r=float),
+        ZERO_CERT)
+    assert solver_module._lu(jump_sys).kl == 3
+    hub = assemble_truncated_system(
+        TruncationProblem(chain=hub_chain(1200), A=np.arange(1000), z=0, K=[0], r=float),
+        ZERO_CERT)
+    assert isinstance(solver_module._lu(hub), spla.SuperLU)
+    out += [solved(solve_transpose(s)) for s in (jump_sys, hub)]
     return out
 
 
-def test_row_solve_over_y_support_is_bit_identical_to_the_full_length_one(monkeypatch):
-    """The row solve runs its U pass, its long-double residual, each
-    refinement update and the residual's max over y's support and the
-    columns it reaches (on the walk at a = 3000, 1,074 of 2,999 entries),
-    under the band LU and under SuperLU alike.  With ``_support`` made to
-    report every vector as reaching the last entry, every solve takes the
-    full-length path; every ``SolveResult`` and ``BoundReport`` is the same
-    bit for bit: the walk's row solves, with nu and with right-hand sides
-    that reach further, its column solves, the walk at a = 10^5 as a point
-    and as a sweep, and gm1 at a = 10^4."""
+def test_row_solve_over_y_support_is_bit_identical_to_the_full_length_one(monkeypatch,
+                                                                           tmp_path):
+    """The row solve holds every vector only up to its support: its L pass
+    stops at a chunk that ends in 0, and its U pass, its long-double
+    residual, each refinement update and the residual's max run over y's
+    support and the columns it reaches (on the walk at a = 3000, 1,074 of
+    2,999 entries), under the band LU and under SuperLU alike.  With
+    ``_support`` made to report every vector as reaching the last entry,
+    every solve takes the full-length path; every ``SolveResult`` and
+    ``BoundReport`` is the same bit for bit: the walk's row solves, with nu,
+    with right-hand sides that reach further and with b = 0, its column
+    solves, the walk at a = 10^5 as a point and as a sweep, gm1 at
+    a = 10^4, a file chain with kl = 3 and the hub chain."""
     assert solver_module._support(solve_transpose(walk_system(3000)).x) == 1073
-    shipped = _row_support_outcomes(monkeypatch)
+    shipped = _row_support_outcomes(monkeypatch, tmp_path)
     monkeypatch.setattr(solver_module, "_support", lambda x: x.size)
-    assert _row_support_outcomes(monkeypatch) == shipped
+    assert _row_support_outcomes(monkeypatch, tmp_path) == shipped
 
 
 def test_dense_row_solve_takes_the_full_length_path(monkeypatch):
-    """gm1's y at a = 10^4 is dense, so its row solve reads all of A': every
-    triangular band solve runs over all m columns of the factor, and every
-    product x B~ reads all m rows."""
+    """gm1's y at a = 10^4 is dense, so its row solve reads all of A': the
+    chunks of each L pass cover columns 0 .. m - 1 in order, each starting
+    at the last one's final column, every U pass runs over all m columns of
+    the factor, and every product x B~ reads all m rows."""
     sys_ = gm1_system(10_000)
     m = sys_.size
+    lu = solver_module._lu(sys_)
+    assert lu.kl == 1
     tbsv, xB = solver_module.dtbsv, solver_module._xB
-    columns, rows = [], []
+    calls, rows = [], []
+
+    def first_column(a):
+        offset = a.__array_interface__["data"][0] - lu.L.__array_interface__["data"][0]
+        return offset // lu.L.strides[1]
 
     def counting_tbsv(k, a, x, **kw):
-        columns.append(a.shape[1])
+        if kw.get("lower"):
+            calls.append(("L", first_column(a), first_column(a) + a.shape[1]))
+        else:
+            calls.append(("U", 0, a.shape[1]))
         return tbsv(k, a, x, **kw)
 
     def counting_xB(system, x):
@@ -792,7 +822,46 @@ def test_dense_row_solve_takes_the_full_length_path(monkeypatch):
     res = solve_transpose(sys_)
     assert res.iterations >= 1 and solver_module._support(res.x) == m
     assert rows and set(rows) == {m}
-    assert columns and set(columns) == {m}
+    # each LU solve is its L pass's chunks, then one U pass
+    assert len(calls) > 2 * (res.iterations + 1) and calls[-1][0] == "U"
+    chunks = []
+    for kind, c, e in calls:
+        if kind == "L":
+            assert e > c and c == (chunks[-1][1] - 1 if chunks else 0)
+            chunks.append((c, e))
+        else:
+            assert chunks and chunks[-1][1] == m and e == m
+            chunks = []
+
+
+def test_row_solve_allocates_only_y(monkeypatch):
+    """On the walk at a = 10^5 and 4 * 10^5, y has 1,073 nonzero entries,
+    and the row solve holds every vector only up to its support: y is the
+    one vector of length m it allocates, so its tracemalloc peak stays
+    under 1.25 times y's 8 m bytes, and no triangular band solve spans more
+    than max(``FIRST_CHUNK``, 4 support(y)) columns of the factor."""
+    tbsv = solver_module.dtbsv
+    spans = []
+
+    def spanning(k, a, x, **kw):
+        spans.append(a.shape[1])
+        return tbsv(k, a, x, **kw)
+
+    monkeypatch.setattr(solver_module, "dtbsv", spanning)
+    for a in (100_000, 400_000):
+        sys_ = walk_system(a)
+        solve_transpose(sys_)       # factors I - B and derives B~ and R
+        spans.clear()
+        tracemalloc.start()
+        try:
+            res = solve_transpose(sys_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, s = sys_.size, solver_module._support(res.x)
+        assert res.x.size == m and s == 1073 and res.iterations >= 1
+        assert peak < 1.25 * 8 * m
+        assert spans and max(spans) <= max(solver_module.FIRST_CHUNK, 4 * s)
 
 
 def _exact_column_residual(sys_, b, x) -> tuple[list, np.ndarray]:
